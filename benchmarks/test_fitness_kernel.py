@@ -44,7 +44,7 @@ from repro.pmevo import (
 )
 from repro.pmevo.expgen import pair_experiments, singleton_experiments
 from repro.pmevo.population import genome_volume
-from repro.throughput import BatchedThroughputEvaluator
+from repro.throughput import BatchedThroughputEvaluator, bottleneck_rows
 
 POPULATION = 256
 CHUNK = 64
@@ -94,9 +94,7 @@ def _legacy_fitness(evaluator, genomes, chunk):
     for start in range(0, len(genomes), chunk):
         part = genomes[start : start + chunk]
         matrices = np.stack([evaluator.uop_matrix(genome) for genome in part])
-        predicted[start : start + len(part)] = (
-            evaluator.throughputs_from_matrices(matrices)
-        )
+        predicted[start : start + len(part)] = bottleneck_rows(evaluator.counts, matrices)
     davgs = evaluator.davg_from_throughputs(predicted)
     volumes = np.empty(len(genomes), dtype=np.float64)
     for i, genome in enumerate(genomes):
@@ -131,9 +129,7 @@ def _legacy_kernel(evaluator, genomes, chunk):
     for start in range(0, len(genomes), chunk):
         part = genomes[start : start + chunk]
         matrices = np.stack([evaluator.uop_matrix(genome) for genome in part])
-        predicted[start : start + len(part)] = (
-            evaluator.throughputs_from_matrices(matrices)
-        )
+        predicted[start : start + len(part)] = bottleneck_rows(evaluator.counts, matrices)
     return predicted
 
 

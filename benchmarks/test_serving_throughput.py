@@ -8,8 +8,9 @@ real subprocess and every number includes HTTP framing, JSON, and
 canonicalization, exactly what a client pays:
 
 * **cold** — every sequence is a miss: request parse + executor hop +
-  fixed-mapping kernel (one ``[1, I] @ [I, 2^|P|]`` matmul per sequence,
-  per-row for bit-stability) + cache fill.
+  fixed-mapping kernel (one ``[batch, I] @ [I, 2^|P|]`` matmul and one zeta
+  transform for the whole batch; exact, hence batch-independent) + cache
+  fill.
 * **warm** — every sequence hits the LRU: request parse + dict lookup.
   The acceptance bar is warm >= 5x cold predictions/s single-client.
 * **1 vs 32 clients** — the event loop serves hits while the single

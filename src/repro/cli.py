@@ -442,7 +442,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     specs = [parse_mapping_spec(spec) for spec in args.mapping]
     host, port = parse_bind(args.bind)
     try:
-        registry = MappingRegistry(specs, workspace_capacity=args.max_batch)
+        registry = MappingRegistry(specs)
     except ServingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,6 +78,10 @@ __all__ = [
     "history_from_jsonable",
 ]
 
+#: Genomes per fitness-kernel call.  The kernel is exact, so the chunk size
+#: changes speed and memory only, never a result.
+_FITNESS_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -101,7 +105,6 @@ class EvolutionConfig:
     mutation_rate: float = 0.0
     local_search_rounds: int = 2
     seed: int = 0
-    batch_chunk: int = 16
     islands: int = 1
     workers: int = 1
     migration_interval: int = 10
@@ -115,8 +118,6 @@ class EvolutionConfig:
             raise InferenceError("population size must be at least 2")
         if self.max_generations < 1:
             raise InferenceError("need at least one generation")
-        if self.batch_chunk < 1:
-            raise InferenceError("batch chunk must be positive")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise InferenceError("mutation rate must be in [0, 1]")
         if self.islands < 1:
@@ -374,8 +375,8 @@ class PortMappingEvolver:
         )
         # One preallocated evaluation workspace per evolver, reused by every
         # generation's fitness batch (population-sized batches stream through
-        # it in `batch_chunk`-sized chunks).
-        self._workspace = self.evaluator.packed_workspace(self.config.batch_chunk)
+        # it in _FITNESS_CHUNK-sized chunks).
+        self._workspace = self.evaluator.packed_workspace(_FITNESS_CHUNK)
         self._rng = np.random.default_rng(self.config.seed)
 
     # -- evaluation --------------------------------------------------------

@@ -4,9 +4,8 @@ A registry owns one or more inferred port mappings — the JSON artifacts
 written by ``repro-pmevo infer -o`` or ``repro-pmevo export --format json``
 — each under a stable *mapping id* that requests address.  Per mapping it
 precomputes the :class:`repro.throughput.batched.FixedMappingEvaluator`
-(the mapping's µop matrix, scattered once) and a reusable
-:class:`repro.throughput.batched.SequenceWorkspace`, so the per-request
-work is counts-fill + kernel only.
+(the mapping's µop matrix, scattered once), so the per-batch work is one
+counts fill and one kernel call.
 
 Hot reload (:meth:`MappingRegistry.reload`) re-reads every artifact path
 and swaps in mappings whose :meth:`~repro.core.mapping.ThreeLevelMapping.fingerprint`
@@ -25,7 +24,7 @@ from pathlib import Path
 
 from repro.core.errors import MappingError, ServingError
 from repro.core.mapping import ThreeLevelMapping
-from repro.throughput.batched import FixedMappingEvaluator, SequenceWorkspace
+from repro.throughput.batched import FixedMappingEvaluator
 
 __all__ = ["ServedMapping", "MappingRegistry", "load_mapping_artifact", "parse_mapping_spec"]
 
@@ -79,7 +78,6 @@ class ServedMapping:
     path: Path
     mapping: ThreeLevelMapping
     evaluator: FixedMappingEvaluator
-    workspace: SequenceWorkspace
     fingerprint: str
     generation: int = 1
     loaded_at: float = field(default_factory=time.time)
@@ -103,12 +101,9 @@ class MappingRegistry:
     specs:
         ``(mapping id, artifact path)`` pairs, as produced by
         :func:`parse_mapping_spec`.  Ids must be unique.
-    workspace_capacity:
-        Batch width of the per-mapping reusable workspace (requests beyond
-        it are evaluated in chunks).
     """
 
-    def __init__(self, specs: list[tuple[str, Path]], workspace_capacity: int = 256):
+    def __init__(self, specs: list[tuple[str, Path]]):
         if not specs:
             raise ServingError("a mapping registry needs at least one mapping")
         seen: set[str] = set()
@@ -117,20 +112,17 @@ class MappingRegistry:
                 raise ServingError(f"duplicate mapping id {mapping_id!r}")
             seen.add(mapping_id)
         self._specs = list(specs)
-        self._workspace_capacity = workspace_capacity
         self._entries: dict[str, ServedMapping] = {}
         for mapping_id, path in self._specs:
             self._entries[mapping_id] = self._load_entry(mapping_id, path)
 
     def _load_entry(self, mapping_id: str, path: Path, generation: int = 1) -> ServedMapping:
         mapping = load_mapping_artifact(path)
-        evaluator = FixedMappingEvaluator(mapping)
         return ServedMapping(
             mapping_id=mapping_id,
             path=path,
             mapping=mapping,
-            evaluator=evaluator,
-            workspace=evaluator.workspace(self._workspace_capacity),
+            evaluator=FixedMappingEvaluator(mapping),
             fingerprint=mapping.fingerprint(),
             generation=generation,
         )

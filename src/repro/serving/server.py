@@ -15,16 +15,17 @@ A ``POST /v1/predict`` batch is answered from three tiers:
    computing; this request awaits the in-flight future instead of
    recomputing (single-flight per key).
 3. **Fresh misses** — deduplicated and evaluated as *one*
-   :class:`repro.throughput.batched.FixedMappingEvaluator` batch through the
-   mapping's reusable :class:`~repro.throughput.batched.SequenceWorkspace`,
-   on a single-threaded executor so the event loop keeps accepting
-   connections and serving cached hits while numpy runs.  Per-request cost
-   is therefore amortized over batch width, not paid per sequence.
+   :class:`repro.throughput.batched.FixedMappingEvaluator` call (one kernel
+   call for the whole batch) on a single-threaded executor, so the event
+   loop keeps accepting connections and serving cached hits while numpy
+   runs.  Per-request cost is therefore amortized over batch width, not
+   paid per sequence.
 
-Because the fixed-mapping kernel is bit-identical regardless of batch
-composition, the three tiers return the same floats for the same sequence —
-cold, warm, and coalesced answers are indistinguishable
-(``tests/test_serving_equivalence.py``).
+The kernel is exact for integer masses below 2^53, so a prediction does not
+depend on batch composition: the three tiers return the same floats for the
+same sequence — cold, warm, and coalesced answers are indistinguishable
+(``tests/test_serving_equivalence.py``).  A sequence whose total µop mass
+reaches 2^53 is rejected up front with a structured 400.
 
 Error and shutdown discipline
 -----------------------------
@@ -57,6 +58,7 @@ from repro.serving.protocol import (
     parse_predict_request,
 )
 from repro.serving.registry import MappingRegistry
+from repro.throughput.bottleneck import EXACT_MASS_LIMIT
 
 __all__ = ["PredictionServer", "parse_bind"]
 
@@ -231,6 +233,14 @@ class PredictionServer:
                     f"mapping {mapping_id!r} does not cover instruction "
                     f"{missing[0]!r}",
                 )
+            mass = entry.evaluator.total_mass(sequence)
+            if mass >= EXACT_MASS_LIMIT:
+                raise ProtocolError(
+                    400,
+                    "mass_too_large",
+                    f"a sequence's total µop mass under mapping {mapping_id!r} is "
+                    f"{mass}, at least 2^53: its throughput is not exact in float64",
+                )
 
         generation = entry.generation
         results: list[float | None] = [None] * len(request.sequences)
@@ -264,10 +274,7 @@ class PredictionServer:
             self.stats.record_batch(len(sequences))
             try:
                 values = await loop.run_in_executor(
-                    self._executor,
-                    entry.evaluator.throughputs,
-                    sequences,
-                    entry.workspace,
+                    self._executor, entry.evaluator.throughputs, sequences
                 )
             except BaseException as exc:
                 for sequence, future in fresh.items():

@@ -1,13 +1,13 @@
 """Analytical throughput models: LP (Definition 3) and bottleneck (Eq. 1)."""
 
 from repro.throughput.batched import (
-    HAVE_NUMBA,
     BatchedThroughputEvaluator,
     FixedMappingEvaluator,
     PackedWorkspace,
-    SequenceWorkspace,
 )
 from repro.throughput.bottleneck import (
+    EXACT_MASS_LIMIT,
+    bottleneck_rows,
     bottleneck_throughput,
     bottleneck_throughput_dense,
     bottleneck_throughput_reference,
@@ -21,6 +21,8 @@ from repro.throughput.predictor import (
 )
 
 __all__ = [
+    "EXACT_MASS_LIMIT",
+    "bottleneck_rows",
     "bottleneck_throughput",
     "bottleneck_throughput_dense",
     "bottleneck_throughput_reference",
@@ -32,8 +34,6 @@ __all__ = [
     "BatchedThroughputEvaluator",
     "FixedMappingEvaluator",
     "PackedWorkspace",
-    "SequenceWorkspace",
-    "HAVE_NUMBA",
     "MappingPredictor",
     "ThroughputPredictor",
     "predict_many",

@@ -1,36 +1,31 @@
-"""Batched throughput evaluation for the evolutionary algorithm.
+"""Batched throughput evaluation: the evaluators around the one kernel.
 
 Fitness evaluation speed "directly corresponds to the quality of the obtained
 solution" (Section 4.5).  This module is our analogue of the paper's
-aggressively vectorized bottleneck implementation: it evaluates one or many
-candidate mappings against a whole experiment set with numpy.
+aggressively vectorized bottleneck implementation.  Every evaluator here
+reduces its work to :func:`repro.throughput.bottleneck.bottleneck_rows` —
+an experiment count matrix ``X[experiment, instruction]`` against µop
+multiplicity matrices ``M[instruction, mask]`` — and differs only in what it
+holds fixed:
 
-The pipeline per candidate is
+* :class:`BatchedThroughputEvaluator` fixes the experiment set (``X`` is
+  built once) and streams candidate mappings through it.  The evolver hands
+  it a whole :class:`repro.pmevo.packed.PackedPopulation` per generation
+  (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`), scattered
+  with one vectorized add per µop slot into a reusable
+  :class:`PackedWorkspace`, so steady-state evaluation does no large
+  allocations and no per-genome Python loops.  Local search and the final
+  ``D_avg`` pass one dict genome at a time
+  (:meth:`~BatchedThroughputEvaluator.throughputs`).
+* :class:`FixedMappingEvaluator` fixes the mapping (``M`` is scattered once)
+  and streams batches of instruction sequences through it, one kernel call
+  per batch — the hot path of the prediction serving layer.
 
-1. genome → µop matrix ``M[instruction, mask]`` of multiplicities,
-2. mass matrix ``W = X @ M`` where ``X[experiment, instruction]`` holds the
-   multiset counts (built once per experiment set),
-3. zeta transform of ``W`` along the mask axis (superset sums),
-4. ``t*[e] = max_Q W[e, Q] / |Q|``.
-
-Step 2 is a single BLAS matrix product, steps 3–4 are ``|P|`` slice-adds and
-one reduction, so the per-candidate cost is far below solving hundreds of
-LPs — the property that makes population-scale search practical.
-
-Population-scale path
----------------------
-The per-genome pipeline above still pays Python dict traffic per candidate
-(:meth:`BatchedThroughputEvaluator.uop_matrix` scatters one genome at a
-time).  The evolutionary hot loop therefore uses the *packed* path instead:
-a whole :class:`repro.pmevo.packed.PackedPopulation` is scattered into a
-preallocated dense workspace with one ``np.add.at`` per µop-slot axis — no
-per-genome Python loops — and then flows through the same fused kernel
-(mass product → in-place zeta transform → divide → max).  Workspaces
-(:class:`PackedWorkspace`) are allocated once and reused across generations,
-so steady-state evaluation does no large allocations at all.  When
-``numba`` is importable, :meth:`throughputs_from_packed` can JIT the fused
-kernel (``engine="numba"``/``"auto"``); the numpy path is always available
-and is the bit-exact reference.
+Counts and multiplicities are integers, so the kernel is exact (see its
+contract): the packed, dict and fixed-mapping paths agree bit for bit with
+each other and with
+:func:`~repro.throughput.bottleneck.bottleneck_throughput_reference`,
+however the work is batched or chunked.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ import numpy as np
 from repro.core.errors import ExperimentError, MappingError
 from repro.core.experiment import Experiment, ExperimentSet
 from repro.core.mapping import ThreeLevelMapping
-from repro.throughput.bottleneck import popcounts, zeta_transform
+from repro.throughput.bottleneck import bottleneck_rows
 
 if TYPE_CHECKING:  # import would cycle through repro.pmevo at runtime
     from repro.pmevo.packed import PackedPopulation
@@ -52,64 +47,42 @@ __all__ = [
     "BatchedThroughputEvaluator",
     "FixedMappingEvaluator",
     "PackedWorkspace",
-    "SequenceWorkspace",
-    "HAVE_NUMBA",
 ]
 
-try:  # optional JIT acceleration; the numpy kernel is the reference
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised on numba-less installs
-    _numba = None
 
-#: Whether the optional numba-jitted fused kernel is available.
-HAVE_NUMBA = _numba is not None
+def _count_matrix(experiments: Sequence[Experiment], index: Mapping[str, int]) -> np.ndarray:
+    """``X[experiment, instruction]``: each experiment's multiset counts."""
+    counts = np.zeros((len(experiments), len(index)), dtype=np.float64)
+    for row, experiment in enumerate(experiments):
+        for name, count in experiment:
+            col = index.get(name)
+            if col is None:
+                raise ExperimentError(
+                    f"experiment uses {name!r}, not in the instruction universe"
+                )
+            counts[row, col] = float(count)
+    return counts
 
-_NUMBA_KERNEL = None
 
+def _uop_matrix(
+    genome: Mapping[str, Mapping[int, int]], index: Mapping[str, int], num_ports: int
+) -> np.ndarray:
+    """``M[instruction, mask]``: a genome's µop multiplicities, scattered.
 
-def _numba_kernel():
-    """Build (once) the jitted fused kernel: scatter → zeta → divide → max.
-
-    Matches the numpy kernel within floating-point reassociation (the numpy
-    path is the bit-exact reference; this one contracts the instruction axis
-    µop-by-µop instead of through BLAS).
+    Instructions outside ``index`` are skipped (genomes may cover more
+    instructions than the universe).
     """
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-
-        @_numba.njit(cache=True)
-        def kernel(counts, masks, mults, num_ports, popcount_table, out):
-            population, n_instr, n_slots = masks.shape
-            n_exp = counts.shape[0]
-            size = 1 << num_ports
-            mass = np.empty((n_exp, size), dtype=np.float64)
-            for p in range(population):
-                mass[:, :] = 0.0
-                for i in range(n_instr):
-                    for s in range(n_slots):
-                        mask = masks[p, i, s]
-                        if mask == 0:
-                            break
-                        mult = float(mults[p, i, s])
-                        for e in range(n_exp):
-                            mass[e, mask] += counts[e, i] * mult
-                for k in range(num_ports):
-                    bit = 1 << k
-                    for q in range(size):
-                        if q & bit:
-                            lo = q ^ bit
-                            for e in range(n_exp):
-                                mass[e, q] += mass[e, lo]
-                for e in range(n_exp):
-                    best = 0.0
-                    for q in range(1, size):
-                        value = mass[e, q] / popcount_table[q]
-                        if value > best:
-                            best = value
-                    out[p, e] = best
-
-        _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
+    size = 1 << num_ports
+    matrix = np.zeros((len(index), size), dtype=np.float64)
+    for name, uops in genome.items():
+        row = index.get(name)
+        if row is None:
+            continue
+        for mask, mult in uops.items():
+            if mask <= 0 or mask >= size:
+                raise MappingError(f"mask {mask:#x} invalid for {num_ports} ports")
+            matrix[row, mask] += float(mult)
+    return matrix
 
 
 class PackedWorkspace:
@@ -186,18 +159,8 @@ class BatchedThroughputEvaluator:
             raise ExperimentError("need at least one experiment")
 
         self.experiments = tuple(exps)
-        counts = np.zeros((len(exps), len(self.instruction_names)), dtype=np.float64)
-        for row, experiment in enumerate(exps):
-            for name, count in experiment:
-                col = self._index.get(name)
-                if col is None:
-                    raise ExperimentError(
-                        f"experiment uses {name!r}, not in the instruction universe"
-                    )
-                counts[row, col] = float(count)
-        self._counts = counts
-        self._popcounts = popcounts(num_ports).copy()
-        self._popcounts[0] = np.inf  # the empty set never wins the max
+        #: ``X[experiment, instruction]``, the kernel's count matrix.
+        self.counts = _count_matrix(exps, self._index)
 
     @property
     def num_experiments(self) -> int:
@@ -206,48 +169,16 @@ class BatchedThroughputEvaluator:
     def uop_matrix(self, genome: Mapping[str, Mapping[int, int]]) -> np.ndarray:
         """Scatter a genome (``name -> {mask -> multiplicity}``) into a dense
         ``[instruction, 2^|P|]`` multiplicity matrix."""
-        size = 1 << self.num_ports
-        matrix = np.zeros((len(self.instruction_names), size), dtype=np.float64)
-        for name, uops in genome.items():
-            row = self._index.get(name)
-            if row is None:
-                continue  # genomes may cover more instructions than the universe
-            for mask, mult in uops.items():
-                if mask <= 0 or mask >= size:
-                    raise MappingError(f"mask {mask:#x} invalid for {self.num_ports} ports")
-                matrix[row, mask] += float(mult)
-        return matrix
+        return _uop_matrix(genome, self._index, self.num_ports)
 
     def _validate_covers(self, matrix: np.ndarray) -> None:
         # Every instruction used by some experiment must have at least one µop.
-        used = self._counts.sum(axis=0) > 0
+        used = self.counts.sum(axis=0) > 0
         has_uop = matrix.sum(axis=1) > 0
         missing = used & ~has_uop
         if missing.any():
             names = [self.instruction_names[i] for i in np.nonzero(missing)[0]]
             raise MappingError(f"instructions without µops: {names}")
-
-    def throughputs_from_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Predicted throughput per experiment for a µop matrix."""
-        self._validate_covers(matrix)
-        masses = self._counts @ matrix  # [experiment, mask]
-        zeta_transform(masses, self.num_ports)
-        np.divide(masses, self._popcounts, out=masses)
-        return masses.max(axis=1)
-
-    def throughputs_from_matrices(self, matrices: np.ndarray) -> np.ndarray:
-        """Predicted throughputs for a stack of µop matrices.
-
-        ``matrices`` has shape ``[population, instruction, 2^|P|]``; the
-        result has shape ``[population, experiment]``.  This is the hot path
-        of the evolutionary algorithm.
-        """
-        if matrices.ndim != 3:
-            raise MappingError("expected a [population, instruction, mask] array")
-        masses = np.einsum("ei,piu->peu", self._counts, matrices, optimize=True)
-        zeta_transform(masses, self.num_ports)
-        np.divide(masses, self._popcounts, out=masses)
-        return masses.max(axis=2)
 
     # -- the packed population path (the EA hot loop) ------------------------
 
@@ -294,78 +225,44 @@ class BatchedThroughputEvaluator:
         return target
 
     def throughputs_from_packed(
-        self,
-        packed: "PackedPopulation",
-        workspace: PackedWorkspace | None = None,
-        engine: str = "auto",
+        self, packed: "PackedPopulation", workspace: PackedWorkspace | None = None
     ) -> np.ndarray:
         """Predicted throughputs for a whole packed population.
 
-        Returns a ``[population, experiment]`` array equal (bit for bit, for
-        the numpy engine) to stacking :meth:`uop_matrix` over the unpacked
-        genomes and calling :meth:`throughputs_from_matrices` — without the
+        Returns a ``[population, experiment]`` array equal, bit for bit, to
+        calling :meth:`throughputs` on each unpacked genome — without the
         per-genome Python scatter that makes the dict path the EA's wall.
 
         ``workspace`` holds the preallocated buffers (created on the fly
         when omitted); populations beyond its capacity are processed in
-        chunks.  ``engine`` selects the kernel: ``"numpy"`` (the bit-exact
-        reference), ``"numba"`` (requires the optional dependency; same
-        results within floating-point reassociation), or ``"auto"`` (numba
-        when available, else numpy).
+        chunks.
         """
         self._check_packed(packed)
         population = len(packed)
-        if engine == "auto":
-            engine = "numba" if HAVE_NUMBA else "numpy"
-        if engine == "numba":
-            if not HAVE_NUMBA:
-                raise MappingError("numba engine requested but numba is not installed")
-            out = np.empty((population, self.num_experiments), dtype=np.float64)
-            _numba_kernel()(
-                self._counts,
-                packed.masks,
-                packed.mults,
-                self.num_ports,
-                self._popcounts,
-                out,
-            )
-            return out
-        if engine != "numpy":
-            raise MappingError(f"unknown packed evaluation engine {engine!r}")
-
         if workspace is None:
             workspace = self.packed_workspace(min(population, 64))
         out = np.empty((population, self.num_experiments), dtype=np.float64)
         for start in range(0, population, workspace.capacity):
-            chunk = min(workspace.capacity, population - start)
-            stop = start + chunk
+            stop = min(start + workspace.capacity, population)
             uops = self._scatter_packed(
                 workspace, packed.masks[start:stop], packed.mults[start:stop]
             )
-            masses = workspace.masses[:chunk]
-            np.einsum("ei,piu->peu", self._counts, uops, out=masses, optimize=True)
-            zeta_transform(masses, self.num_ports)
-            np.divide(masses, self._popcounts, out=masses)
-            masses.max(axis=2, out=out[start:stop])
+            bottleneck_rows(
+                self.counts,
+                uops,
+                masses=workspace.masses[: stop - start],
+                out=out[start:stop],
+            )
         return out
-
-    def fixed_mapping_evaluator(
-        self, mapping: ThreeLevelMapping
-    ) -> "FixedMappingEvaluator":
-        """A :class:`FixedMappingEvaluator` over this evaluator's instruction
-        universe — the batch-entry API for callers (like the serving layer)
-        that hold the mapping fixed and stream experiments through it."""
-        return FixedMappingEvaluator(mapping, self.instruction_names)
 
     def throughputs(
         self, mapping: ThreeLevelMapping | Mapping[str, Mapping[int, int]]
     ) -> np.ndarray:
         """Predicted throughput per experiment for a mapping or raw genome."""
-        if isinstance(mapping, ThreeLevelMapping):
-            genome = {name: uops for name, uops in mapping.items()}
-        else:
-            genome = mapping
-        return self.throughputs_from_matrix(self.uop_matrix(genome))
+        genome = dict(mapping.items()) if isinstance(mapping, ThreeLevelMapping) else mapping
+        matrix = self.uop_matrix(genome)
+        self._validate_covers(matrix)
+        return bottleneck_rows(self.counts, matrix)
 
     def davg(
         self, mapping: ThreeLevelMapping | Mapping[str, Mapping[int, int]]
@@ -384,48 +281,22 @@ class BatchedThroughputEvaluator:
         return np.mean(np.abs(predicted - self.measured) * self._inv_measured, axis=-1)
 
 
-class SequenceWorkspace:
-    """Preallocated buffers for :class:`FixedMappingEvaluator` batches.
-
-    Owns the counts buffer (``[capacity, instruction]``) and the mass buffer
-    (``[capacity, 2^|P|]``).  One workspace per served mapping is allocated
-    once and reused for every prediction batch; batches larger than
-    ``capacity`` are processed in capacity-sized chunks through the same
-    buffers.
-    """
-
-    __slots__ = ("capacity", "counts", "masses")
-
-    def __init__(self, capacity: int, num_instructions: int, num_ports: int):
-        if capacity < 1:
-            raise MappingError("workspace capacity must be positive")
-        self.capacity = capacity
-        self.counts = np.zeros((capacity, num_instructions), dtype=np.float64)
-        self.masses = np.empty((capacity, 1 << num_ports), dtype=np.float64)
-
-
 class FixedMappingEvaluator:
     """Evaluates batches of experiments against one fixed mapping.
 
     The transpose of :class:`BatchedThroughputEvaluator`: there the
     experiment set is fixed at construction and candidate mappings stream
     through; here the *mapping* is fixed — its µop matrix is scattered once —
-    and batches of instruction sequences stream through.  This is the hot
-    path of the prediction serving layer (:mod:`repro.serving`).
+    and batches of instruction sequences stream through, each batch as one
+    kernel call.  This is the hot path of the prediction serving layer
+    (:mod:`repro.serving`).
 
-    Bit-identity contract
-    ---------------------
-    Each batch entry is computed with exactly the arithmetic a direct
-    single-experiment :meth:`BatchedThroughputEvaluator.throughputs` call
-    performs: the mass product is one ``[1, instruction] @ [instruction,
-    2^|P|]`` matmul per entry (BLAS matmul results are *not* stable across
-    batch widths, so a whole-batch matmul would make a prediction depend on
-    which other sequences happened to share its batch), and the zeta
-    transform / popcount divide / max stages — whose per-row results are
-    batch-independent by construction — run vectorized over the batch.
-    Consequently a prediction for a sequence is one specific float, no
-    matter how it was batched or cached; ``tests/test_serving_equivalence.py``
-    pins this.
+    Under the kernel's exactness contract a prediction for a sequence is one
+    specific float, the same as a direct single-experiment
+    :meth:`BatchedThroughputEvaluator.throughputs` call, no matter which
+    other sequences share its batch; ``tests/test_serving_equivalence.py``
+    pins this.  :meth:`total_mass` lets callers reject up front a sequence
+    whose mass would break the contract.
 
     Parameters
     ----------
@@ -453,25 +324,15 @@ class FixedMappingEvaluator:
         missing = [name for name in self.instruction_names if name not in mapping]
         if missing:
             raise MappingError(f"instructions not covered by the mapping: {missing}")
-
-        # The mapping's µop matrix, scattered once (each (row, mask) pair is
-        # touched at most once, so the accumulation order is irrelevant).
-        size = 1 << self.num_ports
-        matrix = np.zeros((len(self.instruction_names), size), dtype=np.float64)
-        for name, row in self._index.items():
-            for mask, mult in mapping.uops_of(name).items():
-                matrix[row, mask] += float(mult)
-        self._matrix = matrix
-        self._popcounts = popcounts(self.num_ports).copy()
-        self._popcounts[0] = np.inf  # the empty set never wins the max
+        self._matrix = _uop_matrix(dict(mapping.items()), self._index, self.num_ports)
+        # Exact integer µop counts, for total_mass.
+        self._uop_totals = {
+            name: sum(mapping.uops_of(name).values()) for name in self.instruction_names
+        }
 
     @property
     def num_instructions(self) -> int:
         return len(self.instruction_names)
-
-    def workspace(self, capacity: int) -> SequenceWorkspace:
-        """Allocate reusable batch buffers for up to ``capacity`` sequences."""
-        return SequenceWorkspace(capacity, self.num_instructions, self.num_ports)
 
     def missing_instructions(self, experiment: Experiment) -> list[str]:
         """Names the experiment uses that this evaluator does not cover.
@@ -482,46 +343,20 @@ class FixedMappingEvaluator:
         """
         return [name for name, _ in experiment if name not in self._index]
 
-    def _fill_counts(self, experiments: Sequence[Experiment], counts: np.ndarray) -> None:
-        counts[: len(experiments)] = 0.0
-        for row, experiment in enumerate(experiments):
-            for name, count in experiment:
-                col = self._index.get(name)
-                if col is None:
-                    raise ExperimentError(
-                        f"experiment uses {name!r}, not in the instruction universe"
-                    )
-                counts[row, col] = float(count)
+    def total_mass(self, experiment: Experiment) -> int:
+        """The experiment's total µop mass under this mapping, exactly.
 
-    def throughputs(
-        self,
-        experiments: Sequence[Experiment],
-        workspace: SequenceWorkspace | None = None,
-    ) -> np.ndarray:
-        """Predicted throughput for each experiment, as a ``[batch]`` array.
-
-        ``workspace`` holds the preallocated buffers (created on the fly
-        when omitted); batches beyond its capacity are processed in chunks.
+        The kernel refuses a row whose total reaches
+        :data:`~repro.throughput.bottleneck.EXACT_MASS_LIMIT`; comparing
+        against it lets callers reject such a sequence before evaluating a
+        batch.  Uncovered names count zero (see
+        :meth:`missing_instructions`).
         """
-        batch = len(experiments)
-        if workspace is None:
-            workspace = self.workspace(max(1, min(batch, 256)))
-        out = np.empty(batch, dtype=np.float64)
-        for start in range(0, batch, workspace.capacity):
-            part = experiments[start : start + workspace.capacity]
-            chunk = len(part)
-            counts = workspace.counts[:chunk]
-            masses = workspace.masses[:chunk]
-            self._fill_counts(part, counts)
-            for row in range(chunk):
-                # One [1, I] @ [I, 2^|P|] product per entry: the same shapes
-                # (hence the same BLAS kernel and the same bits) as a direct
-                # single-experiment BatchedThroughputEvaluator call.
-                np.matmul(counts[row : row + 1], self._matrix, out=masses[row : row + 1])
-            zeta_transform(masses, self.num_ports)
-            np.divide(masses, self._popcounts, out=masses)
-            masses.max(axis=1, out=out[start : start + chunk])
-        return out
+        return sum(count * self._uop_totals.get(name, 0) for name, count in experiment)
+
+    def throughputs(self, experiments: Sequence[Experiment]) -> np.ndarray:
+        """Predicted throughput for each experiment, as a ``[batch]`` array."""
+        return bottleneck_rows(_count_matrix(experiments, self._index), self._matrix)
 
     def throughput(self, experiment: Experiment) -> float:
         """Predicted throughput of a single experiment."""

@@ -15,9 +15,10 @@ Three implementations with identical results:
   ``2^|P|`` subsets with a per-mask subset test.  Θ(2^|P|·k) for ``k``
   distinct masks; exists to make tests and the correctness argument obvious.
 * :func:`bottleneck_throughput_dense` — the same enumeration, expressed as a
-  superset-sum (zeta transform) over the dense ``2^|P|`` mask space using
-  numpy.  Θ(|P|·2^|P|) with small constants; this is the vectorized
-  algorithm whose scaling the paper's Figure 8 measures.
+  superset-sum (zeta transform) over the dense ``2^|P|`` mask space by the
+  shared kernel :func:`bottleneck_rows`.  Θ(|P|·2^|P|) with small constants;
+  this is the vectorized algorithm whose scaling the paper's Figure 8
+  measures.
 * :func:`bottleneck_throughput_unions` — exploits that an optimal bottleneck
   set can be assumed to be a *union of occurring µop masks* (dropping a port
   that completes no occurring mask only shrinks ``|Q|`` without losing
@@ -25,7 +26,9 @@ Three implementations with identical results:
   fastest choice for the short experiments PMEvo uses.
 
 :func:`bottleneck_throughput` picks between the dense and union variants
-based on problem size.
+based on problem size.  :func:`bottleneck_rows` is the one vectorized
+kernel: the evolver, local search, serving, and the dense variant all
+evaluate Equation 1 through it.
 """
 
 from __future__ import annotations
@@ -43,14 +46,22 @@ __all__ = [
     "bottleneck_throughput_reference",
     "bottleneck_throughput_dense",
     "bottleneck_throughput_unions",
+    "bottleneck_rows",
     "dense_mass_vector",
     "zeta_transform",
     "popcounts",
+    "EXACT_MASS_LIMIT",
 ]
+
+#: Masses are exact float64 integers only below this; see :func:`bottleneck_rows`.
+EXACT_MASS_LIMIT = 2**53
 
 # Cache keyed by the number of ports; these arrays are tiny for realistic
 # port counts and shared by every dense evaluation.
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
+
+# The count matrix of one experiment holding one instruction once.
+_ONCE = np.ones((1, 1), dtype=np.float64)
 
 
 def _check(masses: Mapping[int, float], num_ports: int) -> None:
@@ -80,21 +91,12 @@ def popcounts(num_ports: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _zeta_indices(num_ports: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-bit (target, source) index pairs for the in-place zeta transform.
-
-    Cached per ``num_ports`` so the index arrays are built once per port
-    count, not on every :func:`zeta_transform` call in the evaluation hot
-    loop.
-    """
-    size = 1 << num_ports
-    masks = np.arange(size, dtype=np.intp)
-    pairs = []
-    for k in range(num_ports):
-        bit = 1 << k
-        hi = masks[(masks & bit) != 0]
-        pairs.append((hi, hi ^ bit))
-    return tuple(pairs)
+def _divisors(num_ports: int) -> np.ndarray:
+    """``|Q|`` for every mask ``Q``, with ``inf`` for the empty set so that
+    its (zero) mass never wins the max."""
+    table = popcounts(num_ports).copy()
+    table[0] = np.inf
+    return table
 
 
 def zeta_transform(values: np.ndarray, num_ports: int) -> np.ndarray:
@@ -105,29 +107,73 @@ def zeta_transform(values: np.ndarray, num_ports: int) -> np.ndarray:
 
     For bit ``k`` the update adds every mask without the bit into its
     partner with the bit.  Those partners form contiguous blocks along the
-    last axis, so the preferred implementation views the axis as
-    ``[..., block, 2, 2^k]`` and adds the low half-block into the high one —
-    pure strided slicing, no gather/scatter index traffic.  The view is the
-    same additions in the same per-bit order as the fancy-indexed form, so
-    results are bit-for-bit identical; layouts where the reshape cannot be a
-    view fall back to the cached index pairs.
+    last axis, so the axis is viewed as ``[..., 2^(|P|-k-1), 2, 2^k]`` and
+    the low half-block is added into the high one — pure strided slicing,
+    no gather/scatter index traffic.  Splitting one axis is a view in every
+    memory layout, so the update always lands in ``values``.
     """
-    if values.shape[-1] != (1 << num_ports):
-        raise MappingError(
-            f"last axis must have length {1 << num_ports}, got {values.shape[-1]}"
-        )
+    size = 1 << num_ports
+    if values.shape[-1] != size:
+        raise MappingError(f"last axis must have length {size}, got {values.shape[-1]}")
     head = values.shape[:-1]
-    for bit, (hi, lo) in enumerate(_zeta_indices(num_ports)):
+    for bit in range(num_ports):
+        half = 1 << bit
         paired = values.view()
-        try:
-            # In-place shape assignment never copies: it raises instead
-            # when this layout cannot view the last axis as blocks.
-            paired.shape = head + (-1, 2, 1 << bit)
-        except AttributeError:
-            values[..., hi] += values[..., lo]
-            continue
+        # Shape assignment never copies (it would raise instead).  The block
+        # count is explicit so that zero-row batches reshape too.
+        paired.shape = head + (size // (2 * half), 2, half)
         paired[..., 1, :] += paired[..., 0, :]
     return values
+
+
+def bottleneck_rows(
+    counts: np.ndarray,
+    uops: np.ndarray,
+    *,
+    masses: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Equation 1 for every experiment row of ``counts`` — the one kernel.
+
+    ``counts[e, i]`` is how often instruction ``i`` occurs in experiment
+    ``e``; ``uops[i, Q]`` is how many µops with port mask ``Q`` instruction
+    ``i`` decomposes into (its last axis has length ``2^|P|``).  A
+    ``[population, instruction, 2^|P|]`` stack evaluates many mappings at
+    once.  Returns the throughputs as ``[experiment]``, or ``[population,
+    experiment]`` for a stack.
+
+    The chain is: mass product ``W = counts @ uops``, zeta transform of
+    ``W`` over the mask axis, division by ``|Q|``, max over ``Q``.
+    ``masses`` optionally supplies the buffer for ``W`` in any memory order
+    (the evolver passes a transposed view, which is the order the stack's
+    einsum writes naturally); ``out`` receives the maxima.
+
+    Exactness contract: counts and multiplicities are non-negative
+    integers, so every entry of ``W`` and every superset sum is a sum of
+    integers bounded by the row's total µop mass (the full-set entry after
+    the zeta transform).  While that total is below ``2^53`` each of these
+    sums is an exactly representable integer, hence exact in float64 in
+    *any* order: batch width, chunking and BLAS blocking cannot change a
+    bit, and the final division is one correctly rounded operation — the
+    result equals :func:`bottleneck_throughput_reference` exactly.  A row
+    whose total reaches ``2^53`` raises :class:`ExperimentError` rather
+    than return a rounded value.  (Fractional masses, as congruence scaling
+    feeds the dense variant, are accepted with ordinary float rounding.)
+    """
+    num_ports = uops.shape[-1].bit_length() - 1
+    if uops.ndim == 3:
+        masses = np.einsum("ei,piu->peu", counts, uops, out=masses, optimize=True)
+    else:
+        masses = np.matmul(counts, uops, out=masses)
+    zeta_transform(masses, num_ports)
+    totals = masses[..., -1]
+    if np.any(totals >= EXACT_MASS_LIMIT):
+        raise ExperimentError(
+            f"total µop mass {totals.max():.17g} reaches 2^53: float64 can no "
+            "longer hold it exactly"
+        )
+    np.divide(masses, _divisors(num_ports), out=masses)
+    return masses.max(axis=-1, out=out)
 
 
 def dense_mass_vector(masses: Mapping[int, float], num_ports: int) -> np.ndarray:
@@ -155,13 +201,14 @@ def bottleneck_throughput_reference(
 
 
 def bottleneck_throughput_dense(masses: Mapping[int, float], num_ports: int) -> float:
-    """Equation 1 via a dense superset-sum (vectorized subset enumeration)."""
+    """Equation 1 via a dense superset-sum (vectorized subset enumeration).
+
+    The kernel sees one experiment that holds a single instruction once,
+    whose µop row is the whole dense mass vector.
+    """
     _check(masses, num_ports)
-    sums = zeta_transform(dense_mass_vector(masses, num_ports), num_ports)
-    counts = popcounts(num_ports)
-    # Index 0 is the empty set: zero mass (all µop masks are non-empty), so
-    # excluding it by starting at 1 is safe and avoids a 0/0.
-    return float(np.max(sums[1:] / counts[1:]))
+    uops = dense_mass_vector(masses, num_ports)[None, :]
+    return float(bottleneck_rows(_ONCE, uops)[0])
 
 
 def bottleneck_throughput_unions(masses: Mapping[int, float], num_ports: int) -> float:

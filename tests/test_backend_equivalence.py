@@ -93,7 +93,7 @@ def test_packed_kernel_agrees_with_all_backends(seed):
     batched = BatchedThroughputEvaluator(experiments, names, num_ports)
 
     packed = PackedPopulation.from_genomes(genomes, names)
-    from_packed = batched.throughputs_from_packed(packed, engine="numpy")
+    from_packed = batched.throughputs_from_packed(packed)
     legacy = np.stack([batched.throughputs(genome) for genome in genomes])
     assert np.array_equal(from_packed, legacy)
 

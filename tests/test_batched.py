@@ -13,7 +13,13 @@ from repro.core import (
     PortSpace,
     ThreeLevelMapping,
 )
-from repro.throughput import BatchedThroughputEvaluator, MappingPredictor
+from repro.throughput import (
+    EXACT_MASS_LIMIT,
+    BatchedThroughputEvaluator,
+    FixedMappingEvaluator,
+    MappingPredictor,
+    bottleneck_throughput_reference,
+)
 
 
 @pytest.fixture
@@ -65,16 +71,6 @@ class TestAgainstScalarModel:
             np.abs(predicted - np.array(evaluator.measured)) / evaluator.measured
         )
         assert evaluator.davg(mapping) == pytest.approx(float(expected))
-
-    def test_stacked_matches_single(self, simple_setup):
-        evaluator, mapping = simple_setup
-        genome = {name: uops for name, uops in mapping.items()}
-        matrix = evaluator.uop_matrix(genome)
-        stacked = evaluator.throughputs_from_matrices(np.stack([matrix, matrix]))
-        single = evaluator.throughputs_from_matrix(matrix.copy())
-        assert stacked.shape == (2, evaluator.num_experiments)
-        assert stacked[0] == pytest.approx(single)
-        assert stacked[1] == pytest.approx(single)
 
     def test_missing_uops_rejected(self, simple_setup):
         evaluator, _ = simple_setup
@@ -136,3 +132,48 @@ class TestPropertyAgainstScalar:
         batched = evaluator.throughputs(genome)
         scalar = [predictor.predict(e) for e in experiments]
         assert batched == pytest.approx(scalar)
+        # Integer masses make the kernel exact, not merely close.
+        reference = [
+            bottleneck_throughput_reference(mapping.uop_masses(e), num_ports)
+            for e in experiments
+        ]
+        assert batched.tolist() == reference
+
+
+def _heavy_mapping(multiplicity):
+    return ThreeLevelMapping(
+        PortSpace.numbered(2), {"a": {0b01: multiplicity}, "b": {0b10: 1}}
+    )
+
+
+class TestExactnessGuard:
+    """Masses are exact float64 integers only below 2^53; past it the
+    kernel refuses instead of answering a rounded value."""
+
+    def test_mass_at_2_to_53_raises_in_both_evaluators(self):
+        mapping = _heavy_mapping(2**52 + 1)
+        sequence = Experiment({"a": 3, "b": 1})  # Equation 1: 3 * (2^52 + 1)
+        fixed = FixedMappingEvaluator(mapping)
+        assert fixed.total_mass(sequence) >= EXACT_MASS_LIMIT
+        with pytest.raises(ExperimentError):
+            fixed.throughputs([sequence])
+        batched = BatchedThroughputEvaluator([sequence], mapping.instructions, 2)
+        with pytest.raises(ExperimentError):
+            batched.throughputs(mapping)
+
+    def test_mass_just_below_2_to_53_is_exact(self):
+        mapping = _heavy_mapping(2**52 + 1)
+        sequence = Experiment({"a": 1, "b": 2**52 - 3})  # total 2^53 - 2
+        fixed = FixedMappingEvaluator(mapping)
+        assert fixed.total_mass(sequence) == EXACT_MASS_LIMIT - 2
+        expected = bottleneck_throughput_reference(mapping.uop_masses(sequence), 2)
+        assert expected == 2**52 + 1
+        assert fixed.throughput(sequence) == expected
+        batched = BatchedThroughputEvaluator([sequence], mapping.instructions, 2)
+        assert batched.throughputs(mapping).tolist() == [expected]
+
+
+class TestFixedMappingEvaluator:
+    def test_empty_batch_gives_empty_result(self, paper_three_level):
+        out = FixedMappingEvaluator(paper_three_level).throughputs([])
+        assert out.shape == (0,)

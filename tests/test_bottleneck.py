@@ -142,6 +142,10 @@ class TestDenseHelpers:
         assert out[0].tolist() == [0.0, 1.0, 2.0, 7.0]
         assert out[1].tolist() == [1.0, 1.0, 1.0, 1.0]
 
+    def test_zeta_transform_zero_rows(self):
+        out = zeta_transform(np.zeros((0, 8)), 3)
+        assert out.shape == (0, 8)
+
     def test_zeta_transform_shape_mismatch(self):
         with pytest.raises(MappingError):
             zeta_transform(np.zeros(5), 2)

@@ -270,6 +270,32 @@ class TestResumeValidation:
         assert resumed.mapping == baseline.mapping
         assert resumed.history == baseline.history
 
+    def test_config_with_retired_batch_chunk_resumes_identically(self, tmp_path):
+        # Snapshots written while the fitness chunk size was a config field
+        # carry "batch_chunk": 16; resuming ignores the unknown key.
+        import dataclasses
+
+        class StopAfterFirst(Checkpointer):
+            def after_epoch(self, snapshot):
+                super().after_epoch(snapshot)
+                raise KeyboardInterrupt
+
+        path = tmp_path / "snap.json"
+        with pytest.raises(KeyboardInterrupt):
+            _island_evolver(ISLAND_CONFIG).run(checkpointer=StopAfterFirst(path))
+        document = json.loads(path.read_text())
+        document["config"]["batch_chunk"] = 16
+        path.write_text(json.dumps(document))
+        snapshot = load_checkpoint(path)
+        assert snapshot.epochs == 1
+
+        def normalized(result):
+            return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
+
+        resumed = _island_evolver(ISLAND_CONFIG).run(resume=snapshot)
+        baseline = _island_evolver(ISLAND_CONFIG).run()
+        assert normalized(resumed) == normalized(baseline)
+
     def test_problem_mismatch_raises(self, tmp_path):
         snapshot = self._checkpoint_from_run(tmp_path)
         truth = {"x": {0b01: 1}, "y": {0b10: 1}, "z": {0b11: 1}}

@@ -7,10 +7,10 @@ Three invariants, each load-bearing for the evolutionary search:
   stream observes µop iteration order, so a lossy round trip would silently
   change evolution trajectories after a checkpoint/migration hop.
 * **Kernel equivalence.**  The population-wide packed kernel must agree
-  with the legacy dict-genome path (``uop_matrix`` +
-  ``throughputs_from_matrices``) — exactly for the numpy engine (the
-  fast-tier smoke gate below runs on every push), and within 1e-9 under the
-  hypothesis property test.
+  with the dict-genome path (``throughputs(genome)``) — exactly (the
+  fast-tier smoke gate below runs on every push), and within 1e-9 and
+  exactly against ``bottleneck_throughput_reference`` under the hypothesis
+  property test.
 * **Compact serialization.**  The base64-npz payload round-trips exactly,
   fails loudly on malformed input, and is what
   :class:`~repro.pmevo.evolution.EvolutionState` now embeds — with the
@@ -27,11 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CheckpointError, Experiment, MappingError, PortSpace
+from repro.core import (
+    CheckpointError,
+    Experiment,
+    MappingError,
+    PortSpace,
+    ThreeLevelMapping,
+)
 from repro.pmevo import PackedPopulation, genome_volume, random_genome
 from repro.pmevo.evolution import EvolutionConfig, PortMappingEvolver
 from repro.pmevo.testing import measurements_from_truth
-from repro.throughput import HAVE_NUMBA, BatchedThroughputEvaluator
+from repro.throughput import BatchedThroughputEvaluator, bottleneck_throughput_reference
 
 
 def _random_setup(seed: int, population: int = 8):
@@ -117,11 +123,9 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(0)
         genomes = [random_genome(rng, names, 3, singles) for _ in range(12)]
 
-        legacy = evaluator.throughputs_from_matrices(
-            np.stack([evaluator.uop_matrix(g) for g in genomes])
-        )
+        legacy = np.stack([evaluator.throughputs(g) for g in genomes])
         packed = PackedPopulation.from_genomes(genomes, names)
-        fused = evaluator.throughputs_from_packed(packed, engine="numpy")
+        fused = evaluator.throughputs_from_packed(packed)
         assert np.array_equal(fused, legacy)
         assert np.array_equal(
             evaluator.davg_from_throughputs(fused),
@@ -133,12 +137,10 @@ class TestKernelEquivalence:
         num_ports, names, genomes, experiments = _random_setup(11, population=10)
         evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
         packed = PackedPopulation.from_genomes(genomes, names)
-        reference = evaluator.throughputs_from_packed(packed, engine="numpy")
+        reference = evaluator.throughputs_from_packed(packed)
         workspace = evaluator.packed_workspace(capacity)
         for _ in range(2):  # reuse must not leak state between calls
-            again = evaluator.throughputs_from_packed(
-                packed, workspace=workspace, engine="numpy"
-            )
+            again = evaluator.throughputs_from_packed(packed, workspace=workspace)
             assert np.array_equal(again, reference)
 
     def test_packed_names_must_match_evaluator(self):
@@ -157,30 +159,6 @@ class TestKernelEquivalence:
         packed = PackedPopulation.from_genomes(genomes)
         with pytest.raises(MappingError):
             evaluator.throughputs_from_packed(packed)
-
-    def test_unknown_engine_rejected(self):
-        num_ports, names, genomes, experiments = _random_setup(7)
-        evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
-        packed = PackedPopulation.from_genomes(genomes, names)
-        with pytest.raises(MappingError):
-            evaluator.throughputs_from_packed(packed, engine="cuda")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_numba_engine_unavailable_raises(self):
-        num_ports, names, genomes, experiments = _random_setup(9)
-        evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
-        packed = PackedPopulation.from_genomes(genomes, names)
-        with pytest.raises(MappingError):
-            evaluator.throughputs_from_packed(packed, engine="numba")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_engine_matches_numpy(self):
-        num_ports, names, genomes, experiments = _random_setup(13, population=20)
-        evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
-        packed = PackedPopulation.from_genomes(genomes, names)
-        reference = evaluator.throughputs_from_packed(packed, engine="numpy")
-        jitted = evaluator.throughputs_from_packed(packed, engine="numba")
-        assert jitted == pytest.approx(reference, abs=1e-9)
 
 
 @st.composite
@@ -220,15 +198,34 @@ class TestPropertyAgainstLegacyPath:
     @given(packed_instances())
     @settings(max_examples=60, deadline=None)
     def test_packed_kernel_pins_to_dict_path(self, setup):
-        """The ISSUE's 1e-9 pin of the packed kernel against the legacy
-        ``uop_matrix`` + ``throughputs_from_matrix`` path."""
+        """The 1e-9 pin of the packed kernel against the dict-genome path,
+        plus exact equality with the reference at every workspace capacity
+        (the kernel's integer-exactness contract)."""
         num_ports, names, genomes, experiments = setup
         evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
         packed = PackedPopulation.from_genomes(genomes, names)
         fused = evaluator.throughputs_from_packed(packed)
-        for row, genome in zip(fused, genomes):
-            single = evaluator.throughputs_from_matrix(evaluator.uop_matrix(genome))
+        ports = PortSpace.numbered(num_ports)
+        reference = np.array(
+            [
+                [
+                    bottleneck_throughput_reference(
+                        ThreeLevelMapping(ports, genome).uop_masses(e), num_ports
+                    )
+                    for e in experiments
+                ]
+                for genome in genomes
+            ]
+        )
+        for row, genome, exact in zip(fused, genomes, reference):
+            single = evaluator.throughputs(genome)
             assert row == pytest.approx(single, abs=1e-9)
+            assert np.array_equal(single, exact)
+        for capacity in (1, 3, 64):
+            chunked = evaluator.throughputs_from_packed(
+                packed, workspace=evaluator.packed_workspace(capacity)
+            )
+            assert np.array_equal(chunked, reference)
         assert packed.to_genomes() == genomes
 
 

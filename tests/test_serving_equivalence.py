@@ -5,16 +5,17 @@ client receives for a sequence is one specific value, regardless of
 
 * whether the cache was cold, warm, or the sequence was coalesced into a
   concurrent request's in-flight batch,
-* which other sequences happened to share its evaluation batch (BLAS batch
-  matmuls are NOT bit-stable across batch widths — the fixed-mapping kernel
-  works per-row precisely to kill that hazard),
+* which other sequences happened to share its evaluation batch (counts and
+  multiplicities are integers, so the kernel's sums are exact in any order
+  and a whole-batch matmul cannot depend on the batch width),
 * whether the caller asked over HTTP or called the backend directly.
 
 The properties pinned here:
 
 1. served == direct single-sequence ``BatchedThroughputEvaluator`` calls,
    bit for bit;
-2. served == ``FixedMappingEvaluator``, bit for bit, for any batch split;
+2. served == ``FixedMappingEvaluator`` == ``bottleneck_throughput_reference``,
+   bit for bit, for any batch split;
 3. served vs ``bottleneck_throughput``: within the repo's standard 1e-9
    cross-backend tolerance (the backends are pinned against each other in
    ``tests/test_backend_equivalence.py``);
@@ -38,6 +39,7 @@ from repro.throughput import (
     BatchedThroughputEvaluator,
     FixedMappingEvaluator,
     bottleneck_throughput,
+    bottleneck_throughput_reference,
 )
 
 
@@ -132,7 +134,7 @@ class TestServedEqualsDirect:
     @given(seed=st.integers(0, 10_000), split=st.integers(1, 11))
     def test_batch_split_invariance(self, seed, split):
         # The same sequences, batched differently, give the same bits: the
-        # per-row kernel makes a prediction independent of its batch-mates.
+        # exact kernel makes a prediction independent of its batch-mates.
         mapping, sequences = _random_problem(seed)
         whole = FixedMappingEvaluator(mapping).throughputs(sequences)
         evaluator = FixedMappingEvaluator(mapping)
@@ -141,6 +143,11 @@ class TestServedEqualsDirect:
             for i in range(0, len(sequences), split)
         ]
         assert np.array_equal(np.concatenate(parts), whole)
+        reference = [
+            bottleneck_throughput_reference(mapping.uop_masses(seq), mapping.ports.num_ports)
+            for seq in sequences
+        ]
+        assert whole.tolist() == reference
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))

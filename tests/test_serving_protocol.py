@@ -26,6 +26,7 @@ from repro.serving import (
     parse_mapping_spec,
     parse_predict_request,
 )
+from repro.throughput import bottleneck_throughput_reference
 
 
 @pytest.fixture
@@ -52,6 +53,12 @@ def registry(tmp_path, mapping):
 @pytest.fixture
 def server(registry):
     return PredictionServer(registry, max_batch=8, max_sequence=16)
+
+
+def _heavy_mapping(b_multiplicity=1):
+    return ThreeLevelMapping(
+        PortSpace.numbered(2), {"a": {0b01: 2**52 + 1}, "b": {0b10: b_multiplicity}}
+    )
 
 
 def _predict(server, payload):
@@ -132,6 +139,30 @@ class TestPredictErrorPaths:
         )
         assert server.stats.batches == 0
         assert len(server.cache) == 0
+
+    def test_mass_at_2_to_53_is_400_and_never_reaches_backend(self, tmp_path):
+        # µop multiplicity 2^52 + 1: {a: 3, b: 1} weighs 3 * (2^52 + 1) + 1.
+        path = tmp_path / "heavy.json"
+        path.write_text(_heavy_mapping().to_json())
+        server = PredictionServer(MappingRegistry([("heavy", path)]))
+        _expect_protocol_error(
+            server, {"sequences": [{"b": 1}, {"a": 3, "b": 1}]}, 400, "mass_too_large"
+        )
+        assert server.stats.batches == 0
+        assert len(server.cache) == 0
+
+    def test_mass_just_below_2_to_53_answers_exactly(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        mapping = _heavy_mapping(2**52 - 3)
+        path.write_text(mapping.to_json())
+        server = PredictionServer(MappingRegistry([("heavy", path)]))
+        sequence = {"a": 1, "b": 1}  # total mass 2^53 - 2
+        status, body = _predict(server, {"sequences": [sequence]})
+        assert status == 200
+        expected = bottleneck_throughput_reference(
+            mapping.uop_masses(Experiment(sequence)), 2
+        )
+        assert body["throughputs"] == [expected] == [2**52 + 1]
 
     def test_ambiguous_mapping_with_several_served(self, tmp_path, mapping, other_mapping):
         (tmp_path / "a.json").write_text(mapping.to_json())
@@ -298,6 +329,23 @@ class TestHttpErrorPaths:
             assert 400 <= status < 500, "client mistakes must never be 5xx"
             assert set(body) == {"error"}
             assert {"code", "message"} <= set(body["error"])
+
+    def test_mass_at_2_to_53_is_structured_400_over_http(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(_heavy_mapping().to_json())
+        server = PredictionServer(MappingRegistry([("heavy", path)]))
+
+        def scenario(host, port):
+            client = _Client(host, port)
+            rejected = client.request("POST", "/v1/predict", body={"sequences": [{"a": 3, "b": 1}]})
+            served = client.request("POST", "/v1/predict", body={"sequences": [{"a": 1, "b": 1}]})
+            return rejected, served
+
+        (status, body), (served_status, served_body) = _with_server(server, scenario)
+        assert status == 400
+        assert body["error"]["code"] == "mass_too_large"
+        assert served_status == 200
+        assert served_body["throughputs"] == [2**52 + 1]
 
     def test_oversized_body_is_413_not_hang(self, registry):
         server = PredictionServer(registry, max_body_bytes=1024)
