@@ -23,8 +23,8 @@ from repro.core import ExperimentSet, PortSpace
 from repro.machine import MeasurementConfig, skl_machine
 from repro.pmevo import (
     EvolutionConfig,
-    IslandEvolver,
     PoolTransport,
+    PortMappingEvolver,
     SerialTransport,
     SocketTransport,
     run_worker,
@@ -64,9 +64,9 @@ def _config():
 
 
 def _run(ports, measured, singles, transport):
-    evolver = IslandEvolver(ports, measured, singles, _config(), transport)
+    evolver = PortMappingEvolver(ports, measured, singles, _config())
     start = time.perf_counter()
-    result = evolver.run()
+    result = evolver.run(transport=transport)
     return result, time.perf_counter() - start
 
 

@@ -18,6 +18,9 @@ Subcommands (see ``docs/cli.md`` for the full reference):
 * ``show``    — pretty-print a mapping file.
 * ``diff``    — compare two mapping files (behavioural + structural).
 * ``export``  — emit a mapping as an LLVM/OSACA/JSON flavour.
+
+A user mistake (a bad option value, an unreadable file, a corrupt
+checkpoint) ends in one ``error: <message>`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from pathlib import Path
 
 from repro.analysis import evaluate_predictor, format_table
 from repro.baselines import LLVMMCAPredictor
-from repro.core import Experiment, ExperimentSet, ThreeLevelMapping
+from repro.core import (
+    Experiment,
+    ExperimentError,
+    ExperimentSet,
+    ReproError,
+    ThreeLevelMapping,
+)
 from repro.machine import MeasurementConfig, preset_machine
 from repro.pmevo import (
     EvolutionConfig,
@@ -85,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="infer a port mapping for a machine preset",
         epilog="Island-model defaults: --islands 1 (sequential Algorithm 1), "
         "--workers 1, --migration-interval 10, --migration-size 2; "
-        "--workers is capped at the island count.  --transport auto picks "
-        "serial for one worker and a multiprocessing pool otherwise; "
-        "--transport socket distributes epochs to `repro-pmevo worker "
+        "--workers is capped at the island count.  --transport auto runs "
+        "epochs in-process for one worker and on a multiprocessing pool "
+        "otherwise; --transport socket distributes epochs to `repro-pmevo worker "
         "--connect HOST:PORT` processes.  --checkpoint writes atomic "
         "snapshots every --checkpoint-interval epochs; --resume continues "
         "a snapshot bit-identically to an uninterrupted run.",
@@ -126,10 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument(
         "--transport",
-        choices=["auto", "serial", "pool", "socket"],
+        choices=["auto", "socket"],
         default="auto",
-        help="where island epochs run (default auto: serial for one worker, "
-        "a multiprocessing pool otherwise; socket distributes to "
+        help="where island epochs run (default auto: in-process for one "
+        "worker, a multiprocessing pool otherwise; socket distributes to "
         "`repro-pmevo worker` processes)",
     )
     infer.add_argument(
@@ -330,15 +339,11 @@ def _subsample_names(machine, count: int, seed: int) -> list[str]:
 
 def _make_transport(args: argparse.Namespace):
     """Build the transport selected by ``--transport`` (None for auto)."""
-    from repro.pmevo import PoolTransport, SerialTransport, SocketTransport
+    from repro.pmevo import SocketTransport
     from repro.pmevo.transport import parse_address
 
     if args.transport == "auto":
         return None
-    if args.transport == "serial":
-        return SerialTransport()
-    if args.transport == "pool":
-        return PoolTransport(min(args.workers, args.islands))
     host, port = parse_address(args.bind)
     transport = SocketTransport(
         host,
@@ -403,7 +408,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         resume=resume,
     )
     args.output.write_text(result.mapping.to_json())
-    cluster = getattr(result.evolution, "transport_stats", None)
+    cluster = result.evolution.transport_stats
     if cluster:
         print(
             "cluster: {epochs} epochs, {leases} leases, {steals} steals, "
@@ -437,15 +442,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serving import MappingRegistry, PredictionServer, parse_bind, parse_mapping_spec
 
-    from repro.core.errors import ServingError
-
     specs = [parse_mapping_spec(spec) for spec in args.mapping]
     host, port = parse_bind(args.bind)
-    try:
-        registry = MappingRegistry(specs)
-    except ServingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    registry = MappingRegistry(specs)
     for mapping_id in registry.ids:
         entry = registry.get(mapping_id)
         print(
@@ -469,7 +468,13 @@ def _parse_experiment(tokens: list[str]) -> Experiment:
     counts: dict[str, int] = {}
     for token in tokens:
         name, _, count_text = token.partition("=")
-        counts[name] = counts.get(name, 0) + (int(count_text) if count_text else 1)
+        try:
+            count = int(count_text) if count_text else 1
+        except ValueError:
+            raise ExperimentError(
+                f"count in {token!r} is not an integer; expected NAME[=COUNT]"
+            ) from None
+        counts[name] = counts.get(name, 0) + count
     return Experiment(counts)
 
 
@@ -583,7 +588,11 @@ def main(argv: list[str] | None = None) -> int:
         "diff": _cmd_diff,
         "export": _cmd_export,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,6 +31,13 @@ from repro.core.ports import PortSpace, mask_size
 __all__ = ["TwoLevelMapping", "ThreeLevelMapping"]
 
 
+def _port_names(value: object, what: str) -> list[str]:
+    """``value`` if it is a list of port-name strings, else a :class:`MappingError`."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MappingError(f"{what} must be a list of port names")
+    return value
+
+
 class TwoLevelMapping:
     """A two-level port mapping: instruction name -> port mask (Definition 2).
 
@@ -247,18 +254,45 @@ class ThreeLevelMapping:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ThreeLevelMapping":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises :class:`MappingError` for anything that is not such a
+        document: no type, value or lookup error escapes, and no value is
+        coerced (a fractional count or a string of port letters is an
+        error, not a guess).
+        """
+        if not isinstance(data, Mapping):
+            raise MappingError(
+                f"a mapping document is a JSON object, not {type(data).__name__}"
+            )
         try:
-            ports = PortSpace(data["ports"])
-            assignment: dict[str, dict[int, int]] = {}
-            for name, uops in data["instructions"].items():
-                decomposition: dict[int, int] = {}
-                for entry in uops:
-                    mask = ports.mask(*entry["ports"])
-                    decomposition[mask] = decomposition.get(mask, 0) + int(entry["count"])
-                assignment[name] = decomposition
-        except (KeyError, TypeError) as exc:
-            raise MappingError(f"malformed mapping dictionary: {exc}") from exc
+            port_names = data["ports"]
+            instructions = data["instructions"]
+        except KeyError as exc:
+            raise MappingError(f"malformed mapping dictionary: missing key {exc}") from None
+        ports = PortSpace(_port_names(port_names, "'ports'"))
+        if not isinstance(instructions, Mapping):
+            raise MappingError("'instructions' must be an object of name -> µop list")
+        assignment: dict[str, dict[int, int]] = {}
+        for name, uops in instructions.items():
+            if not isinstance(uops, list):
+                raise MappingError(f"instruction {name!r}: µops must be a list")
+            decomposition: dict[int, int] = {}
+            for entry in uops:
+                if not (isinstance(entry, Mapping) and "ports" in entry and "count" in entry):
+                    raise MappingError(
+                        f"instruction {name!r}: a µop is an object with 'ports' and 'count'"
+                    )
+                names = _port_names(entry["ports"], f"instruction {name!r}: µop ports")
+                mask = ports.mask(*names)
+                count = entry["count"]
+                if isinstance(count, bool) or not isinstance(count, int):
+                    raise MappingError(
+                        f"instruction {name!r}: µop count must be an integer, "
+                        f"not {type(count).__name__}"
+                    )
+                decomposition[mask] = decomposition.get(mask, 0) + count
+            assignment[name] = decomposition
         return cls(ports, assignment)
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -267,8 +301,12 @@ class ThreeLevelMapping:
 
     @classmethod
     def from_json(cls, text: str) -> "ThreeLevelMapping":
-        """Deserialize from a JSON string."""
-        return cls.from_dict(json.loads(text))
+        """Deserialize from a JSON string; :class:`MappingError` on any defect."""
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise MappingError(f"mapping is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def fingerprint(self) -> str:
         """Stable content hash of the mapping (sha256 hex, truncated).

@@ -11,6 +11,8 @@ from repro.pmevo.evolution import (
     EvolutionState,
     GenerationStats,
     PortMappingEvolver,
+    derive_island_rngs,
+    migrate_ring,
 )
 from repro.pmevo.checkpoint import (
     CheckpointSnapshot,
@@ -20,13 +22,6 @@ from repro.pmevo.checkpoint import (
     write_checkpoint,
 )
 from repro.pmevo.faults import FaultySocket, FaultyTransport
-from repro.pmevo.islands import (
-    IslandEvolver,
-    IslandResult,
-    default_transport,
-    derive_island_rngs,
-    migrate_ring,
-)
 from repro.pmevo.transport import (
     MigrationTransport,
     PoolTransport,
@@ -67,11 +62,8 @@ __all__ = [
     "EvolutionState",
     "GenerationStats",
     "PortMappingEvolver",
-    "IslandEvolver",
-    "IslandResult",
     "derive_island_rngs",
     "migrate_ring",
-    "default_transport",
     "MigrationTransport",
     "SerialTransport",
     "PoolTransport",

@@ -1,8 +1,8 @@
 """Checkpoint/resume for island-model inference runs.
 
 A checkpoint is one JSON document written at an epoch barrier of
-:meth:`repro.pmevo.islands.IslandEvolver.run` — the only moment when all
-island states are simultaneously at rest.  It contains everything the run
+:meth:`repro.pmevo.evolution.PortMappingEvolver.run` — the only moment when
+all island states are simultaneously at rest.  It contains everything the run
 loop carries across an epoch: the serialized
 :class:`~repro.pmevo.evolution.EvolutionState` of every island (populations,
 objectives, generator states), the epoch/migration counters, the
@@ -198,8 +198,8 @@ def load_checkpoint(
 class Checkpointer:
     """Writes a snapshot every ``interval`` epochs (at the epoch barrier).
 
-    Passed to :meth:`repro.pmevo.islands.IslandEvolver.run`; the evolver
-    calls :meth:`after_epoch` once per completed epoch.  The file at
+    Passed to :meth:`repro.pmevo.evolution.PortMappingEvolver.run`; the
+    evolver calls :meth:`after_epoch` once per completed epoch.  The file at
     ``path`` always holds the most recent snapshot and ``<path>.prev`` the
     one before it, so a coordinator killed at *any* instant — including
     mid-rotation — leaves a loadable snapshot for ``infer --resume``.

@@ -1,4 +1,4 @@
-"""The evolutionary algorithm (Algorithm 1 of the paper).
+"""The evolutionary algorithm (Algorithm 1 of the paper) and its island model.
 
 Structure::
 
@@ -17,15 +17,41 @@ have converged to a single value, the best candidate stopped improving for
 ``patience`` generations, or ``max_generations`` is reached.
 
 The loop is factored into a resumable state machine (:class:`EvolutionState`
-plus :meth:`PortMappingEvolver.init_state` / :meth:`PortMappingEvolver.advance`)
-so that the island model (:mod:`repro.pmevo.islands`) can interleave epochs of
-several populations with migration; :meth:`PortMappingEvolver.run` is the
-single-population composition of those primitives.
+plus :meth:`PortMappingEvolver.init_state`, :meth:`PortMappingEvolver.advance`
+and :meth:`PortMappingEvolver.finalize`).  :meth:`PortMappingEvolver.run`
+drives it as an island model, the classic coarse-grained form of the paper's
+parallelized EA (Section 4.5): ``config.islands`` populations evolve through
+*epochs* of ``migration_interval`` generations, and at every epoch barrier
+elite genomes move around a ring.  One island is Algorithm 1 itself.  Design
+goals, in order:
+
+1. **Bit-reproducibility.**  One island draws from ``default_rng(seed)``, the
+   sequential stream; K islands get generators spawned from the root seed by
+   :class:`~numpy.random.SeedSequence` (:func:`derive_island_rngs`).  Each
+   state carries its own generator, so ``advance`` is a pure function of
+   ``(state, generations)`` and a :class:`~repro.pmevo.transport.MigrationTransport`
+   (in-process, a ``multiprocessing`` pool, or TCP workers) only decides
+   *where* an epoch runs.  Results are byte-identical for any transport,
+   worker count, or worker failure and recovery schedule
+   (``tests/test_islands.py``, ``tests/test_transport_equivalence.py``).
+2. **Deterministic migration.**  Island k's ``migration_size`` best
+   individuals (lexicographic ``(D_avg, volume)``, stable) replace the worst
+   of island ``(k+1) % K`` (:func:`migrate_ring`).  All emigrants come from
+   the pre-migration snapshot, so the ring order does not matter.  The
+   scalarized fitness normalizes objectives per population, so immigrants
+   are re-ranked under the destination's extremes; that, not raw
+   throughput, is why migration helps search quality.
+3. **Interruptibility.**  The epoch barrier is the checkpoint boundary: a
+   :class:`~repro.pmevo.checkpoint.Checkpointer` writes atomic snapshots,
+   and a loaded :class:`~repro.pmevo.checkpoint.CheckpointSnapshot` passed
+   as ``resume`` continues bit-identically to an uninterrupted run.  Under
+   a socket transport this doubles as coordinator crash recovery
+   (``tests/test_chaos.py`` SIGKILLs each process class to prove it).
 
 Serialization
 -------------
-:class:`EvolutionState` round-trips through JSON (:meth:`EvolutionState.to_json`
-/ :meth:`EvolutionState.from_json`): the population, the objective arrays, the
+:class:`EvolutionState` and :class:`EvolutionResult` round-trip through JSON
+(``to_json`` / ``from_json``): the population, the objective arrays, the
 generation counters, *and the numpy bit-generator state* are all captured, so
 a deserialized state continues bit-identically to the original.  The
 population travels as a base64-armoured compressed npz of its
@@ -45,10 +71,11 @@ import json
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.errors import CheckpointError, InferenceError
+from repro.core.errors import CheckpointError, InferenceError, MappingError
 from repro.core.experiment import ExperimentSet
 from repro.core.mapping import ThreeLevelMapping
 from repro.core.ports import PortSpace
@@ -58,13 +85,19 @@ from repro.pmevo.operators import mutate, recombine
 from repro.pmevo.packed import PackedPopulation
 from repro.pmevo.population import (
     Genome,
+    copy_genome,
     genome_from_jsonable,
     genome_key,
+    genome_to_jsonable,
     genome_to_mapping,
     genome_volume,
     random_population,
 )
 from repro.throughput.batched import BatchedThroughputEvaluator
+
+if TYPE_CHECKING:  # both modules import this one at load time
+    from repro.pmevo.checkpoint import Checkpointer, CheckpointSnapshot
+    from repro.pmevo.transport import MigrationTransport
 
 __all__ = [
     "EvolutionConfig",
@@ -72,6 +105,8 @@ __all__ = [
     "EvolutionResult",
     "EvolutionState",
     "PortMappingEvolver",
+    "derive_island_rngs",
+    "migrate_ring",
     "config_to_jsonable",
     "config_from_jsonable",
     "history_to_jsonable",
@@ -91,11 +126,11 @@ class EvolutionConfig:
     children and selects the best ``p`` of the combined ``2p`` candidates.
     ``mutation_rate > 0`` enables the ablation-only mutation operator.
 
-    The island-model knobs (all inert at their defaults) configure
-    :class:`repro.pmevo.islands.IslandEvolver`: ``islands`` independent
-    populations of ``population_size`` each, ``workers`` processes evaluating
-    them concurrently, and every ``migration_interval`` generations each
-    island sends its ``migration_size`` best genomes to its ring successor.
+    The island-model knobs (all inert at their defaults) shape
+    :meth:`PortMappingEvolver.run`: ``islands`` independent populations of
+    ``population_size`` each, ``workers`` processes evaluating them
+    concurrently, and every ``migration_interval`` generations each island
+    sends its ``migration_size`` best genomes to its ring successor.
     """
 
     population_size: int = 100
@@ -167,7 +202,7 @@ class GenerationStats:
     evaluations: int
 
 
-# The single history codec: EvolutionState, IslandResult, and checkpoints
+# The single history codec: EvolutionState, EvolutionResult, and checkpoints
 # all serialize GenerationStats lists through these two helpers, so the
 # JSON shape cannot diverge between the wire and the disk formats.
 def history_to_jsonable(history: list[GenerationStats]) -> list[dict]:
@@ -180,7 +215,14 @@ def history_from_jsonable(entries) -> list[GenerationStats]:
 
 @dataclass
 class EvolutionResult:
-    """Outcome of one evolutionary inference run."""
+    """Outcome of one evolutionary inference run.
+
+    ``history`` is the winning island's trajectory; the island fields record
+    the whole archipelago (one island for a sequential run).  The result
+    round-trips through JSON (:meth:`to_json` / :meth:`from_json`) with the
+    same exactness guarantees as :class:`EvolutionState` — the serialized
+    bytes are what the transport-equivalence tests compare.
+    """
 
     mapping: ThreeLevelMapping
     genome: Genome
@@ -191,6 +233,88 @@ class EvolutionResult:
     wall_seconds: float
     history: list[GenerationStats] = field(default_factory=list)
     converged: bool = False
+    islands: int = 1
+    workers: int = 1
+    epochs: int = 0
+    migrations: int = 0
+    best_island: int = 0
+    island_histories: list[list[GenerationStats]] = field(default_factory=list)
+    island_davgs: list[float] = field(default_factory=list)
+    islands_converged: list[bool] = field(default_factory=list)
+    #: Scheduling/recovery telemetry from the transport (e.g.
+    #: :attr:`~repro.pmevo.transport.SocketTransport.stats`): leases,
+    #: steals, stale results, requeues, worker drops.  Deliberately outside
+    #: the serialized form and excluded from comparisons — it records *how*
+    #: the run was scheduled, which the bit-identity guarantee says must
+    #: never influence *what* was computed.
+    transport_stats: dict | None = field(default=None, compare=False)
+
+    def to_jsonable(self) -> dict:
+        """JSON-safe dict form of the complete result."""
+        return {
+            "mapping": self.mapping.to_dict(),
+            "genome": genome_to_jsonable(self.genome),
+            "davg": float(self.davg),
+            "volume": int(self.volume),
+            "generations": self.generations,
+            "evaluations": self.evaluations,
+            "wall_seconds": float(self.wall_seconds),
+            "history": history_to_jsonable(self.history),
+            "converged": self.converged,
+            "islands": self.islands,
+            "workers": self.workers,
+            "epochs": self.epochs,
+            "migrations": self.migrations,
+            "best_island": self.best_island,
+            "island_histories": [history_to_jsonable(h) for h in self.island_histories],
+            "island_davgs": [float(v) for v in self.island_davgs],
+            "islands_converged": list(self.islands_converged),
+        }
+
+    def to_json(self) -> str:
+        """Serialize to a JSON string."""
+        return json.dumps(self.to_jsonable())
+
+    @classmethod
+    def from_jsonable(cls, data: Mapping) -> "EvolutionResult":
+        """Rebuild a result from :meth:`to_jsonable` output.
+
+        Raises :class:`repro.core.errors.CheckpointError` on malformed
+        payloads.
+        """
+        try:
+            return cls(
+                mapping=ThreeLevelMapping.from_dict(data["mapping"]),
+                genome=genome_from_jsonable(data["genome"]),
+                davg=float(data["davg"]),
+                volume=int(data["volume"]),
+                generations=int(data["generations"]),
+                evaluations=int(data["evaluations"]),
+                wall_seconds=float(data["wall_seconds"]),
+                history=history_from_jsonable(data["history"]),
+                converged=bool(data["converged"]),
+                islands=int(data["islands"]),
+                workers=int(data["workers"]),
+                epochs=int(data["epochs"]),
+                migrations=int(data["migrations"]),
+                best_island=int(data["best_island"]),
+                island_histories=[
+                    history_from_jsonable(h) for h in data["island_histories"]
+                ],
+                island_davgs=[float(v) for v in data["island_davgs"]],
+                islands_converged=[bool(v) for v in data["islands_converged"]],
+            )
+        except (KeyError, TypeError, ValueError, MappingError) as exc:
+            raise CheckpointError(f"malformed evolution result: {exc}") from exc
+
+    @classmethod
+    def from_json(cls, text: str) -> "EvolutionResult":
+        """Deserialize from a JSON string."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"evolution result is not valid JSON: {exc}") from exc
+        return cls.from_jsonable(data)
 
 
 @dataclass
@@ -332,6 +456,60 @@ class EvolutionState:
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"evolution state is not valid JSON: {exc}") from exc
         return cls.from_jsonable(data)
+
+
+def derive_island_rngs(root_seed: int, islands: int) -> list[np.random.Generator]:
+    """Per-island generators spawned deterministically from one root seed.
+
+    A single island gets ``default_rng(root_seed)``, the sequential
+    Algorithm 1 stream, so a one-island run that only wants checkpointing
+    or a transport is bit-identical to a plain one.  Multiple islands get
+    independent streams via ``SeedSequence`` spawning.
+    """
+    if islands < 1:
+        raise InferenceError("need at least one island")
+    if islands == 1:
+        return [np.random.default_rng(root_seed)]
+    children = np.random.SeedSequence(root_seed).spawn(islands)
+    return [np.random.default_rng(sequence) for sequence in children]
+
+
+def migrate_ring(states: list[EvolutionState], migration_size: int) -> int:
+    """Send each island's elite to its ring successor; returns genomes moved.
+
+    Emigrants are the ``migration_size`` best individuals (lexicographic
+    ``(D_avg, volume)``, stable sort) of each island's *pre-migration*
+    population; they replace the destination's worst individuals.  States
+    are mutated in place.  The donor keeps its copies — migration copies,
+    it does not resettle.
+    """
+    if migration_size <= 0 or len(states) < 2:
+        return 0
+    snapshots = []
+    for state in states:
+        order = np.lexsort((state.volumes, state.davgs))
+        emigrants = [
+            (
+                copy_genome(state.population[int(i)]),
+                float(state.davgs[int(i)]),
+                float(state.volumes[int(i)]),
+            )
+            for i in order[:migration_size]
+        ]
+        snapshots.append(emigrants)
+    moved = 0
+    for source, emigrants in enumerate(snapshots):
+        target = states[(source + 1) % len(states)]
+        # Worst-first within the target, recomputed against its own
+        # (pre-migration) objectives — deterministic under the stable sort.
+        worst = np.lexsort((target.volumes, target.davgs))[::-1]
+        for slot, (genome, davg, volume) in zip(worst[: len(emigrants)], emigrants):
+            index = int(slot)
+            target.population[index] = genome
+            target.davgs[index] = davg
+            target.volumes[index] = volume
+            moved += 1
+    return moved
 
 
 class PortMappingEvolver:
@@ -528,10 +706,14 @@ class PortMappingEvolver:
         """
         budget = generations if generations is not None else self.config.max_generations
         for _ in range(budget):
-            if state.stopped or state.generation >= self.config.max_generations:
+            if not self._active(state):
                 break
             self._step(state)
         return state
+
+    def _active(self, state: EvolutionState) -> bool:
+        """Whether ``state`` still evolves: no stop condition, budget left."""
+        return not state.stopped and state.generation < self.config.max_generations
 
     def finalize(
         self, state: EvolutionState, wall_seconds: float = 0.0
@@ -559,8 +741,122 @@ class PortMappingEvolver:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> EvolutionResult:
-        """Execute Algorithm 1 and return the fittest mapping found."""
+    def _check_resume(self, resume: CheckpointSnapshot) -> None:
+        # `workers` only chooses where epochs run, never what they compute,
+        # so a checkpoint from an 8-core box may resume on a 4-core one.
+        if dataclasses.replace(resume.config, workers=self.config.workers) != self.config:
+            raise CheckpointError(
+                "checkpoint was written under a different evolution config; "
+                "resume with the same seed/population/island settings "
+                "(--workers may differ)"
+            )
+        if resume.instructions != self.names:
+            raise CheckpointError(
+                "checkpoint covers a different instruction universe than "
+                "this run (did the machine preset, --forms, or --seed change?)"
+            )
+        if resume.num_ports != self.ports.num_ports:
+            raise CheckpointError(
+                f"checkpoint was written for {resume.num_ports} ports, "
+                f"this run has {self.ports.num_ports}"
+            )
+        if len(resume.states) != self.config.islands:
+            raise CheckpointError(
+                f"checkpoint holds {len(resume.states)} island states, "
+                f"config wants {self.config.islands}"
+            )
+
+    def run(
+        self,
+        transport: MigrationTransport | None = None,
+        checkpointer: Checkpointer | None = None,
+        resume: CheckpointSnapshot | None = None,
+    ) -> EvolutionResult:
+        """Evolve every island to completion and return the global best.
+
+        Each epoch advances the active islands ``migration_interval``
+        generations on ``transport`` (default: in-process for one worker, a
+        ``multiprocessing`` pool of ``min(workers, islands)`` otherwise; the
+        choice cannot affect results) and then migrates elites around the
+        ring.  ``checkpointer`` persists a snapshot at epoch barriers;
+        ``resume`` continues from a loaded snapshot, validated against this
+        evolver's config and problem, bit-identically to never having
+        stopped.
+        """
+        # Both modules import this one, so they are imported at call time.
+        from repro.pmevo.checkpoint import CheckpointSnapshot
+        from repro.pmevo.transport import PoolTransport, SerialTransport
+
         start_time = time.perf_counter()
-        state = self.advance(self.init_state())
-        return self.finalize(state, wall_seconds=time.perf_counter() - start_time)
+        config = self.config
+        workers = min(config.workers, config.islands)
+        if transport is None:
+            transport = PoolTransport(workers) if workers > 1 else SerialTransport()
+        if resume is not None:
+            self._check_resume(resume)
+            states = list(resume.states)
+            epochs = resume.epochs
+            migrations = resume.migrations
+        else:
+            rngs = derive_island_rngs(config.seed, config.islands)
+            states = [self.init_state(rng) for rng in rngs]
+            epochs = 0
+            migrations = 0
+
+        try:
+            transport.start(self)
+            while True:
+                jobs = [(k, s) for k, s in enumerate(states) if self._active(s)]
+                if not jobs:
+                    break
+                for k, advanced in transport.advance(jobs, config.migration_interval):
+                    states[k] = advanced
+                epochs += 1
+                # Time-to-target runs: one island reaching the target ends
+                # the whole archipelago (decided at the epoch barrier, so
+                # the outcome is independent of worker scheduling).
+                if any(state.target_reached for state in states):
+                    break
+                # Migrating into a stopped island could not change the
+                # result (it never advances again and the migrant is judged
+                # against the global best anyway), so exchange among all
+                # islands unconditionally — it keeps the topology a ring.
+                if any(self._active(state) for state in states):
+                    migrations += migrate_ring(states, config.migration_size)
+                if checkpointer is not None:
+                    checkpointer.after_epoch(
+                        CheckpointSnapshot(
+                            config=config,
+                            instructions=self.names,
+                            num_ports=self.ports.num_ports,
+                            epochs=epochs,
+                            migrations=migrations,
+                            states=states,
+                        )
+                    )
+        finally:
+            transport.close()
+
+        # Global winner: lexicographic (D_avg, volume) over each island's
+        # champion, ties broken by island index for determinism.
+        champions = [
+            (float(s.davgs[s.best_index()]), float(s.volumes[s.best_index()]), k)
+            for k, s in enumerate(states)
+        ]
+        best_island = min(champions)[2]
+        return dataclasses.replace(
+            self.finalize(states[best_island]),
+            generations=max(s.generation for s in states),
+            evaluations=sum(s.evaluations for s in states),
+            wall_seconds=time.perf_counter() - start_time,
+            converged=all(s.converged for s in states),
+            islands=config.islands,
+            workers=workers,
+            epochs=epochs,
+            migrations=migrations,
+            best_island=best_island,
+            island_histories=[s.history for s in states],
+            island_davgs=[davg for davg, _, _ in champions],
+            islands_converged=[s.converged for s in states],
+            transport_stats=getattr(transport, "stats", None),
+        )

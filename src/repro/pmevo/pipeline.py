@@ -28,7 +28,6 @@ from repro.pmevo.checkpoint import Checkpointer, CheckpointSnapshot
 from repro.pmevo.congruence import CongruencePartition, find_congruence_classes
 from repro.pmevo.evolution import EvolutionConfig, EvolutionResult, PortMappingEvolver
 from repro.pmevo.expgen import pair_experiments, singleton_experiments
-from repro.pmevo.islands import IslandEvolver
 from repro.pmevo.transport import MigrationTransport
 
 __all__ = ["PMEvoConfig", "PMEvoResult", "infer_port_mapping"]
@@ -102,8 +101,7 @@ def infer_port_mapping(
     config:
         Pipeline configuration.
     transport:
-        Where island epochs run (see :mod:`repro.pmevo.transport`); forces
-        the island evolver even for a single island.
+        Where island epochs run (see :mod:`repro.pmevo.transport`).
     checkpointer:
         Writes atomic evolution snapshots at epoch barriers.
     resume:
@@ -144,28 +142,14 @@ def infer_port_mapping(
         else PortSpace.numbered(num_ports)
     )
     # A single island is exactly the sequential Algorithm 1; more than one
-    # switches to the island-model parallel search (Section 4.5's
-    # "parallelized implementation of a genetic algorithm").  Transports and
-    # checkpoints live on the island loop, so asking for either also selects
-    # it (a 1-island archipelago never migrates).
+    # is the island-model parallel search (Section 4.5's "parallelized
+    # implementation of a genetic algorithm").
     representative_singles = {
         k: v for k, v in singleton_throughputs.items() if k in representatives
     }
-    use_islands = (
-        config.evolution.islands > 1
-        or transport is not None
-        or checkpointer is not None
-        or resume is not None
-    )
-    if use_islands:
-        evolver = IslandEvolver(
-            ports, reduced, representative_singles, config.evolution, transport
-        )
-        evolution = evolver.run(checkpointer=checkpointer, resume=resume)
-    else:
-        evolution = PortMappingEvolver(
-            ports, reduced, representative_singles, config.evolution
-        ).run()
+    evolution = PortMappingEvolver(
+        ports, reduced, representative_singles, config.evolution
+    ).run(transport=transport, checkpointer=checkpointer, resume=resume)
 
     # Extend the representative mapping to all congruent instructions.
     full_mapping = evolution.mapping.extended_by(partition.translation())

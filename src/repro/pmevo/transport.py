@@ -1,11 +1,11 @@
 """Migration transports: how island states move during an epoch.
 
-:class:`~repro.pmevo.islands.IslandEvolver` runs K populations through
-alternating *epochs* (``migration_interval`` generations of independent
-evolution) and *migrations* (elite exchange around the ring).  The epoch is
-embarrassingly parallel, and everything an epoch needs travels inside the
-:class:`~repro.pmevo.evolution.EvolutionState` — so the island loop does not
-care *where* an epoch runs.  This module makes that explicit: a
+:meth:`~repro.pmevo.evolution.PortMappingEvolver.run` drives K populations
+through alternating *epochs* (``migration_interval`` generations of
+independent evolution) and *migrations* (elite exchange around the ring).
+The epoch is embarrassingly parallel, and everything an epoch needs travels
+inside the :class:`~repro.pmevo.evolution.EvolutionState` — so the island
+loop does not care *where* an epoch runs.  This module makes that explicit: a
 :class:`MigrationTransport` ships states out, advances them, and ships them
 back, and the evolver is written against the protocol alone.
 
@@ -154,6 +154,27 @@ DEFAULT_START_TIMEOUT = 120.0
 
 #: Ceiling of the capped exponential reconnect backoff.
 BACKOFF_CAP = 8.0
+
+#: Seconds an island's oldest lease must be outstanding before it may be
+#: stolen.  The grace keeps a homogeneous cluster, whose workers finish
+#: within milliseconds of each other, from burning CPU on duplicate leases
+#: that the original worker wins anyway; a slow or dead worker blows past it.
+STEAL_DELAY = 0.25
+
+#: Live leases one island may accumulate through stealing: the original
+#: lease plus one steal, bounding redundant compute.
+MAX_ISLAND_LEASES = 2
+
+#: Seconds :meth:`SocketTransport.close` spends draining workers still
+#: streaming a result for a lease that lost a race, so they read the
+#: shutdown frame instead of a connection reset.
+CLOSE_GRACE = 5.0
+
+#: Initial connection attempts of :func:`run_worker` while the coordinator's
+#: listener comes up, and the first delay of their backoff schedule (also
+#: the first delay of every reconnect schedule).
+CONNECT_ATTEMPTS = 10
+RETRY_DELAY = 0.25
 
 #: Upper bound on a single frame (guards against garbage length prefixes).
 _MAX_FRAME_BYTES = 1 << 29
@@ -403,9 +424,11 @@ class SocketTransport:
     islands of workers that died (socket error, malformed frame, or
     ``heartbeat_timeout`` seconds without a frame), and — once the pending
     queue is empty — re-leases the slowest outstanding islands to idle
-    workers (*work stealing*; first result wins, late duplicates are
-    discarded by lease generation).  Late joiners are accepted mid-run and
-    start receiving leases at the next assignment opportunity.  If the last
+    workers (*work stealing* after :data:`STEAL_DELAY`, at most
+    :data:`MAX_ISLAND_LEASES` live leases per island; first result wins,
+    late duplicates are discarded by lease generation).  Late joiners are
+    accepted mid-run and start receiving leases at the next assignment
+    opportunity.  If the last
     worker dies, the remaining islands of the epoch run in the coordinator
     process — see the module docstring for why no recovery path can change
     results.
@@ -421,25 +444,6 @@ class SocketTransport:
         Seconds of per-worker silence before its leases are given up on.
     start_timeout:
         Seconds :meth:`start` waits for ``min_workers`` connections.
-    max_lease_batch:
-        Cap on islands per ``job`` frame; 0 (default) splits the pending
-        queue evenly over the idle workers.
-    work_stealing:
-        Re-lease outstanding islands to idle workers once the pending queue
-        drains (default on; affects wall-clock only, never results).
-    steal_delay:
-        Seconds an island's oldest lease must be outstanding before it may
-        be stolen (default 0.25).  The grace period keeps a homogeneous
-        cluster — where workers finish within milliseconds of each other —
-        from burning CPU on duplicate leases that the original worker wins
-        anyway; a genuinely slow or dead worker blows past it immediately.
-    max_island_leases:
-        Live leases an island may accumulate through stealing (default 2 —
-        the original lease plus one steal — bounding redundant compute).
-    close_grace:
-        Seconds :meth:`close` spends draining workers that are still
-        streaming a result for a lease that lost a race, so they read the
-        shutdown frame instead of a connection reset.
 
     ``stats`` counts scheduling/recovery events (leases, steals, stale
     results, requeues, drops, local fallbacks, late joiners) for operator
@@ -453,31 +457,15 @@ class SocketTransport:
         min_workers: int = 1,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         start_timeout: float = DEFAULT_START_TIMEOUT,
-        max_lease_batch: int = 0,
-        work_stealing: bool = True,
-        steal_delay: float = 0.25,
-        max_island_leases: int = 2,
-        close_grace: float = 5.0,
     ):
         if min_workers < 1:
             raise TransportError("socket transport needs at least one worker")
         if heartbeat_timeout <= 0 or start_timeout <= 0:
             raise TransportError("timeouts must be positive")
-        if max_lease_batch < 0:
-            raise TransportError("max_lease_batch must be >= 0 (0 = even split)")
-        if max_island_leases < 1:
-            raise TransportError("max_island_leases must be at least 1")
-        if steal_delay < 0:
-            raise TransportError("steal_delay must be >= 0")
         self._bind = (host, port)
         self.min_workers = min_workers
         self.heartbeat_timeout = heartbeat_timeout
         self.start_timeout = start_timeout
-        self.max_lease_batch = max_lease_batch
-        self.work_stealing = work_stealing
-        self.steal_delay = steal_delay
-        self.max_island_leases = max_island_leases
-        self.close_grace = close_grace
         self.address: tuple[str, int] | None = None
         self.stats: dict[str, int] = {
             "epochs": 0,
@@ -536,7 +524,7 @@ class SocketTransport:
         self._started = True
 
     def close(self) -> None:
-        deadline = time.monotonic() + self.close_grace
+        deadline = time.monotonic() + CLOSE_GRACE
         for worker in list(self._workers.values()):
             try:
                 send_frame(worker.sock, {"type": "shutdown"})
@@ -544,7 +532,7 @@ class SocketTransport:
                 self._workers.pop(worker.sock, None)
                 worker.sock.close()
         # Workers still streaming a result for a lease that lost a race must
-        # be drained (bounded by ``close_grace``) before their sockets go
+        # be drained (bounded by ``CLOSE_GRACE``) before their sockets go
         # away: closing underneath the in-flight send would turn the
         # buffered shutdown frame into a connection reset and push the
         # worker into its reconnect loop for nothing.
@@ -690,8 +678,6 @@ class SocketTransport:
             if not idle:
                 return
             share = -(-len(self._pending) // len(idle))  # ceil division
-            if self.max_lease_batch:
-                share = min(share, self.max_lease_batch)
             for worker in idle:
                 if not self._pending:
                     return
@@ -720,8 +706,7 @@ class SocketTransport:
             candidates = [
                 (count, oldest, island)
                 for island, (count, oldest) in live.items()
-                if count < self.max_island_leases
-                and now - oldest >= self.steal_delay
+                if count < MAX_ISLAND_LEASES and now - oldest >= STEAL_DELAY
             ]
             if not candidates:
                 return
@@ -799,7 +784,7 @@ class SocketTransport:
 
                 # The queue is drained but the barrier is not met: steal the
                 # slowest outstanding islands onto idle workers.
-                if self.work_stealing and not self._pending:
+                if not self._pending:
                     self._steal(generations)
 
                 sockets = [self._listener] + list(self._workers)
@@ -868,14 +853,13 @@ def _connect_with_backoff(
     host: str,
     port: int,
     attempts: int,
-    base_delay: float,
     deadline: float | None = None,
     seed: int | None = None,
 ) -> tuple[socket.socket | None, OSError | None]:
     """Connect with backoff; ``(None, last_error)`` once attempts/deadline
     are exhausted (the caller decides whether that is fatal)."""
     last_error: OSError | None = None
-    for delay in backoff_delays(attempts, base=base_delay, seed=seed):
+    for delay in backoff_delays(attempts, base=RETRY_DELAY, seed=seed):
         try:
             return socket.create_connection((host, port), timeout=30.0), None
         except OSError as exc:
@@ -957,8 +941,6 @@ def run_worker(
     host: str,
     port: int,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    connect_retries: int = 10,
-    retry_delay: float = 0.25,
     max_reconnect_attempts: int = 10,
     reconnect_window: float = 60.0,
     jitter_seed: int | None = None,
@@ -969,7 +951,7 @@ def run_worker(
 
     Connects (with capped exponential backoff + deterministic jitter while
     the coordinator's listener comes up — see :func:`backoff_delays`; the
-    schedule starts at ``retry_delay`` and runs ``connect_retries``
+    schedule starts at :data:`RETRY_DELAY` and runs :data:`CONNECT_ATTEMPTS`
     attempts), performs the hello/version handshake, rebuilds the evolver
     from the setup frame, then loops: receive a leased island batch,
     advance each island, stream the results back.  A daemon thread emits
@@ -994,7 +976,7 @@ def run_worker(
     :class:`~repro.pmevo.faults.FaultySocket` on each connection.
     """
     sock, last_error = _connect_with_backoff(
-        host, port, connect_retries, retry_delay, seed=jitter_seed
+        host, port, CONNECT_ATTEMPTS, seed=jitter_seed
     )
     if sock is None:
         raise TransportError(
@@ -1011,7 +993,6 @@ def run_worker(
             host,
             port,
             max_reconnect_attempts,
-            retry_delay,
             deadline=deadline,
             seed=jitter_seed,
         )

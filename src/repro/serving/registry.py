@@ -60,7 +60,7 @@ def load_mapping_artifact(path: Path) -> ThreeLevelMapping:
         raise ServingError(f"cannot read mapping artifact {path}: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ServingError(f"mapping artifact {path} is not JSON: {exc}") from exc
     if isinstance(document, dict) and "mapping" in document and "instructions" not in document:
         document = document["mapping"]

@@ -34,7 +34,7 @@ from repro.pmevo import (
     EvolutionConfig,
     FaultySocket,
     FaultyTransport,
-    IslandEvolver,
+    PortMappingEvolver,
     SerialTransport,
     SocketTransport,
     load_checkpoint,
@@ -62,11 +62,11 @@ CONFIG = EvolutionConfig(
 )
 
 
-def _evolver(transport=None, config=CONFIG):
+def _evolver(config=CONFIG):
     truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
     names = ("ad", "mu", "st")
     measured, singles = _measurements_from_truth(truth, names, 3)
-    return IslandEvolver(PortSpace.numbered(3), measured, singles, config, transport)
+    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, config)
 
 
 def _normalized(result) -> str:
@@ -75,7 +75,7 @@ def _normalized(result) -> str:
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return _evolver(SerialTransport()).run()
+    return _evolver().run(transport=SerialTransport())
 
 
 def _once(factory):
@@ -119,7 +119,7 @@ class TestInjectedSocketFaults:
             daemon=True,
         )
         thread.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         thread.join(timeout=15)
         assert not thread.is_alive()
         assert result.transport_stats["workers_dropped"] >= 1
@@ -132,10 +132,8 @@ class TestInjectedSocketFaults:
         # steal must fire, the first result must win, and the late
         # duplicate must be discarded, all invisible in the output bytes.
         config = dataclasses.replace(CONFIG, max_generations=8)
-        serial = _evolver(SerialTransport(), config).run()
-        transport = SocketTransport(
-            min_workers=2, heartbeat_timeout=15.0, steal_delay=0.2
-        )
+        serial = _evolver(config).run(transport=SerialTransport())
+        transport = SocketTransport(min_workers=2, heartbeat_timeout=15.0)
         host, port = transport.listen()
         threads = [
             threading.Thread(
@@ -151,7 +149,7 @@ class TestInjectedSocketFaults:
         ]
         for thread in threads:
             thread.start()
-        result = _evolver(transport, config).run()
+        result = _evolver(config).run(transport=transport)
         for thread in threads:
             thread.join(timeout=20)
             assert not thread.is_alive()
@@ -205,7 +203,7 @@ class TestInjectedSocketFaults:
 
         thread = threading.Thread(target=noisy_worker, daemon=True)
         thread.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         thread.join(timeout=15)
         assert _normalized(result) == _normalized(serial_result)
 
@@ -242,7 +240,7 @@ class TestInjectedSocketFaults:
         late = threading.Thread(target=late_worker, daemon=True)
         mute.start()
         late.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         mute.join(timeout=15)
         late.join(timeout=15)
         assert not late.is_alive()
@@ -263,7 +261,9 @@ class TestInjectedCoordinatorCrash:
         path = tmp_path / "snapshot.json"
         faulty = FaultyTransport(SerialTransport(), fail_after_epoch=2)
         with pytest.raises(InjectedFault):
-            _evolver(faulty).run(checkpointer=Checkpointer(path, interval=1))
+            _evolver().run(
+                transport=faulty, checkpointer=Checkpointer(path, interval=1)
+            )
         snapshot = load_checkpoint(path)
         assert snapshot.epochs == 1
         resumed = _evolver().run(resume=snapshot)
@@ -277,7 +277,9 @@ class TestInjectedCoordinatorCrash:
         path = tmp_path / "snapshot.json"
         faulty = FaultyTransport(SerialTransport(), fail_before_epoch=3)
         with pytest.raises(InjectedFault):
-            _evolver(faulty).run(checkpointer=Checkpointer(path, interval=1))
+            _evolver().run(
+                transport=faulty, checkpointer=Checkpointer(path, interval=1)
+            )
         resumed = _evolver().run(resume=load_checkpoint(path))
         assert _normalized(resumed) == _normalized(serial_result)
 
@@ -288,7 +290,9 @@ class TestInjectedCoordinatorCrash:
         path = tmp_path / "snapshot.json"
         faulty = FaultyTransport(SerialTransport(), fail_before_epoch=3)
         with pytest.raises(InjectedFault):
-            _evolver(faulty).run(checkpointer=Checkpointer(path, interval=1))
+            _evolver().run(
+                transport=faulty, checkpointer=Checkpointer(path, interval=1)
+            )
         assert previous_path(path).exists()
         path.write_text("torn mid-write")
         with pytest.warns(UserWarning, match="falling back to the previous"):

@@ -13,9 +13,8 @@ from repro.pmevo import (
     CheckpointSnapshot,
     Checkpointer,
     EvolutionConfig,
+    EvolutionResult,
     EvolutionState,
-    IslandEvolver,
-    IslandResult,
     PortMappingEvolver,
     load_checkpoint,
     previous_path,
@@ -33,11 +32,6 @@ def _evolver(config=None):
     measured, singles = _problem()
     config = config or EvolutionConfig(population_size=12, max_generations=20, seed=3)
     return PortMappingEvolver(PortSpace.numbered(2), measured, singles, config)
-
-
-def _island_evolver(config):
-    measured, singles = _problem()
-    return IslandEvolver(PortSpace.numbered(2), measured, singles, config)
 
 
 ISLAND_CONFIG = EvolutionConfig(
@@ -88,30 +82,36 @@ class TestStateRoundTrip:
             EvolutionState.from_jsonable(payload)
 
 
-class TestIslandResultRoundTrip:
-    def test_roundtrip_is_byte_identical(self):
-        result = _island_evolver(ISLAND_CONFIG).run()
-        restored = IslandResult.from_json(result.to_json())
+class TestEvolutionResultRoundTrip:
+    @staticmethod
+    def _assert_roundtrip(result):
+        restored = EvolutionResult.from_json(result.to_json())
         assert restored.to_json() == result.to_json()
         assert restored.mapping == result.mapping
         assert restored.history == result.history
 
+    def test_roundtrip_is_byte_identical(self):
+        self._assert_roundtrip(_evolver(ISLAND_CONFIG).run())
+
+    def test_single_island_roundtrip_is_byte_identical(self):
+        result = _evolver().run()
+        assert result.islands == 1
+        self._assert_roundtrip(result)
+
     def test_malformed_result_raises(self):
         with pytest.raises(CheckpointError, match="not valid JSON"):
-            IslandResult.from_json("][")
-        with pytest.raises(CheckpointError, match="malformed island result"):
-            IslandResult.from_jsonable({"davg": 1.0})
+            EvolutionResult.from_json("][")
+        with pytest.raises(CheckpointError, match="malformed evolution result"):
+            EvolutionResult.from_jsonable({"davg": 1.0})
 
 
 class TestCheckpointFiles:
     def _snapshot(self):
-        evolver = _island_evolver(ISLAND_CONFIG)
-        states = [
-            evolver.evolver.init_state(np.random.default_rng(k)) for k in range(2)
-        ]
+        evolver = _evolver(ISLAND_CONFIG)
+        states = [evolver.init_state(np.random.default_rng(k)) for k in range(2)]
         return CheckpointSnapshot(
             config=ISLAND_CONFIG,
-            instructions=evolver.evolver.names,
+            instructions=evolver.names,
             num_ports=2,
             epochs=1,
             migrations=2,
@@ -239,12 +239,12 @@ class TestCheckpointFiles:
 class TestResumeValidation:
     def _checkpoint_from_run(self, tmp_path):
         path = tmp_path / "snap.json"
-        _island_evolver(ISLAND_CONFIG).run(checkpointer=Checkpointer(path))
+        _evolver(ISLAND_CONFIG).run(checkpointer=Checkpointer(path))
         return load_checkpoint(path)
 
     def test_config_mismatch_raises(self, tmp_path):
         snapshot = self._checkpoint_from_run(tmp_path)
-        other = _island_evolver(
+        other = _evolver(
             EvolutionConfig(
                 population_size=12,
                 max_generations=12,
@@ -263,10 +263,10 @@ class TestResumeValidation:
         import dataclasses
 
         snapshot = self._checkpoint_from_run(tmp_path)
-        resumed = _island_evolver(
+        resumed = _evolver(
             dataclasses.replace(ISLAND_CONFIG, workers=2)
         ).run(resume=snapshot)
-        baseline = _island_evolver(ISLAND_CONFIG).run()
+        baseline = _evolver(ISLAND_CONFIG).run()
         assert resumed.mapping == baseline.mapping
         assert resumed.history == baseline.history
 
@@ -282,7 +282,7 @@ class TestResumeValidation:
 
         path = tmp_path / "snap.json"
         with pytest.raises(KeyboardInterrupt):
-            _island_evolver(ISLAND_CONFIG).run(checkpointer=StopAfterFirst(path))
+            _evolver(ISLAND_CONFIG).run(checkpointer=StopAfterFirst(path))
         document = json.loads(path.read_text())
         document["config"]["batch_chunk"] = 16
         path.write_text(json.dumps(document))
@@ -292,15 +292,17 @@ class TestResumeValidation:
         def normalized(result):
             return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
 
-        resumed = _island_evolver(ISLAND_CONFIG).run(resume=snapshot)
-        baseline = _island_evolver(ISLAND_CONFIG).run()
+        resumed = _evolver(ISLAND_CONFIG).run(resume=snapshot)
+        baseline = _evolver(ISLAND_CONFIG).run()
         assert normalized(resumed) == normalized(baseline)
 
     def test_problem_mismatch_raises(self, tmp_path):
         snapshot = self._checkpoint_from_run(tmp_path)
         truth = {"x": {0b01: 1}, "y": {0b10: 1}, "z": {0b11: 1}}
         measured, singles = _measurements_from_truth(truth, ("x", "y", "z"), 2)
-        other = IslandEvolver(PortSpace.numbered(2), measured, singles, ISLAND_CONFIG)
+        other = PortMappingEvolver(
+            PortSpace.numbered(2), measured, singles, ISLAND_CONFIG
+        )
         with pytest.raises(CheckpointError, match="different instruction universe"):
             other.run(resume=snapshot)
 
@@ -339,7 +341,7 @@ class TestCheckpointCLI:
         assert "resuming from" in capsys.readouterr().out
         assert resumed.read_text() == first.read_text()
 
-    def test_resume_with_wrong_settings_fails_loudly(self, tmp_path):
+    def test_resume_with_wrong_settings_fails_loudly(self, tmp_path, capsys):
         from repro.cli import main
 
         snapshot = tmp_path / "snap.json"
@@ -358,7 +360,8 @@ class TestCheckpointCLI:
             "0",
         ]
         assert main([*base, "-o", str(tmp_path / "a.json"), "--checkpoint", str(snapshot)]) == 0
-        with pytest.raises(CheckpointError, match="different evolution config"):
+        capsys.readouterr()
+        assert (
             main(
                 [
                     "infer",
@@ -379,3 +382,7 @@ class TestCheckpointCLI:
                     str(snapshot),
                 ]
             )
+            == 2
+        )
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "different evolution config" in error

@@ -160,3 +160,44 @@ class TestCommands:
         assert main(["export", str(mapping_file), "--format", "osaca"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("instruction,P0,P1,cycles")
+
+
+BAD_MAPPING = '{"ports": ["P0"], "instructions": {"a": [{"ports": ["P0"], "count": "z"}]}}'
+
+
+class TestUserMistakes:
+    """Every user mistake ends in one ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", "SKL", "-o", "{tmp}/m.json", "--population", "1"],
+            ["infer", "SKL", "-o", "{tmp}/m.json", "--resume", "{tmp}/corrupt.json"],
+            ["show", "{tmp}/missing.json"],
+            [
+                "infer", "SKL", "-o", "{tmp}/m.json", "--islands", "2",
+                "--transport", "socket", "--bind", "nohost",
+            ],
+            ["predict", "{mapping}", "x=z"],
+            ["predict", "{mapping}", "y=1"],
+            ["serve", "--mapping", "{tmp}/bad.json", "--bind", "127.0.0.1:0"],
+        ],
+        ids=[
+            "population-1",
+            "resume-corrupt",
+            "show-missing",
+            "bind-without-port",
+            "count-not-integer",
+            "unknown-instruction",
+            "serve-malformed-mapping",
+        ],
+    )
+    def test_one_error_line_and_exit_2(self, argv, tmp_path, mapping_file, capsys):
+        (tmp_path / "corrupt.json").write_text("{not json")
+        (tmp_path / "bad.json").write_text(BAD_MAPPING)
+        argv = [a.format(tmp=tmp_path, mapping=mapping_file) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -7,8 +7,7 @@ from repro.pmevo.testing import measurements_from_truth as _measurements_from_tr
 from repro.core import InferenceError, PortSpace
 from repro.pmevo import (
     EvolutionConfig,
-    IslandEvolver,
-    IslandResult,
+    EvolutionResult,
     PortMappingEvolver,
     derive_island_rngs,
     migrate_ring,
@@ -20,7 +19,7 @@ def _island_evolver(config):
     truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
     names = ("ad", "mu", "st")
     measured, singles = _measurements_from_truth(truth, names, 3)
-    return IslandEvolver(PortSpace.numbered(3), measured, singles, config)
+    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, config)
 
 
 class TestConfigKnobs:
@@ -70,7 +69,7 @@ class TestSeedDerivation:
 
 class TestMigration:
     def _state(self, evolver, rng_seed):
-        return evolver.evolver.init_state(np.random.default_rng(rng_seed))
+        return evolver.init_state(np.random.default_rng(rng_seed))
 
     def test_ring_moves_elites_to_successor(self):
         config = EvolutionConfig(population_size=12, max_generations=5)
@@ -93,7 +92,7 @@ class TestMigration:
         states = [self._state(evolver, k) for k in range(2)]
         migrate_ring(states, migration_size=2)
         for state in states:
-            davgs, _ = evolver.evolver._evaluate(state.population)
+            davgs, _ = evolver._evaluate(state.population)
             assert np.allclose(davgs, state.davgs)
 
     def test_zero_migration_size_is_noop(self):
@@ -153,7 +152,7 @@ class TestIslandRun:
             migration_size=1,
         )
         result = _island_evolver(config).run()
-        assert isinstance(result, IslandResult)
+        assert isinstance(result, EvolutionResult)
         assert result.islands == 3
         assert len(result.island_histories) == 3
         assert len(result.island_davgs) == 3
@@ -206,7 +205,7 @@ class TestPipelineIntegration:
             )
         )
         result = infer_port_mapping(quiet_toy_machine, config=config)
-        assert isinstance(result.evolution, IslandResult)
+        assert isinstance(result.evolution, EvolutionResult)
         assert result.evolution.islands == 2
         assert result.evolution.davg <= 0.1
 

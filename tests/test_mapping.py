@@ -1,6 +1,10 @@
 """Unit tests for repro.core.mapping."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Experiment,
@@ -122,3 +126,92 @@ class TestThreeLevelMapping:
         text = paper_three_level.describe()
         for name in ("mul", "add", "sub", "store"):
             assert name in text
+
+
+def _document(count="1", ports='["P0"]', instructions=None) -> str:
+    """Mapping JSON text with raw JSON fragments spliced in."""
+    if instructions is None:
+        instructions = '{"a": [{"ports": ["P0"], "count": %s}]}' % count
+    return '{"ports": %s, "instructions": %s}' % (ports, instructions)
+
+
+class TestLoaderErrors:
+    """Whatever the input, the loader raises MappingError or loads."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ports": ["P0"], "instructions": ',
+            _document(count='"z"'),
+            _document(count="1e400"),
+            _document(instructions="[1]"),
+            _document(count="1.5"),
+            _document(ports='"ab"', instructions='{"a": [{"ports": ["a"], "count": 1}]}'),
+            _document(count="true"),
+            _document(instructions='{"a": [["P0"]]}'),
+            _document(instructions='{"a": {"ports": ["P0"], "count": 1}}'),
+            _document(ports="[0, 1]"),
+            "[" * 100_000,
+            "[]",
+        ],
+        ids=[
+            "invalid-json",
+            "count-string",
+            "count-overflow",
+            "instructions-list",
+            "count-fractional",
+            "ports-string",
+            "count-bool",
+            "uop-not-object",
+            "uops-not-list",
+            "ports-not-strings",
+            "nesting-too-deep",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_document_raises_mapping_error(self, text):
+        with pytest.raises(MappingError):
+            ThreeLevelMapping.from_json(text)
+
+    def test_well_formed_document_loads(self):
+        mapping = ThreeLevelMapping.from_json(_document(count="2"))
+        assert mapping.uops_of("a") == {0b1: 2}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+PORTS = ["P0", "P1"]
+UOPS = st.fixed_dictionaries(
+    {
+        "ports": st.lists(st.sampled_from(PORTS), min_size=1, max_size=2) | JSON_VALUES,
+        "count": st.integers(1, 3) | JSON_VALUES,
+    }
+)
+# Documents whose every part is either well formed or an arbitrary JSON
+# value, so that some load and the rest fail past the top level.
+DOCUMENTS = st.fixed_dictionaries(
+    {
+        "ports": st.just(PORTS) | JSON_VALUES,
+        "instructions": st.dictionaries(
+            st.text(max_size=3),
+            st.lists(UOPS, min_size=1, max_size=2) | JSON_VALUES,
+            min_size=1,
+            max_size=2,
+        )
+        | JSON_VALUES,
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | DOCUMENTS)
+def test_any_json_value_loads_or_raises_mapping_error(value):
+    try:
+        mapping = ThreeLevelMapping.from_json(json.dumps(value))
+    except MappingError:
+        return
+    assert ThreeLevelMapping.from_json(mapping.to_json()) == mapping

@@ -3,7 +3,7 @@
 The island model is only trustworthy if *where* an epoch runs cannot change
 *what* it computes: Serial, Pool, and Socket transports — and a run that was
 killed at a checkpoint and resumed — must all produce byte-identical
-serialized :class:`IslandResult`\\ s for a fixed seed.  This is the transport
+serialized :class:`EvolutionResult`\\ s for a fixed seed.  This is the transport
 analogue of ``tests/test_backend_equivalence.py``, which pins the throughput
 backends against each other.
 
@@ -30,8 +30,8 @@ from repro.core import PortSpace, TransportError
 from repro.pmevo import (
     Checkpointer,
     EvolutionConfig,
-    IslandEvolver,
     PoolTransport,
+    PortMappingEvolver,
     SerialTransport,
     SocketTransport,
     load_checkpoint,
@@ -61,11 +61,11 @@ CONFIG = EvolutionConfig(
 )
 
 
-def _evolver(transport=None, config=CONFIG):
+def _evolver():
     truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
     names = ("ad", "mu", "st")
     measured, singles = _measurements_from_truth(truth, names, 3)
-    return IslandEvolver(PortSpace.numbered(3), measured, singles, config, transport)
+    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, CONFIG)
 
 
 def _normalized(result) -> str:
@@ -75,12 +75,12 @@ def _normalized(result) -> str:
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return _evolver(SerialTransport()).run()
+    return _evolver().run(transport=SerialTransport())
 
 
 class TestTransportEquivalence:
     def test_pool_matches_serial(self, serial_result):
-        pool = _evolver(PoolTransport(2)).run()
+        pool = _evolver().run(transport=PoolTransport(2))
         assert _normalized(pool) == _normalized(serial_result)
 
     def test_socket_matches_serial(self, serial_result):
@@ -94,7 +94,7 @@ class TestTransportEquivalence:
         ]
         for thread in threads:
             thread.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         for thread in threads:
             thread.join(timeout=15)
             assert not thread.is_alive()
@@ -102,73 +102,39 @@ class TestTransportEquivalence:
         assert result.transport_stats["epochs"] > 0
         assert result.transport_stats["leases"] >= result.transport_stats["epochs"]
 
-    def test_socket_without_stealing_matches_serial(self, serial_result):
-        # Work stealing is an optimization, never a semantic: disabling it
-        # must not change a single byte of the result.
-        transport = SocketTransport(
-            min_workers=1, heartbeat_timeout=15.0, work_stealing=False
-        )
-        host, port = transport.listen()
-        thread = threading.Thread(
-            target=run_worker, args=(host, port), kwargs=FAST_RECONNECT, daemon=True
-        )
-        thread.start()
-        result = _evolver(transport).run()
-        thread.join(timeout=15)
-        assert result.transport_stats["steals"] == 0
-        assert _normalized(result) == _normalized(serial_result)
-
     def test_socket_single_island_batches_matches_serial(self, serial_result):
-        # Forcing one-island lease batches exercises the finest-grained
-        # leasing path (maximum requeue/steal surface) — still byte-identical.
-        transport = SocketTransport(
-            min_workers=2, heartbeat_timeout=15.0, max_lease_batch=1
-        )
+        # One worker per island makes the even split lease one island per
+        # job frame: the finest-grained leasing path (maximum requeue/steal
+        # surface) — still byte-identical.
+        transport = SocketTransport(min_workers=3, heartbeat_timeout=15.0)
         host, port = transport.listen()
         threads = [
             threading.Thread(
                 target=run_worker, args=(host, port), kwargs=FAST_RECONNECT, daemon=True
             )
-            for _ in range(2)
+            for _ in range(3)
         ]
         for thread in threads:
             thread.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         for thread in threads:
             thread.join(timeout=15)
         # One-island batches mean at least one lease per island per epoch.
         assert result.transport_stats["leases"] >= 3 * result.transport_stats["epochs"]
         assert _normalized(result) == _normalized(serial_result)
 
-    def test_default_transport_matches_explicit_serial(self, serial_result):
-        # IslandEvolver without a transport must behave exactly as before
-        # the transport extraction (serial for workers=1).
+    def test_auto_transport_matches_explicit_serial(self, serial_result):
+        # Without a transport, run() picks the in-process one for workers=1.
         assert _normalized(_evolver().run()) == _normalized(serial_result)
 
 
 class TestSingleIslandParity:
-    """Opting into a transport or checkpointing must not change results.
+    """Opting into a transport must not change results.
 
-    The pipeline routes any run with a transport/checkpointer/resume through
-    ``IslandEvolver`` even for ``islands=1``; that path must reproduce the
-    plain sequential run bit-for-bit, or adding ``--checkpoint`` to a
-    command would silently change the inferred mapping.
+    A one-island run given a transport must reproduce the plain sequential
+    run bit-for-bit, or adding ``--transport`` to a command would silently
+    change the inferred mapping.
     """
-
-    def test_island_evolver_with_one_island_matches_sequential(self):
-        from repro.pmevo import PortMappingEvolver
-
-        truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
-        names = ("ad", "mu", "st")
-        measured, singles = _measurements_from_truth(truth, names, 3)
-        config = EvolutionConfig(population_size=16, max_generations=12, seed=4)
-        ports = PortSpace.numbered(3)
-        sequential = PortMappingEvolver(ports, measured, singles, config).run()
-        island = IslandEvolver(ports, measured, singles, config).run()
-        assert island.mapping == sequential.mapping
-        assert island.davg == sequential.davg
-        assert island.history == sequential.history
-        assert island.evaluations == sequential.evaluations
 
     def test_pipeline_with_transport_matches_plain_run(self, quiet_toy_machine):
         from repro.pmevo import PMEvoConfig, infer_port_mapping
@@ -214,7 +180,7 @@ class TestSocketFaultTolerance:
         )
         bad.start()
         good.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         bad.join(timeout=15)
         good.join(timeout=15)
         assert _normalized(result) == _normalized(serial_result)
@@ -226,7 +192,7 @@ class TestSocketFaultTolerance:
         host, port = transport.listen()
         bad = threading.Thread(target=self._bad_worker, args=(host, port), daemon=True)
         bad.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         bad.join(timeout=15)
         assert _normalized(result) == _normalized(serial_result)
 
@@ -253,7 +219,7 @@ class TestSocketFaultTolerance:
 
         thread = threading.Thread(target=rst_worker, daemon=True)
         thread.start()
-        result = _evolver(transport).run()
+        result = _evolver().run(transport=transport)
         thread.join(timeout=15)
         assert _normalized(result) == _normalized(serial_result)
 
@@ -264,7 +230,7 @@ class TestSocketFaultTolerance:
 
         from repro.pmevo.transport import problem_to_jsonable
 
-        problem = problem_to_jsonable(_evolver().evolver)
+        problem = problem_to_jsonable(_evolver())
         listener = socket_module.create_server(("127.0.0.1", 0))
         host, port = listener.getsockname()[:2]
 
@@ -272,7 +238,7 @@ class TestSocketFaultTolerance:
             sock, _ = listener.accept()
             recv_frame(sock)  # hello
             send_frame(sock, {"type": "setup", "problem": problem})
-            state = _evolver().evolver.init_state().to_jsonable()
+            state = _evolver().init_state().to_jsonable()
             frame = {
                 "type": "job",
                 "job_id": 1,
@@ -295,9 +261,8 @@ class TestSocketFaultTolerance:
 
     def test_start_times_out_without_workers(self):
         transport = SocketTransport(min_workers=1, start_timeout=0.2)
-        evolver = _evolver(transport)
         with pytest.raises(TransportError, match="waiting for 1 worker"):
-            evolver.run()
+            _evolver().run(transport=transport)
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:8080") == ("127.0.0.1", 8080)
@@ -340,7 +305,9 @@ class TestResumeEquivalence:
         path = tmp_path / "snapshot.json"
         with pytest.raises(KeyboardInterrupt):
             _evolver().run(checkpointer=self._KillAfter(path, 1))
-        resumed = _evolver(PoolTransport(2)).run(resume=load_checkpoint(path))
+        resumed = _evolver().run(
+            transport=PoolTransport(2), resume=load_checkpoint(path)
+        )
         assert _normalized(resumed) == _normalized(serial_result)
 
 
