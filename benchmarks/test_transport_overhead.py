@@ -1,12 +1,14 @@
-"""Migration-transport overhead: serial vs pool vs socket on one host.
+"""Migration-transport overhead: serial vs local workers vs socket on one host.
 
-PR 5 made the island epoch transport-pluggable; this bench records what
-each transport costs per epoch barrier on a localhost workload, so the
-distributed setup's break-even point is documented: the socket transport
-pays JSON serialization plus TCP round trips per epoch, which is only worth
-it when a remote machine's cores buy back more than that.
+This bench records what each way of running an epoch costs per epoch
+barrier on a localhost workload, so the distributed setup's break-even
+point is documented: off-process epochs pay JSON serialization plus TCP
+round trips, which is only worth it when another core buys back more than
+that.  The rows are the in-process transport, the default ``workers=2``
+path (a loopback socket coordinator that forks its two workers, start-up
+included), and a socket coordinator fed by two hand-started worker threads.
 
-All three transports must return byte-identical results (also pinned by
+All three must return byte-identical results (also pinned by
 ``tests/test_transport_equivalence.py``); here the interesting number is
 epochs/second.
 """
@@ -23,7 +25,6 @@ from repro.core import ExperimentSet, PortSpace
 from repro.machine import MeasurementConfig, skl_machine
 from repro.pmevo import (
     EvolutionConfig,
-    PoolTransport,
     PortMappingEvolver,
     SerialTransport,
     SocketTransport,
@@ -63,7 +64,7 @@ def _config():
     )
 
 
-def _run(ports, measured, singles, transport):
+def _run(ports, measured, singles, transport=None):
     evolver = PortMappingEvolver(ports, measured, singles, _config())
     start = time.perf_counter()
     result = evolver.run(transport=transport)
@@ -74,7 +75,7 @@ def test_transport_overhead_record():
     ports, measured, singles = _problem()
 
     serial, serial_wall = _run(ports, measured, singles, SerialTransport())
-    pool, pool_wall = _run(ports, measured, singles, PoolTransport(2))
+    local, local_wall = _run(ports, measured, singles)
 
     socket_transport = SocketTransport(min_workers=2, heartbeat_timeout=30.0)
     host, port = socket_transport.listen()
@@ -94,14 +95,14 @@ def test_transport_overhead_record():
     def normalized(result) -> str:
         return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
 
-    assert normalized(pool) == normalized(serial)
+    assert normalized(local) == normalized(serial)
     assert normalized(socket_result) == normalized(serial)
     assert serial.epochs >= 2
 
     rows = []
     for label, result, wall in (
         ("serial", serial, serial_wall),
-        ("pool(2)", pool, pool_wall),
+        ("workers=2 (forked)", local, local_wall),
         ("socket(2 local)", socket_result, socket_wall),
     ):
         rows.append(

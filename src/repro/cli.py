@@ -95,11 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Island-model defaults: --islands 1 (sequential Algorithm 1), "
         "--workers 1, --migration-interval 10, --migration-size 2; "
         "--workers is capped at the island count.  --transport auto runs "
-        "epochs in-process for one worker and on a multiprocessing pool "
-        "otherwise; --transport socket distributes epochs to `repro-pmevo worker "
-        "--connect HOST:PORT` processes.  --checkpoint writes atomic "
-        "snapshots every --checkpoint-interval epochs; --resume continues "
-        "a snapshot bit-identically to an uninterrupted run.",
+        "epochs in-process for one worker and otherwise forks that many "
+        "`repro-pmevo worker` processes onto a loopback socket coordinator; "
+        "--transport socket distributes epochs to `repro-pmevo worker "
+        "--connect HOST:PORT` processes started by hand.  --checkpoint "
+        "writes atomic snapshots every --checkpoint-interval epochs; "
+        "--resume continues a snapshot bit-identically to an uninterrupted "
+        "run.",
     )
     infer.add_argument("machine", choices=["SKL", "ZEN", "A72"], help="machine preset")
     infer.add_argument("--output", "-o", type=Path, required=True, help="mapping JSON path")
@@ -118,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes evolving islands concurrently "
-        "(effective only with --islands > 1; capped at the island count)",
+        help="local worker processes evolving islands concurrently over a "
+        "loopback socket (effective only with --islands > 1; capped at the "
+        "island count)",
     )
     infer.add_argument(
         "--migration-interval",
@@ -138,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "socket"],
         default="auto",
         help="where island epochs run (default auto: in-process for one "
-        "worker, a multiprocessing pool otherwise; socket distributes to "
-        "`repro-pmevo worker` processes)",
+        "worker, otherwise --workers forked local workers on a loopback "
+        "socket; socket distributes to `repro-pmevo worker` processes "
+        "started by hand)",
     )
     infer.add_argument(
         "--bind",

@@ -24,7 +24,6 @@ from repro.pmevo.checkpoint import (
 from repro.pmevo.faults import FaultySocket, FaultyTransport
 from repro.pmevo.transport import (
     MigrationTransport,
-    PoolTransport,
     SerialTransport,
     SocketTransport,
     backoff_delays,
@@ -66,7 +65,6 @@ __all__ = [
     "migrate_ring",
     "MigrationTransport",
     "SerialTransport",
-    "PoolTransport",
     "SocketTransport",
     "run_worker",
     "backoff_delays",

@@ -29,13 +29,14 @@ Guarantees:
 * **Loud failure.**  Truncated, non-JSON, or wrong-format files — and
   resuming against a different config or instruction universe — raise
   :class:`repro.core.errors.CheckpointError` with a message naming the
-  problem.  The ``.prev`` fallback only softens *unreadable primary* into a
-  warning; when both copies are unusable the primary's error propagates.
+  problem; a malformed document never raises anything else.  The ``.prev``
+  fallback only softens *unreadable primary* into a warning; when both
+  copies are unusable the primary's error propagates.
 
 Island populations inside a snapshot use the packed base64 npz encoding of
-:class:`~repro.pmevo.packed.PackedPopulation`, which keeps checkpoints of
-realistic populations compact; snapshots from before that encoding (plain
-per-genome JSON lists) still load.
+:class:`~repro.pmevo.packed.PackedPopulation`, the only population encoding
+the loader reads; a snapshot with per-genome JSON lists, written before that
+encoding existed, fails to load with :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class CheckpointSnapshot:
             )
         except CheckpointError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 
@@ -120,16 +121,14 @@ def previous_path(path: Path | str) -> Path:
     return path.with_name(path.name + ".prev")
 
 
-def write_checkpoint(
-    path: Path | str, snapshot: CheckpointSnapshot, keep_previous: bool = True
-) -> None:
+def write_checkpoint(path: Path | str, snapshot: CheckpointSnapshot) -> None:
     """Atomically write ``snapshot`` to ``path`` (temp file + ``os.replace``).
 
-    With ``keep_previous`` (the default) an existing snapshot at ``path`` is
-    first rotated to :func:`previous_path` — also via ``os.replace`` — so
-    every instant of the write sequence leaves at least one loadable
-    snapshot on disk: before the rotation it is ``path``, between rotation
-    and replace it is ``path.prev``, after the replace both exist.
+    An existing snapshot at ``path`` is first rotated to
+    :func:`previous_path` — also via ``os.replace`` — so every instant of the
+    write sequence leaves at least one loadable snapshot on disk: before the
+    rotation it is ``path``, between rotation and replace it is
+    ``path.prev``, after the replace both exist.
     """
     path = Path(path)
     payload = json.dumps(snapshot.to_jsonable())
@@ -141,7 +140,7 @@ def write_checkpoint(
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
-        if keep_previous and path.exists():
+        if path.exists():
             os.replace(path, previous_path(path))
         os.replace(tmp_name, path)
     except BaseException:
@@ -166,22 +165,20 @@ def _load_one(path: Path) -> CheckpointSnapshot:
     return CheckpointSnapshot.from_jsonable(data)
 
 
-def load_checkpoint(
-    path: Path | str, allow_previous: bool = True
-) -> CheckpointSnapshot:
+def load_checkpoint(path: Path | str) -> CheckpointSnapshot:
     """Load a snapshot, raising :class:`CheckpointError` on any defect.
 
-    With ``allow_previous`` (the default), an unreadable/corrupt/missing
-    primary falls back to the rotated ``.prev`` snapshot with a warning —
-    resuming one barrier earlier replays the missing epochs bit-identically.
-    When the fallback is also unusable, the *primary's* error propagates.
+    An unreadable/corrupt/missing primary falls back to the rotated
+    ``.prev`` snapshot with a warning — resuming one barrier earlier replays
+    the missing epochs bit-identically.  When the fallback is also unusable,
+    the *primary's* error propagates.
     """
     path = Path(path)
     try:
         return _load_one(path)
     except CheckpointError as exc:
         prev = previous_path(path)
-        if not allow_previous or not prev.exists():
+        if not prev.exists():
             raise
         try:
             snapshot = _load_one(prev)

@@ -30,9 +30,9 @@ goals, in order:
    :class:`~numpy.random.SeedSequence` (:func:`derive_island_rngs`).  Each
    state carries its own generator, so ``advance`` is a pure function of
    ``(state, generations)`` and a :class:`~repro.pmevo.transport.MigrationTransport`
-   (in-process, a ``multiprocessing`` pool, or TCP workers) only decides
-   *where* an epoch runs.  Results are byte-identical for any transport,
-   worker count, or worker failure and recovery schedule
+   (in-process, or TCP workers that are forked locally or started by hand)
+   only decides *where* an epoch runs.  Results are byte-identical for any
+   transport, worker count, or worker failure and recovery schedule
    (``tests/test_islands.py``, ``tests/test_transport_equivalence.py``).
 2. **Deterministic migration.**  Island k's ``migration_size`` best
    individuals (lexicographic ``(D_avg, volume)``, stable) replace the worst
@@ -50,18 +50,18 @@ goals, in order:
 
 Serialization
 -------------
-:class:`EvolutionState` and :class:`EvolutionResult` round-trip through JSON
-(``to_json`` / ``from_json``): the population, the objective arrays, the
-generation counters, *and the numpy bit-generator state* are all captured, so
-a deserialized state continues bit-identically to the original.  The
+:class:`EvolutionState` round-trips through JSON (``to_json`` /
+``from_json``): the population, the objective arrays, the generation
+counters, *and the numpy bit-generator state* are all captured, so a
+deserialized state continues bit-identically to the original.  The
 population travels as a base64-armoured compressed npz of its
-:class:`~repro.pmevo.packed.PackedPopulation` form — a fraction of the size
-of the old per-genome JSON dicts, which is what the migration transports and
-checkpoints ship per epoch (legacy list-shaped payloads still deserialize).
-This single codec underlies both the socket migration transport
-(:mod:`repro.pmevo.transport`) and checkpoint/resume
-(:mod:`repro.pmevo.checkpoint`).  Malformed payloads raise
-:class:`repro.core.errors.CheckpointError`.
+:class:`~repro.pmevo.packed.PackedPopulation` form.  This codec is the only
+thing that crosses a process boundary: the socket migration transport
+(:mod:`repro.pmevo.transport`) ships it per epoch and checkpoint/resume
+(:mod:`repro.pmevo.checkpoint`) writes it at epoch barriers.  Malformed
+payloads raise :class:`repro.core.errors.CheckpointError` and nothing else.
+:class:`EvolutionResult` never leaves the process; its ``to_json`` is the
+byte string the transport-equivalence tests compare.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.errors import CheckpointError, InferenceError, MappingError
+from repro.core.errors import CheckpointError, InferenceError
 from repro.core.experiment import ExperimentSet
 from repro.core.mapping import ThreeLevelMapping
 from repro.core.ports import PortSpace
@@ -86,7 +86,6 @@ from repro.pmevo.packed import PackedPopulation
 from repro.pmevo.population import (
     Genome,
     copy_genome,
-    genome_from_jsonable,
     genome_key,
     genome_to_jsonable,
     genome_to_mapping,
@@ -117,6 +116,10 @@ __all__ = [
 #: changes speed and memory only, never a result.
 _FITNESS_CHUNK = 16
 
+#: A population whose D_avg values span at most this much (and whose volumes
+#: are all equal) has converged to one objective point.
+_CONVERGENCE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -136,7 +139,6 @@ class EvolutionConfig:
     population_size: int = 100
     max_generations: int = 150
     patience: int = 25
-    convergence_tolerance: float = 1e-9
     mutation_rate: float = 0.0
     local_search_rounds: int = 2
     seed: int = 0
@@ -187,7 +189,7 @@ def config_from_jsonable(data: Mapping) -> EvolutionConfig:
     known = {f.name for f in dataclasses.fields(EvolutionConfig)}
     try:
         return EvolutionConfig(**{k: v for k, v in dict(data).items() if k in known})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InferenceError) as exc:
         raise CheckpointError(f"malformed evolution config: {exc}") from exc
 
 
@@ -219,9 +221,9 @@ class EvolutionResult:
 
     ``history`` is the winning island's trajectory; the island fields record
     the whole archipelago (one island for a sequential run).  The result
-    round-trips through JSON (:meth:`to_json` / :meth:`from_json`) with the
-    same exactness guarantees as :class:`EvolutionState` — the serialized
-    bytes are what the transport-equivalence tests compare.
+    never crosses a process boundary, so it has no decoder; :meth:`to_json`
+    serializes it exactly, and those bytes are what the
+    transport-equivalence tests compare.
     """
 
     mapping: ThreeLevelMapping
@@ -274,47 +276,6 @@ class EvolutionResult:
     def to_json(self) -> str:
         """Serialize to a JSON string."""
         return json.dumps(self.to_jsonable())
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "EvolutionResult":
-        """Rebuild a result from :meth:`to_jsonable` output.
-
-        Raises :class:`repro.core.errors.CheckpointError` on malformed
-        payloads.
-        """
-        try:
-            return cls(
-                mapping=ThreeLevelMapping.from_dict(data["mapping"]),
-                genome=genome_from_jsonable(data["genome"]),
-                davg=float(data["davg"]),
-                volume=int(data["volume"]),
-                generations=int(data["generations"]),
-                evaluations=int(data["evaluations"]),
-                wall_seconds=float(data["wall_seconds"]),
-                history=history_from_jsonable(data["history"]),
-                converged=bool(data["converged"]),
-                islands=int(data["islands"]),
-                workers=int(data["workers"]),
-                epochs=int(data["epochs"]),
-                migrations=int(data["migrations"]),
-                best_island=int(data["best_island"]),
-                island_histories=[
-                    history_from_jsonable(h) for h in data["island_histories"]
-                ],
-                island_davgs=[float(v) for v in data["island_davgs"]],
-                islands_converged=[bool(v) for v in data["islands_converged"]],
-            )
-        except (KeyError, TypeError, ValueError, MappingError) as exc:
-            raise CheckpointError(f"malformed evolution result: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvolutionResult":
-        """Deserialize from a JSON string."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"evolution result is not valid JSON: {exc}") from exc
-        return cls.from_jsonable(data)
 
 
 @dataclass
@@ -369,9 +330,7 @@ class EvolutionState:
 
         The population is embedded as a compact binary payload (compressed
         npz of the packed arrays, base64-armoured); everything else stays
-        plain JSON.  :meth:`from_jsonable` also accepts the legacy
-        list-of-genome-dicts shape, so pre-packed checkpoints remain
-        loadable.
+        plain JSON.
         """
         return {
             "population": {
@@ -399,16 +358,19 @@ class EvolutionState:
     def from_jsonable(cls, data: Mapping) -> "EvolutionState":
         """Rebuild a state from :meth:`to_jsonable` output.
 
-        Raises :class:`repro.core.errors.CheckpointError` on malformed
-        payloads (missing keys, an unknown bit generator, wrong shapes).
+        Raises :class:`repro.core.errors.CheckpointError`, and nothing
+        else, on any malformed payload: missing keys, an unknown bit
+        generator or population encoding, values of the wrong type, or
+        numbers too large for their field.
         """
         try:
             rng_payload = dict(data["rng"])
             generator_name = str(rng_payload["bit_generator"])
             generator_type = getattr(np.random, generator_name, None)
-            if generator_type is None or not (
+            if not (
                 isinstance(generator_type, type)
                 and issubclass(generator_type, np.random.BitGenerator)
+                and generator_type is not np.random.BitGenerator
             ):
                 raise CheckpointError(
                     f"unknown numpy bit generator {generator_name!r} in state"
@@ -417,18 +379,16 @@ class EvolutionState:
             bit_generator.state = rng_payload
             best_key = data["best_key"]
             population_payload = data["population"]
-            if isinstance(population_payload, Mapping):
-                encoding = population_payload.get("encoding")
-                if encoding != cls.POPULATION_ENCODING:
-                    raise CheckpointError(
-                        f"unknown population encoding {encoding!r} in state"
-                    )
-                population = PackedPopulation.from_npz_base64(
-                    population_payload["data"]
-                ).to_genomes()
-            else:
-                # Legacy shape: a list of per-genome JSON dicts.
-                population = [genome_from_jsonable(g) for g in population_payload]
+            if not isinstance(population_payload, Mapping) or (
+                population_payload.get("encoding") != cls.POPULATION_ENCODING
+            ):
+                raise CheckpointError(
+                    "state population is not in the "
+                    f"{cls.POPULATION_ENCODING!r} encoding"
+                )
+            population = PackedPopulation.from_npz_base64(
+                population_payload["data"]
+            ).to_genomes()
             return cls(
                 population=population,
                 davgs=np.asarray(data["davgs"], dtype=np.float64),
@@ -445,7 +405,7 @@ class EvolutionState:
             )
         except CheckpointError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise CheckpointError(f"malformed evolution state: {exc}") from exc
 
     @classmethod
@@ -680,7 +640,7 @@ class PortMappingEvolver:
         # point, or the best candidate stagnated for `patience` rounds.
         davg_span = float(state.davgs.max() - state.davgs.min())
         volume_span = float(state.volumes.max() - state.volumes.min())
-        if davg_span <= config.convergence_tolerance and volume_span == 0.0:
+        if davg_span <= _CONVERGENCE_TOLERANCE and volume_span == 0.0:
             state.converged = True
             return
         key = (
@@ -775,23 +735,27 @@ class PortMappingEvolver:
         """Evolve every island to completion and return the global best.
 
         Each epoch advances the active islands ``migration_interval``
-        generations on ``transport`` (default: in-process for one worker, a
-        ``multiprocessing`` pool of ``min(workers, islands)`` otherwise; the
-        choice cannot affect results) and then migrates elites around the
-        ring.  ``checkpointer`` persists a snapshot at epoch barriers;
-        ``resume`` continues from a loaded snapshot, validated against this
-        evolver's config and problem, bit-identically to never having
-        stopped.
+        generations on ``transport`` (default: in-process for one worker,
+        otherwise a loopback socket coordinator that forks
+        ``min(workers, islands)`` local workers; the choice cannot affect
+        results) and then migrates elites around the ring.
+        ``checkpointer`` persists a snapshot at epoch barriers; ``resume``
+        continues from a loaded snapshot, validated against this evolver's
+        config and problem, bit-identically to never having stopped.
         """
         # Both modules import this one, so they are imported at call time.
         from repro.pmevo.checkpoint import CheckpointSnapshot
-        from repro.pmevo.transport import PoolTransport, SerialTransport
+        from repro.pmevo.transport import SerialTransport, SocketTransport
 
         start_time = time.perf_counter()
         config = self.config
         workers = min(config.workers, config.islands)
         if transport is None:
-            transport = PoolTransport(workers) if workers > 1 else SerialTransport()
+            transport = (
+                SocketTransport(min_workers=workers, local_workers=workers)
+                if workers > 1
+                else SerialTransport()
+            )
         if resume is not None:
             self._check_resume(resume)
             states = list(resume.states)

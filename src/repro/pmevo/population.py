@@ -33,7 +33,6 @@ __all__ = [
     "genome_key",
     "copy_genome",
     "genome_to_jsonable",
-    "genome_from_jsonable",
 ]
 
 #: A genome: instruction name -> (port mask -> µop multiplicity).
@@ -55,22 +54,12 @@ def genome_key(genome: Genome) -> tuple:
 def genome_to_jsonable(genome: Genome) -> dict[str, dict[str, int]]:
     """JSON-safe form of a genome (mask keys become strings).
 
-    Insertion order of instructions and µops is preserved, so a round trip
-    through :func:`genome_from_jsonable` reproduces the genome exactly —
-    including dict iteration order, which checkpoint/resume bit-identity
-    depends on.
+    Insertion order of instructions and µops is preserved, so the
+    serialized bytes pin the genome's dict iteration order too.
     """
     return {
         name: {str(mask): count for mask, count in uops.items()}
         for name, uops in genome.items()
-    }
-
-
-def genome_from_jsonable(data: Mapping[str, Mapping[str, int]]) -> Genome:
-    """Inverse of :func:`genome_to_jsonable`."""
-    return {
-        name: {int(mask): int(count) for mask, count in uops.items()}
-        for name, uops in data.items()
     }
 
 

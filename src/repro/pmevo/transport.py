@@ -26,27 +26,34 @@ A transport has three methods, called in this order by one driving thread:
     ``evolver.advance(state, generations)``.  It must not advance a state it
     was not given and must not reorder generations within a state.
 ``close()``
-    Called once (also on error paths); releases pools/sockets.  Idempotent.
+    Called once (also on error paths); releases sockets and reaps forked
+    workers.  Idempotent.
 
-States cross process and network boundaries in the
-:meth:`~repro.pmevo.evolution.EvolutionState.to_json` wire form, whose
+Two transports implement it.  :class:`SerialTransport` runs epochs in the
+calling process.  :class:`SocketTransport` leases them to ``repro-pmevo
+worker`` processes over TCP; given ``local_workers=N`` it forks N of those
+workers itself onto the loopback interface, which is how
+:meth:`~repro.pmevo.evolution.PortMappingEvolver.run` parallelizes
+``--workers N`` on one host.  Local and remote workers therefore share one
+code path: the same frames, leases, requeue and work stealing.
+
+States cross process and network boundaries only in the
+:meth:`~repro.pmevo.evolution.EvolutionState.to_jsonable` wire form, whose
 population travels as a packed base64 npz blob
-(:class:`~repro.pmevo.packed.PackedPopulation`) — far smaller than the
-per-genome JSON dicts it replaced, which matters per epoch on the socket
-transport.
+(:class:`~repro.pmevo.packed.PackedPopulation`).
 
 Reproducibility guarantee
 -------------------------
 ``evolver.advance`` is a pure function of ``(state, generations)`` — each
 state carries its own numpy generator — so *who* computes an epoch cannot
 change its result.  All transports therefore produce bit-identical runs for
-a fixed seed; ``tests/test_transport_equivalence.py`` pins
-Serial = Pool = Socket down to the serialized result bytes.
+a fixed seed; ``tests/test_transport_equivalence.py`` pins serial = forked
+local workers = socket workers = resumed down to the serialized result bytes.
 
 Failure semantics
 -----------------
-:class:`SerialTransport` and :class:`PoolTransport` fail loudly (pool errors
-propagate).  :class:`SocketTransport` degrades instead: workers announce
+:class:`SerialTransport` fails loudly (errors propagate).
+:class:`SocketTransport` degrades instead: workers announce
 themselves with a hello/version handshake, send heartbeats while computing,
 and are declared dead after ``heartbeat_timeout`` seconds of silence (or any
 socket/framing error), at which point the islands they were computing are
@@ -123,7 +130,6 @@ from repro.pmevo.evolution import (
 __all__ = [
     "MigrationTransport",
     "SerialTransport",
-    "PoolTransport",
     "SocketTransport",
     "run_worker",
     "backoff_delays",
@@ -329,58 +335,6 @@ class SerialTransport:
         self._evolver = None
 
 
-# The evolver is installed once per pool worker by the initializer; epoch
-# jobs then only carry island states.
-_WORKER_EVOLVER: PortMappingEvolver | None = None
-
-
-def _install_worker_evolver(evolver: PortMappingEvolver) -> None:
-    global _WORKER_EVOLVER
-    _WORKER_EVOLVER = evolver
-
-
-def _advance_epoch(job: tuple[EvolutionState, int]) -> EvolutionState:
-    state, generations = job
-    assert _WORKER_EVOLVER is not None, "worker pool initializer did not run"
-    return _WORKER_EVOLVER.advance(state, generations)
-
-
-class PoolTransport:
-    """Runs epochs on a ``multiprocessing`` pool (the single-host default).
-
-    The evolver crosses the process boundary once via the pool initializer;
-    per epoch only the small pickled island states travel.
-    """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise TransportError("pool transport needs at least one worker")
-        self.workers = workers
-        self._pool: multiprocessing.pool.Pool | None = None
-
-    def start(self, evolver: PortMappingEvolver) -> None:
-        self._pool = multiprocessing.Pool(
-            processes=self.workers,
-            initializer=_install_worker_evolver,
-            initargs=(evolver,),
-        )
-
-    def advance(
-        self, jobs: list[tuple[int, EvolutionState]], generations: int
-    ) -> list[tuple[int, EvolutionState]]:
-        assert self._pool is not None, "start() was not called"
-        advanced = self._pool.map(
-            _advance_epoch, [(state, generations) for _, state in jobs]
-        )
-        return [(k, state) for (k, _), state in zip(jobs, advanced)]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-
 # -- the socket transport -----------------------------------------------------
 
 
@@ -444,6 +398,10 @@ class SocketTransport:
         Seconds of per-worker silence before its leases are given up on.
     start_timeout:
         Seconds :meth:`start` waits for ``min_workers`` connections.
+    local_workers:
+        Worker processes :meth:`start` forks onto the loopback interface
+        (:func:`run_worker` against this coordinator) and :meth:`close`
+        reaps; 0 leaves every worker to be started by hand.
 
     ``stats`` counts scheduling/recovery events (leases, steals, stale
     results, requeues, drops, local fallbacks, late joiners) for operator
@@ -457,6 +415,7 @@ class SocketTransport:
         min_workers: int = 1,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         start_timeout: float = DEFAULT_START_TIMEOUT,
+        local_workers: int = 0,
     ):
         if min_workers < 1:
             raise TransportError("socket transport needs at least one worker")
@@ -466,6 +425,8 @@ class SocketTransport:
         self.min_workers = min_workers
         self.heartbeat_timeout = heartbeat_timeout
         self.start_timeout = start_timeout
+        self.local_workers = local_workers
+        self._children: list[multiprocessing.Process] = []
         self.address: tuple[str, int] | None = None
         self.stats: dict[str, int] = {
             "epochs": 0,
@@ -507,7 +468,17 @@ class SocketTransport:
     def start(self, evolver: PortMappingEvolver) -> None:
         self._evolver = evolver
         self._setup_payload = {"type": "setup", "problem": problem_to_jsonable(evolver)}
-        self.listen()
+        host, port = self.listen()
+        # Fork every local worker before accepting any connection: a child
+        # forked later would inherit the coordinator's end of its siblings'
+        # connections, so closing one of them would not reach its worker.
+        context = multiprocessing.get_context("fork")
+        for _ in range(self.local_workers):
+            child = context.Process(
+                target=_local_worker, args=(self._listener, host, port), daemon=True
+            )
+            child.start()
+            self._children.append(child)
         deadline = time.monotonic() + self.start_timeout
         while len(self._workers) < self.min_workers:
             remaining = deadline - time.monotonic()
@@ -565,6 +536,14 @@ class SocketTransport:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        # Local workers exit on their shutdown frame or on the closed
+        # connection; one still computing a lost race is cut short.
+        for child in self._children:
+            child.join(max(0.0, deadline - time.monotonic()))
+            if child.is_alive():
+                child.terminate()
+                child.join()
+        self._children.clear()
 
     # -- worker management -------------------------------------------------
 
@@ -730,19 +709,21 @@ class SocketTransport:
         )
         if lease is None:
             return  # a lease this coordinator incarnation never issued
-        worker.leases.remove(lease)
         if lease.epoch != self._epoch or island in self._results:
             # A previous epoch's laggard, or another worker won the race.
             # Deterministic advancement makes the duplicate redundant, not
             # wrong — but accepting it could smuggle an old epoch's state
             # into the wrong barrier, so it is dropped by generation.
+            worker.leases.remove(lease)
             self.stats["stale_results"] += 1
             return
         try:
             state = EvolutionState.from_jsonable(frame["state"])
         except (KeyError, CheckpointError):
+            # The lease is still on the worker, so _drop requeues its island.
             self._drop(worker)
             return
+        worker.leases.remove(lease)
         self._results[island] = state
 
     # -- the epoch ---------------------------------------------------------
@@ -1001,3 +982,18 @@ def run_worker(
             # the whole reconnect budget): an orderly end of service, not
             # a worker failure.
             return 0
+
+
+def _local_worker(listener: socket.socket, host: str, port: int) -> None:
+    """Body of a worker that :class:`SocketTransport` forked for itself.
+
+    It closes its copy of the coordinator's listener, so a dead
+    coordinator's port refuses connections instead of queueing them.  It
+    leaves Ctrl-C to the coordinator, whose ``close()`` shuts it down, and
+    it serves only that coordinator: once the connection ends, it exits.
+    """
+    import signal
+
+    listener.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    run_worker(host, port, max_reconnect_attempts=0)

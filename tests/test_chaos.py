@@ -18,7 +18,9 @@ recovery.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -205,6 +207,46 @@ class TestInjectedSocketFaults:
         thread.start()
         result = _evolver().run(transport=transport)
         thread.join(timeout=15)
+        assert _normalized(result) == _normalized(serial_result)
+
+    def test_overflowing_result_drops_the_worker(self, serial_result):
+        # A worker answers its lease with a state whose generation count
+        # overflows int() (JSON reads 1e400 as inf).  The coordinator must
+        # drop it like any other malformed result, not end the run, and
+        # finish the epochs itself with the serial bytes.
+        transport = SocketTransport(min_workers=1, heartbeat_timeout=15.0)
+        host, port = transport.listen()
+
+        def overflowing_worker():
+            import socket as socket_module
+
+            sock = socket_module.create_connection((host, port), timeout=15)
+            try:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                recv_frame(sock)  # setup
+                job = recv_frame(sock)
+                island, payload = job["islands"][0]
+                frame = {
+                    "type": "result",
+                    "job_id": job["job_id"],
+                    "island": island,
+                    "state": dict(payload, generation="OVERFLOW"),
+                }
+                text = json.dumps(frame).replace('"OVERFLOW"', "1e400").encode()
+                sock.sendall(struct.pack(">I", len(text)) + text)
+                while sock.recv(4096):  # until the coordinator hangs up
+                    pass
+            except OSError:
+                pass
+            finally:
+                sock.close()
+
+        thread = threading.Thread(target=overflowing_worker, daemon=True)
+        thread.start()
+        result = _evolver().run(transport=transport)
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert result.transport_stats["workers_dropped"] >= 1
         assert _normalized(result) == _normalized(serial_result)
 
     def test_late_joiner_is_picked_up_mid_run(self, serial_result):

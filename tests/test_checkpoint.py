@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
 from repro.core import CheckpointError, PortSpace
@@ -13,7 +16,6 @@ from repro.pmevo import (
     CheckpointSnapshot,
     Checkpointer,
     EvolutionConfig,
-    EvolutionResult,
     EvolutionState,
     PortMappingEvolver,
     load_checkpoint,
@@ -82,27 +84,73 @@ class TestStateRoundTrip:
             EvolutionState.from_jsonable(payload)
 
 
-class TestEvolutionResultRoundTrip:
-    @staticmethod
-    def _assert_roundtrip(result):
-        restored = EvolutionResult.from_json(result.to_json())
-        assert restored.to_json() == result.to_json()
-        assert restored.mapping == result.mapping
-        assert restored.history == result.history
+def _documents() -> dict[str, dict]:
+    """A valid state payload and a valid snapshot document holding it."""
+    evolver = _evolver(ISLAND_CONFIG)
+    state = evolver.advance(evolver.init_state(), 2)
+    snapshot = CheckpointSnapshot(
+        config=ISLAND_CONFIG,
+        instructions=evolver.names,
+        num_ports=2,
+        epochs=1,
+        migrations=0,
+        states=[state],
+    )
+    return {"state": state.to_jsonable(), "snapshot": snapshot.to_jsonable()}
 
-    def test_roundtrip_is_byte_identical(self):
-        self._assert_roundtrip(_evolver(ISLAND_CONFIG).run())
 
-    def test_single_island_roundtrip_is_byte_identical(self):
-        result = _evolver().run()
-        assert result.islands == 1
-        self._assert_roundtrip(result)
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the empty path included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
 
-    def test_malformed_result_raises(self):
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            EvolutionResult.from_json("][")
-        with pytest.raises(CheckpointError, match="malformed evolution result"):
-            EvolutionResult.from_jsonable({"davg": 1.0})
+
+DOCUMENTS = _documents()
+LOADERS = {
+    "state": EvolutionState.from_jsonable,
+    "snapshot": CheckpointSnapshot.from_jsonable,
+}
+FIELDS = [(kind, path) for kind, doc in DOCUMENTS.items() for path in _paths(doc)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+# The empty path swaps in a whole JSON value; any other path swaps one field
+# of a valid document, at any depth.  The examples are the integer fields
+# that once let int(1e400)'s OverflowError escape.
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+@example(("state", ("generation",)), 1e400)
+@example(("state", ("evaluations",)), 1e400)
+@example(("state", ("stale",)), 1e400)
+@example(("snapshot", ("num_ports",)), 1e400)
+@example(("snapshot", ("epochs",)), 1e400)
+@example(("snapshot", ("migrations",)), 1e400)
+def test_any_json_in_any_field_loads_or_raises_checkpoint_error(field, value):
+    kind, path = field
+    document = copy.deepcopy(DOCUMENTS[kind])
+    if path:
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        document = value
+    try:
+        LOADERS[kind](json.loads(json.dumps(document)))
+    except CheckpointError:
+        pass
 
 
 class TestCheckpointFiles:
@@ -173,14 +221,6 @@ class TestCheckpointFiles:
         previous_path(path).write_text("also not json")
         with pytest.raises(CheckpointError, match="not valid JSON"):
             load_checkpoint(path)
-
-    def test_fallback_can_be_disabled(self, tmp_path):
-        path = tmp_path / "snap.json"
-        write_checkpoint(path, self._snapshot())
-        write_checkpoint(path, self._snapshot())
-        path.write_text("definitely not json")
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            load_checkpoint(path, allow_previous=False)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
@@ -270,9 +310,14 @@ class TestResumeValidation:
         assert resumed.mapping == baseline.mapping
         assert resumed.history == baseline.history
 
-    def test_config_with_retired_batch_chunk_resumes_identically(self, tmp_path):
-        # Snapshots written while the fitness chunk size was a config field
-        # carry "batch_chunk": 16; resuming ignores the unknown key.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("batch_chunk", 16), ("convergence_tolerance", 1e-9)],
+        ids=["batch_chunk", "convergence_tolerance"],
+    )
+    def test_config_with_retired_key_resumes_identically(self, tmp_path, key, value):
+        # Snapshots written while the fitness chunk size or the convergence
+        # tolerance was a config field carry that key; resuming ignores it.
         import dataclasses
 
         class StopAfterFirst(Checkpointer):
@@ -284,7 +329,7 @@ class TestResumeValidation:
         with pytest.raises(KeyboardInterrupt):
             _evolver(ISLAND_CONFIG).run(checkpointer=StopAfterFirst(path))
         document = json.loads(path.read_text())
-        document["config"]["batch_chunk"] = 16
+        document["config"][key] = value
         path.write_text(json.dumps(document))
         snapshot = load_checkpoint(path)
         assert snapshot.epochs == 1

@@ -164,6 +164,12 @@ class TestCommands:
 
 BAD_MAPPING = '{"ports": ["P0"], "instructions": {"a": [{"ports": ["P0"], "count": "z"}]}}'
 
+# A checkpoint whose epoch count overflows int(): JSON reads 1e400 as inf.
+OVERFLOW_CHECKPOINT = (
+    '{"format": "repro-pmevo/checkpoint-v1", "config": {}, "instructions": [], '
+    '"num_ports": 9, "epochs": 1e400, "migrations": 0, "states": []}'
+)
+
 
 class TestUserMistakes:
     """Every user mistake ends in one ``error:`` line and exit code 2."""
@@ -173,6 +179,11 @@ class TestUserMistakes:
         [
             ["infer", "SKL", "-o", "{tmp}/m.json", "--population", "1"],
             ["infer", "SKL", "-o", "{tmp}/m.json", "--resume", "{tmp}/corrupt.json"],
+            [
+                "infer", "SKL", "-o", "{tmp}/m.json", "--forms", "5",
+                "--population", "8", "--generations", "2",
+                "--resume", "{tmp}/overflow.json",
+            ],
             ["show", "{tmp}/missing.json"],
             [
                 "infer", "SKL", "-o", "{tmp}/m.json", "--islands", "2",
@@ -185,6 +196,7 @@ class TestUserMistakes:
         ids=[
             "population-1",
             "resume-corrupt",
+            "resume-epochs-overflow",
             "show-missing",
             "bind-without-port",
             "count-not-integer",
@@ -195,6 +207,7 @@ class TestUserMistakes:
     def test_one_error_line_and_exit_2(self, argv, tmp_path, mapping_file, capsys):
         (tmp_path / "corrupt.json").write_text("{not json")
         (tmp_path / "bad.json").write_text(BAD_MAPPING)
+        (tmp_path / "overflow.json").write_text(OVERFLOW_CHECKPOINT)
         argv = [a.format(tmp=tmp_path, mapping=mapping_file) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -13,8 +13,8 @@ Three invariants, each load-bearing for the evolutionary search:
   property test.
 * **Compact serialization.**  The base64-npz payload round-trips exactly,
   fails loudly on malformed input, and is what
-  :class:`~repro.pmevo.evolution.EvolutionState` now embeds — with the
-  legacy list-shaped payload still accepted for old checkpoints.
+  :class:`~repro.pmevo.evolution.EvolutionState` embeds — the only
+  population encoding a state payload may carry.
 """
 
 from __future__ import annotations
@@ -309,7 +309,9 @@ class TestStatePayloads:
         ]
         assert len(json.dumps(payload)) < len(json.dumps(legacy_payload))
 
-    def test_legacy_list_population_still_deserializes(self):
+    def test_legacy_list_population_is_rejected(self):
+        # Per-genome lists predate the packed encoding; no process boundary
+        # writes them any more, so the loader names the one it reads.
         evolver = _toy_evolver()
         state = evolver.init_state()
         from repro.pmevo.population import genome_to_jsonable
@@ -318,9 +320,8 @@ class TestStatePayloads:
         legacy_payload["population"] = [
             genome_to_jsonable(g) for g in state.population
         ]
-        restored = type(state).from_jsonable(legacy_payload)
-        assert restored.population == state.population
-        assert restored.to_json() == state.to_json()
+        with pytest.raises(CheckpointError, match="packed-npz-b64"):
+            type(state).from_jsonable(legacy_payload)
 
     def test_unknown_population_encoding_rejected(self):
         evolver = _toy_evolver()

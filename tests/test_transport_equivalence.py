@@ -1,9 +1,11 @@
 """Cross-transport equivalence of the island migration transports.
 
 The island model is only trustworthy if *where* an epoch runs cannot change
-*what* it computes: Serial, Pool, and Socket transports — and a run that was
-killed at a checkpoint and resumed — must all produce byte-identical
-serialized :class:`EvolutionResult`\\ s for a fixed seed.  This is the transport
+*what* it computes: the in-process transport, the default ``workers=2`` path
+(a loopback socket coordinator with two forked workers), a socket
+coordinator with hand-started workers — and a run that was killed at a
+checkpoint and resumed — must all produce byte-identical serialized
+:class:`EvolutionResult`\\ s for a fixed seed.  This is the transport
 analogue of ``tests/test_backend_equivalence.py``, which pins the throughput
 backends against each other.
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -30,7 +33,6 @@ from repro.core import PortSpace, TransportError
 from repro.pmevo import (
     Checkpointer,
     EvolutionConfig,
-    PoolTransport,
     PortMappingEvolver,
     SerialTransport,
     SocketTransport,
@@ -61,11 +63,12 @@ CONFIG = EvolutionConfig(
 )
 
 
-def _evolver():
+def _evolver(workers=1):
     truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
     names = ("ad", "mu", "st")
     measured, singles = _measurements_from_truth(truth, names, 3)
-    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, CONFIG)
+    config = dataclasses.replace(CONFIG, workers=workers)
+    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, config)
 
 
 def _normalized(result) -> str:
@@ -80,8 +83,9 @@ def serial_result():
 
 class TestTransportEquivalence:
     def test_pool_matches_serial(self, serial_result):
-        pool = _evolver().run(transport=PoolTransport(2))
-        assert _normalized(pool) == _normalized(serial_result)
+        # workers > 1 without a transport forks local socket workers.
+        forked = _evolver(workers=2).run()
+        assert _normalized(forked) == _normalized(serial_result)
 
     def test_socket_matches_serial(self, serial_result):
         transport = SocketTransport(min_workers=2, heartbeat_timeout=15.0)
@@ -300,15 +304,26 @@ class TestResumeEquivalence:
         assert _normalized(resumed) == _normalized(serial_result)
 
     def test_resume_across_transports(self, tmp_path, serial_result):
-        # Checkpoint under the serial transport, resume on a pool: the
-        # snapshot is transport-agnostic.
+        # Checkpoint under the serial transport, resume on forked local
+        # workers: the snapshot is transport-agnostic.
         path = tmp_path / "snapshot.json"
         with pytest.raises(KeyboardInterrupt):
             _evolver().run(checkpointer=self._KillAfter(path, 1))
-        resumed = _evolver().run(
-            transport=PoolTransport(2), resume=load_checkpoint(path)
-        )
+        resumed = _evolver(workers=2).run(resume=load_checkpoint(path))
         assert _normalized(resumed) == _normalized(serial_result)
+
+
+class TestForkedWorkers:
+    def test_no_process_left_behind(self, tmp_path):
+        # The forked workers are reaped on a normal return and when the
+        # run is interrupted at an epoch barrier.
+        result = _evolver(workers=2).run()
+        assert result.transport_stats["leases"] > 0
+        assert multiprocessing.active_children() == []
+        kill = TestResumeEquivalence._KillAfter(tmp_path / "snapshot.json", 1)
+        with pytest.raises(KeyboardInterrupt):
+            _evolver(workers=2).run(checkpointer=kill)
+        assert multiprocessing.active_children() == []
 
 
 class TestSocketCLIEndToEnd:
