@@ -146,7 +146,8 @@ class MachineConfig:
         Execution classes keyed by name; every ``semantic_class`` occurring
         in the ISA must be present.
     latency_overrides:
-        Optional per-``latency_class`` latency overrides.
+        Optional per-``latency_class`` latency overrides (positive, like
+        every latency: the simulator's issue stage relies on it).
     clock_ghz:
         Clock frequency used to convert cycles to wall time.
     """
@@ -175,6 +176,9 @@ class MachineConfig:
         for cls in self.classes.values():
             for uop in tuple(cls.uops) + tuple(cls.hidden_uops):
                 self.ports.mask(*uop.ports)  # validates port names
+        for latency in self.latency_overrides.values():
+            if latency <= 0:
+                raise MappingError(f"latency must be positive, got {latency}")
 
     def execution_class(self, form: InstructionForm) -> ExecutionClass:
         """The execution class of an instruction form."""

@@ -18,19 +18,49 @@ mapping (the :class:`~repro.machine.config.MachineConfig`) with:
 The simulator is intentionally not a model of any real commercial core; it
 is a *plausible* OOO core whose observable throughput behaviour has the same
 structure real cores exhibit with respect to their port mapping.
+
+Event-driven issue
+------------------
+A cycle costs time in proportion to the µops it moves, not to the size of
+the scheduler window.  Until it issues, a dispatched µop is in one of three
+places:
+
+* waiting for a producer that has not issued all of its µops, so its
+  completion cycle is still unknown; that producer's last issue wakes it;
+* in a heap ordered by the cycle its last producer completes;
+* from that cycle on, in the *ready queue* of its port class (the µops
+  with the same allowed ports and blocking), a heap ordered by window
+  position.
+
+Each issue takes the oldest queue head among the classes whose ports
+overlap the still-free ports.  That is exactly the µop an oldest-first scan
+of the whole window would issue next, for two reasons.  The free set only
+shrinks within a cycle, so a µop the scan passed for lack of a port could
+not issue later in that cycle either.  And no µop becomes ready in the
+middle of a cycle: a producer whose last µop issues in cycle ``c``
+completes at ``c + latency`` ≥ ``c + 1``, because :class:`MachineConfig`
+rejects latencies below 1.  A cycle that retires, dispatches and issues
+nothing is followed directly by the next cycle at which anything can
+change.  ``tests/test_simulator_golden.py`` pins the results, and
+``tests/test_processor.py`` checks them against the original window scan.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from repro.codegen.assembly import InstructionInstance
 from repro.core.errors import MeasurementError
-from repro.core.isa import OperandKind
+from repro.core.isa import InstructionForm, OperandKind
 from repro.core.ports import indices_from_mask
 from repro.machine.config import MachineConfig
 
 __all__ = ["Processor", "SimulationResult"]
+
+#: Completion cycle of an instruction whose µops have not all issued.
+_PENDING = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -48,14 +78,19 @@ class SimulationResult:
 
 
 @dataclass(frozen=True)
-class _StaticInstr:
-    """Pre-decoded, per-body-position instruction information."""
+class _DecodedBody:
+    """A loop body decoded once per :meth:`Processor.run` call.
 
-    uop_ports: tuple[tuple[int, ...], ...]  # allowed port indices per µop
-    uop_blocks: tuple[int, ...]
-    latency: int
-    reads: tuple[int, ...]  # register keys (encoded ints)
-    writes: tuple[int, ...]
+    Port classes are the distinct ``(port mask, block)`` pairs of the
+    body's µops.  Everything else is indexed by body position.
+    """
+
+    classes: tuple[tuple[int, int], ...]  # (port mask, block) per class
+    uop_classes: tuple[tuple[int, ...], ...]  # class id of each µop, in window order
+    latencies: tuple[int, ...]
+    #: Ascending read-after-write distances: dynamic instruction ``i`` reads
+    #: the results of instructions ``i - d`` (those that exist).
+    distances: tuple[tuple[int, ...], ...]
 
 
 def _regkey(kind: OperandKind, index: int) -> int:
@@ -69,21 +104,39 @@ class Processor:
     def __init__(self, config: MachineConfig):
         self.config = config
         self._num_ports = config.ports.num_ports
-        self._decode_cache: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]] = {}
+        # form name -> ((port mask, block) per µop, latency)
+        self._form_cache: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {}
 
-    def _static(self, instance: InstructionInstance) -> _StaticInstr:
-        form = instance.form
-        cached = self._decode_cache.get(form.name)
+    def _form(self, form: InstructionForm) -> tuple[tuple[tuple[int, int], ...], int]:
+        cached = self._form_cache.get(form.name)
         if cached is None:
-            decoded = self.config.decode(form)
-            ports = tuple(indices_from_mask(uop.mask) for uop in decoded)
-            blocks = tuple(uop.block for uop in decoded)
-            cached = (ports, blocks, self.config.latency_of(form))
-            self._decode_cache[form.name] = cached
-        uop_ports, uop_blocks, latency = cached
-        reads = tuple(_regkey(r.kind, r.index) for r in instance.read_registers())
-        writes = tuple(_regkey(r.kind, r.index) for r in instance.written_registers())
-        return _StaticInstr(uop_ports, uop_blocks, latency, reads, writes)
+            uops = tuple((uop.mask, uop.block) for uop in self.config.decode(form))
+            cached = (uops, self.config.latency_of(form))
+            self._form_cache[form.name] = cached
+        return cached
+
+    def _decode(self, body: list[InstructionInstance]) -> _DecodedBody:
+        class_ids: dict[tuple[int, int], int] = {}
+        uop_classes = []
+        latencies = []
+        for instance in body:
+            uops, latency = self._form(instance.form)
+            uop_classes.append(tuple(class_ids.setdefault(uop, len(class_ids)) for uop in uops))
+            latencies.append(latency)
+
+        # The loop repeats, so before the first position every register's
+        # latest writer is its last writer in the previous iteration.
+        reads = [{_regkey(r.kind, r.index) for r in i.read_registers()} for i in body]
+        writes = [{_regkey(r.kind, r.index) for r in i.written_registers()} for i in body]
+        last_writer = {key: pos - len(body) for pos, keys in enumerate(writes) for key in keys}
+        distances = []
+        for pos, (read_keys, write_keys) in enumerate(zip(reads, writes)):
+            distances.append(
+                tuple(sorted({pos - last_writer[key] for key in read_keys if key in last_writer}))
+            )
+            for key in write_keys:
+                last_writer[key] = pos
+        return _DecodedBody(tuple(class_ids), tuple(uop_classes), tuple(latencies), tuple(distances))
 
     def run(
         self,
@@ -97,20 +150,35 @@ class Processor:
         retirement.  Raises :class:`MeasurementError` if the stream does not
         finish within ``max_cycles`` (a safety net against configuration
         bugs, not an expected outcome).
+
+        Each cycle retires in order, dispatches in order, then issues.  The
+        issue stage never scans the scheduler window: an instruction whose
+        producers have all completed by the current cycle has its µops in
+        the ready queue of their port class, ordered by window position,
+        and each issue takes the oldest head among the classes that can
+        still use a free port — the choice an oldest-first scan of the
+        window makes (see the module docstring for why).  The port itself
+        is the least-used free allowed port (or the lowest-index one under
+        the ``lowest_index`` policy), ties to the lowest index.  When a
+        cycle retires, dispatches and issues nothing, the clock jumps to
+        the earliest of the ROB head's completion, the next cycle a blocked
+        port frees and the next cycle a waiting instruction becomes ready;
+        it never jumps past ``max_cycles + 1``, where the guard raises.
         """
         if not body:
             raise MeasurementError("cannot simulate an empty loop body")
         if iterations <= 0:
             raise MeasurementError(f"iterations must be positive, got {iterations}")
 
-        statics = [self._static(instance) for instance in body]
+        decoded = self._decode(body)
         body_len = len(body)
         total_instrs = body_len * iterations
-        total_uops_per_body = sum(len(s.uop_ports) for s in statics)
+        num_uops = [len(classes) for classes in decoded.uop_classes]
+        uops_per_body = sum(num_uops)
 
         frontend = self.config.frontend
         backend = self.config.backend
-        if total_uops_per_body <= frontend.uop_cache_size:
+        if uops_per_body <= frontend.uop_cache_size:
             dispatch_width = frontend.dispatch_width
         else:
             dispatch_width = frontend.decode_width
@@ -119,25 +187,41 @@ class Processor:
         retire_width = backend.retire_width
         least_used_policy = backend.port_policy == "least_used"
 
-        # Dynamic state ---------------------------------------------------
-        reg_producer: dict[int, int] = {}  # register key -> dynamic instr id
-        # Per dynamic instruction (dict keyed by id; ids are dense but the
-        # alive set is bounded by the ROB, so dicts stay small):
-        remaining_uops: dict[int, int] = {}
-        completion: dict[int, int] = {}  # known once all µops issued
-        latest_completion: dict[int, int] = {}
-        deps: dict[int, tuple[int, ...]] = {}
+        # Ready queues hold window keys ``instr << shift | uop index``, so
+        # integer order is window order.
+        shift = max(num_uops).bit_length()
+        queues: list[list[int]] = [[] for _ in decoded.classes]
+        classes = [
+            (queue, mask, block, indices_from_mask(mask))
+            for queue, (mask, block) in zip(queues, decoded.classes)
+        ]
+        uop_queues = [tuple(queues[c] for c in ids) for ids in decoded.uop_classes]
+        latencies = decoded.latencies
+        distances = decoded.distances
 
-        # Scheduler window: entries are [instr_id, allowed_ports, block].
-        window: list[list] = []
-        rob: list[int] = []  # dispatched, unretired instruction ids in order
+        def release(instr: int) -> None:
+            """Move an instruction's µops into their ready queues."""
+            key = instr << shift
+            for queue in uop_queues[instr % body_len]:
+                heappush(queue, key)
+                key += 1
 
-        port_free_at = [0] * self._num_ports
+        # Per dynamic instruction, indexed by id.  The ROB is the id range
+        # [retired, dispatched), since dispatch and retirement are in order.
+        completion = [_PENDING] * total_instrs
+        unissued = [0] * total_instrs  # µops not yet issued
+        unresolved = [0] * total_instrs  # producers with unknown completion
+        ready_at = [0] * total_instrs  # latest known producer completion
+        dependents: dict[int, list[int]] = {}  # producer -> waiting consumers
+        waiting: list[tuple[int, int]] = []  # (ready cycle, instr) heap
+
+        all_ports = (1 << self._num_ports) - 1
+        busy_until: dict[int, int] = {}  # port -> cycle its blocking µop frees it
         port_issue_count = [0] * self._num_ports
 
-        next_dispatch = 0  # dynamic id of the next instruction to dispatch
+        dispatched = 0
         retired = 0
-        total_uops = 0
+        window = 0  # µops dispatched but not issued
         cycle = 0
 
         while retired < total_instrs:
@@ -146,102 +230,117 @@ class Processor:
                     f"simulation exceeded {max_cycles} cycles "
                     f"({retired}/{total_instrs} retired)"
                 )
+            start = (retired, dispatched, window)
 
             # 1) Retire in order.
             retire_budget = retire_width
-            while rob and retire_budget:
-                head = rob[0]
-                done = completion.get(head)
-                if done is None or done > cycle:
-                    break
-                rob.pop(0)
+            while retire_budget and retired < dispatched and completion[retired] <= cycle:
                 retired += 1
                 retire_budget -= 1
-                # Completion times stay around for dependence checks until
-                # no later instruction can reference them; pruning by the
-                # renamer below keeps reg_producer bounded instead.
 
             # 2) Dispatch up to the frontend width.
             dispatch_budget = dispatch_width
             while (
                 dispatch_budget > 0
-                and next_dispatch < total_instrs
-                and len(rob) < rob_capacity
+                and dispatched < total_instrs
+                and dispatched - retired < rob_capacity
             ):
-                static = statics[next_dispatch % body_len]
-                num_uops = len(static.uop_ports)
-                if len(window) + num_uops > window_capacity:
+                pos = dispatched % body_len
+                uops = num_uops[pos]
+                if window + uops > window_capacity:
                     break
-                if num_uops > dispatch_budget and dispatch_budget < dispatch_width:
+                if uops > dispatch_budget and dispatch_budget < dispatch_width:
                     break  # µops of one instruction dispatch together
-                instr_id = next_dispatch
-                next_dispatch += 1
-                dispatch_budget -= num_uops
-                total_uops += num_uops
+                instr = dispatched
+                dispatched += 1
+                dispatch_budget -= uops
+                window += uops
+                unissued[instr] = uops
 
-                instr_deps = tuple(
-                    {reg_producer[key] for key in static.reads if key in reg_producer}
-                )
-                deps[instr_id] = instr_deps
-                for key in static.writes:
-                    reg_producer[key] = instr_id
-                remaining_uops[instr_id] = num_uops
-                latest_completion[instr_id] = 0
-                rob.append(instr_id)
-                for uop_index in range(num_uops):
-                    window.append(
-                        [instr_id, static.uop_ports[uop_index], static.uop_blocks[uop_index]]
-                    )
+                ready = 0
+                unknown = 0
+                for distance in distances[pos]:
+                    if distance > instr:
+                        break
+                    done = completion[instr - distance]
+                    if done == _PENDING:
+                        dependents.setdefault(instr - distance, []).append(instr)
+                        unknown += 1
+                    elif done > ready:
+                        ready = done
+                if unknown:
+                    unresolved[instr] = unknown
+                    ready_at[instr] = ready
+                elif ready > cycle:
+                    heappush(waiting, (ready, instr))
+                else:
+                    release(instr)
 
             # 3) Issue ready µops, oldest first, greedy port choice.
-            free_ports = sum(
-                1 for p in range(self._num_ports) if port_free_at[p] <= cycle
-            )
-            if free_ports and window:
-                issued_positions: list[int] = []
-                for pos, entry in enumerate(window):
-                    if not free_ports:
-                        break
-                    instr_id, allowed, block = entry
-                    ready = True
-                    for dep in deps[instr_id]:
-                        done = completion.get(dep)
-                        if done is None or done > cycle:
-                            ready = False
-                            break
-                    if not ready:
-                        continue
-                    best_port = -1
-                    best_count = -1
-                    for port in allowed:
-                        if port_free_at[port] > cycle:
-                            continue
-                        if not least_used_policy:
-                            best_port = port  # first-fit: lowest index wins
-                            break
-                        if best_port < 0 or port_issue_count[port] < best_count:
-                            best_port = port
-                            best_count = port_issue_count[port]
-                    if best_port < 0:
-                        continue
-                    port_free_at[best_port] = cycle + block
-                    port_issue_count[best_port] += 1
-                    free_ports -= 1
-                    issued_positions.append(pos)
+            free = all_ports
+            if busy_until:
+                for port, until in list(busy_until.items()):
+                    if until > cycle:
+                        free &= ~(1 << port)
+                    else:
+                        del busy_until[port]
+            while waiting and waiting[0][0] <= cycle:
+                release(heappop(waiting)[1])
+            while free:
+                best = None
+                oldest = _PENDING
+                for entry in classes:
+                    queue = entry[0]
+                    if queue and queue[0] < oldest and entry[1] & free:
+                        best = entry
+                        oldest = queue[0]
+                if best is None:
+                    break
+                queue, mask, block, allowed = best
+                heappop(queue)
+                instr = oldest >> shift
+                if least_used_policy:
+                    port = -1
+                    for candidate in allowed:
+                        if free >> candidate & 1 and (
+                            port < 0 or port_issue_count[candidate] < port_issue_count[port]
+                        ):
+                            port = candidate
+                else:
+                    available = mask & free
+                    port = (available & -available).bit_length() - 1
+                free &= ~(1 << port)
+                if block > 1:
+                    busy_until[port] = cycle + block
+                port_issue_count[port] += 1
+                window -= 1
 
-                    static = statics[instr_id % body_len]
-                    finish = cycle + static.latency
-                    if finish > latest_completion[instr_id]:
-                        latest_completion[instr_id] = finish
-                    remaining_uops[instr_id] -= 1
-                    if remaining_uops[instr_id] == 0:
-                        completion[instr_id] = latest_completion[instr_id]
-                        del remaining_uops[instr_id]
-                        del latest_completion[instr_id]
-                if issued_positions:
-                    for pos in reversed(issued_positions):
-                        del window[pos]
+                unissued[instr] -= 1
+                if not unissued[instr]:
+                    # µops issue in cycle order, so the last one finishes last.
+                    done = cycle + latencies[instr % body_len]
+                    completion[instr] = done
+                    for consumer in dependents.pop(instr, ()):
+                        if done > ready_at[consumer]:
+                            ready_at[consumer] = done
+                        unresolved[consumer] -= 1
+                        if not unresolved[consumer]:
+                            heappush(waiting, (ready_at[consumer], consumer))
 
-            cycle += 1
+            if (retired, dispatched, window) != start:
+                cycle += 1
+                continue
+            # Idle: nothing changes before one of these cycles.  A run with
+            # none of them pending is deadlocked and spins into the guard.
+            cycle = max_cycles + 1
+            if retired < dispatched and completion[retired] < cycle:
+                cycle = completion[retired]
+            if waiting and waiting[0][0] < cycle:
+                cycle = waiting[0][0]
+            for until in busy_until.values():
+                if until < cycle:
+                    cycle = until
 
-        return SimulationResult(cycles=cycle, instructions=total_instrs, uops=total_uops)
+        return SimulationResult(
+            cycles=cycle, instructions=total_instrs, uops=uops_per_body * iterations
+        )

@@ -1,9 +1,12 @@
 """Tests for the cycle-level out-of-order processor simulator."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.codegen import build_loop_body
-from repro.core import Experiment, MeasurementError
+from reference_processor import ReferenceProcessor
+from repro.codegen import AllocationConfig, RegisterAllocator, build_loop_body
+from repro.core import Experiment, MappingError, MeasurementError
 from repro.core.isa import ISA, gpr, make_form
 from repro.core.ports import PortSpace
 from repro.machine import (
@@ -23,6 +26,7 @@ def _tiny_machine(
     block: int = 1,
     window: int = 40,
     dispatch: int = 4,
+    count: int = 1,
 ) -> MachineConfig:
     isa = ISA(
         "tiny",
@@ -32,7 +36,7 @@ def _tiny_machine(
         name="TINY",
         ports=PortSpace(list(ports)),
         isa=isa,
-        classes={"cls": ExecutionClass("cls", (UopSpec(uop_ports, 1, block),), latency)},
+        classes={"cls": ExecutionClass("cls", (UopSpec(uop_ports, count, block),), latency)},
         frontend=FrontendConfig(dispatch_width=dispatch, decode_width=dispatch, uop_cache_size=512),
         backend=BackendConfig(scheduler_window=window, rob_size=128, retire_width=4),
         clock_ghz=1.0,
@@ -136,3 +140,112 @@ class TestSimulatorEdgeCases:
     def test_window_one_still_progresses(self):
         config = _tiny_machine(window=1, dispatch=1)
         assert _run_throughput(config) >= 0.9  # serialized but finishes
+
+
+class TestLatencyValidation:
+    @pytest.mark.parametrize("latency", [0, -3])
+    def test_nonpositive_latency_override_rejected(self, latency):
+        config = _tiny_machine()
+        with pytest.raises(MappingError, match="latency must be positive"):
+            MachineConfig(
+                name=config.name,
+                ports=config.ports,
+                isa=config.isa,
+                classes=config.classes,
+                latency_overrides={"cls": latency},
+            )
+
+
+# Register operand shapes of the random forms: at most two registers, so
+# every shape allocates from a two-register file.
+_SHAPES = (
+    (gpr(64, read=True, write=True), gpr(64)),
+    (gpr(64, read=False, write=True), gpr(64)),
+    (gpr(64, read=True, write=True),),
+    (gpr(64, read=False, write=True),),
+    (gpr(64),),
+)
+
+
+def _up_to(limit: int):
+    """An integer in 1..limit that Hypothesis draws (and shrinks) toward
+    ``limit``: its usual lean toward small values would make most windows
+    smaller than an instruction's µops and most bodies a single
+    instruction, which exercises little beyond the guard."""
+    return st.integers(0, limit - 1).map(lambda n: limit - n)
+
+
+@st.composite
+def _random_runs(draw):
+    """A random machine, loop body and run length for the oracle property."""
+    ports = [f"P{i}" for i in range(draw(st.integers(1, 6)))]
+    port_sets = st.lists(st.sampled_from(ports), min_size=1, max_size=len(ports), unique=True)
+    blocks = st.sampled_from((1, 2, 4))
+    forms = []
+    classes = {}
+    for index in range(draw(st.integers(1, 3))):
+        name = f"op{index}"
+        forms.append(make_form(name, draw(st.sampled_from(_SHAPES)), name, name=name))
+        uops = tuple(
+            UopSpec(tuple(draw(port_sets)), draw(st.integers(1, 3)), draw(blocks))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        hidden = (UopSpec(tuple(draw(port_sets)), 1, draw(blocks)),) if draw(st.booleans()) else ()
+        classes[name] = ExecutionClass(name, uops, draw(st.integers(1, 12)), hidden)
+    dispatch = draw(st.integers(1, 6))
+    config = MachineConfig(
+        name="RANDOM",
+        ports=PortSpace(ports),
+        isa=ISA("random", forms),
+        classes=classes,
+        frontend=FrontendConfig(
+            dispatch_width=dispatch,
+            decode_width=draw(st.integers(1, dispatch)),
+            uop_cache_size=draw(st.sampled_from((8, 64, 1536))),
+        ),
+        backend=BackendConfig(
+            scheduler_window=draw(_up_to(60)),
+            rob_size=draw(st.integers(1, 128)),
+            retire_width=draw(st.integers(1, 4)),
+            port_policy=draw(st.sampled_from(("least_used", "lowest_index"))),
+        ),
+    )
+    allocator = RegisterAllocator(AllocationConfig(num_gprs=draw(st.integers(2, 14))))
+    length = draw(_up_to(30))
+    sequence = draw(st.lists(st.sampled_from(forms), min_size=length, max_size=length))
+    body = allocator.allocate_sequence(sequence)
+    max_cycles = draw(st.sampled_from((2_000_000, 50)))
+    # An instruction with more µops than the window never dispatches, and the
+    # reference loop then spins through every cycle up to the guard: seconds
+    # at 2,000,000.  Such runs are drawn with the short guard only;
+    # test_deadlock_spins_into_the_guard covers the long one.
+    widest = max(len(config.decode(form)) for form in sequence)
+    assume(max_cycles == 50 or widest <= config.backend.scheduler_window)
+    return config, body, draw(_up_to(8)), max_cycles
+
+
+def _outcome(processor, body, iterations, max_cycles):
+    try:
+        return processor.run(body, iterations=iterations, max_cycles=max_cycles)
+    except MeasurementError as error:
+        return str(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_runs())
+def test_event_driven_issue_matches_the_window_scan(case):
+    """The event-driven simulator returns exactly what the original
+    oldest-first window scan returns, or raises the same error."""
+    config, body, iterations, max_cycles = case
+    expected = _outcome(ReferenceProcessor(config), body, iterations, max_cycles)
+    assert _outcome(Processor(config), body, iterations, max_cycles) == expected
+
+
+def test_deadlock_spins_into_the_guard():
+    """A µop pair never fits a one-entry window: both simulators give up at
+    the default guard with the same message, the new one without spinning."""
+    config = _tiny_machine(window=1, count=2)
+    body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=4)
+    expected = _outcome(ReferenceProcessor(config), body, 2, 2_000_000)
+    assert expected == "simulation exceeded 2000000 cycles (0/8 retired)"
+    assert _outcome(Processor(config), body, 2, 2_000_000) == expected
