@@ -18,22 +18,31 @@ def scaled(value: int, minimum: int = 1) -> int:
     return max(minimum, int(round(value * SCALE)))
 
 
+#: Records are written only when this is set, so an ordinary test run leaves
+#: the tracked files alone; the nightly benchmark job sets it.
+RECORD = os.environ.get("REPRO_BENCH_RECORD") == "1"
+
+
 def write_result(name: str, text: str) -> None:
-    """Persist a bench's table/figure text under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print a bench's table/figure text; with ``REPRO_BENCH_RECORD=1``
+    also persist it under benchmarks/results/."""
     print()
     print(text)
+    if RECORD:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def append_result(name: str, text: str) -> None:
-    """Append to a bench's record under benchmarks/results/ (kept across
-    runs, so regressions show up as history rather than overwrites)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / f"{name}.txt", "a", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    """Print a bench's record; with ``REPRO_BENCH_RECORD=1`` also append it
+    under benchmarks/results/ (kept across runs, so regressions show up as
+    history rather than overwrites)."""
     print()
     print(text)
+    if RECORD:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        with open(RESULTS_DIR / f"{name}.txt", "a", encoding="utf-8") as handle:
+            handle.write(text + "\n")
 
 
 def stratified_forms(machine: Machine, per_class: int = 1, limit: int = 24) -> list[str]:

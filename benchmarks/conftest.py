@@ -7,9 +7,10 @@ paper benchmarks 310–390 forms for 20–74 hours and evolves populations of
 suite runs in minutes.  Set the environment variable ``REPRO_BENCH_SCALE``
 (default 1.0) to grow or shrink every workload proportionally.
 
-Results are printed and also written to ``benchmarks/results/*.txt`` so
-``pytest benchmarks/ --benchmark-only`` leaves a durable record; see
-EXPERIMENTS.md for the paper-vs-measured comparison.
+Results are always printed.  With ``REPRO_BENCH_RECORD=1`` (the nightly
+job sets it) they are also written to ``benchmarks/results/*.txt`` as a
+durable record; without it a run leaves the tracked records untouched.  See
+docs/paper_map.md for the experiment-to-file index.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ problem shapes:
   wall, and packing removes it wholesale; this is the regime the >= 3x
   acceptance bar targets.
 
-Results are *appended* to ``benchmarks/results/fitness_kernel.txt`` so
-speedups accumulate as history across runs.
+With ``REPRO_BENCH_RECORD=1`` results are *appended* to
+``benchmarks/results/fitness_kernel.txt`` so speedups accumulate as history
+across runs.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ canonicalization, exactly what a client pays:
 
 A 12-port mapping puts the kernel in the regime serving is for (the
 ``2^|P|`` = 4096 mask space dominates a miss), mirroring Figure 8a's
-port-scaling axis.  Results are *appended* to
-``benchmarks/results/serving_throughput.txt`` as history across runs.
+port-scaling axis.  With ``REPRO_BENCH_RECORD=1`` results are *appended*
+to ``benchmarks/results/serving_throughput.txt`` as history across runs.
 """
 
 from __future__ import annotations
