@@ -24,8 +24,6 @@ import random
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.baselines.iaca import _vendor_model
 from repro.codegen import AllocationConfig, RegisterAllocator, build_loop_body
 from repro.core import Experiment, ISAError
