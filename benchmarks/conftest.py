@@ -1,7 +1,7 @@
 """Shared fixtures for the reproduction benchmarks.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index).  Scales are reduced relative to the paper — the
+Every bench regenerates one table or figure of the paper; docs/paper_map.md
+indexes them.  Scales are reduced relative to the paper — the
 paper benchmarks 310–390 forms for 20–74 hours and evolves populations of
 100 000; we subsample forms and use laptop-scale populations so the whole
 suite runs in minutes.  Set the environment variable ``REPRO_BENCH_SCALE``
@@ -9,8 +9,7 @@ suite runs in minutes.  Set the environment variable ``REPRO_BENCH_SCALE``
 
 Results are always printed.  With ``REPRO_BENCH_RECORD=1`` (the nightly
 job sets it) they are also written to ``benchmarks/results/*.txt`` as a
-durable record; without it a run leaves the tracked records untouched.  See
-docs/paper_map.md for the experiment-to-file index.
+durable record; without it a run leaves the tracked records untouched.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import time
 from repro.core import Experiment, PortSpace, ThreeLevelMapping, TwoLevelMapping
 from repro.throughput import (
     bottleneck_throughput,
+    bottleneck_throughput_dense,
     bottleneck_throughput_reference,
     lp_throughput,
     lp_throughput_masses,
@@ -71,9 +72,10 @@ def main() -> None:
     rng_masses = {(1 << (i % big_ports)) | (1 << ((i * 3 + 1) % big_ports)): 1.0 + i % 4
                   for i in range(6)}
     for label, func in (
-        ("bottleneck (dense)", lambda: bottleneck_throughput(rng_masses, big_ports)),
-        ("reference 2^P scan", lambda: bottleneck_throughput_reference(rng_masses, big_ports)),
-        ("LP solver (HiGHS) ", lambda: lp_throughput_masses(rng_masses, big_ports)),
+        ("bottleneck (dense)  ", lambda: bottleneck_throughput_dense(rng_masses, big_ports)),
+        ("bottleneck (closure)", lambda: bottleneck_throughput(rng_masses, big_ports)),
+        ("reference 2^P scan  ", lambda: bottleneck_throughput_reference(rng_masses, big_ports)),
+        ("LP solver (HiGHS)   ", lambda: lp_throughput_masses(rng_masses, big_ports)),
     ):
         start = time.perf_counter()
         repeats = 50

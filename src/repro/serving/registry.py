@@ -4,8 +4,8 @@ A registry owns one or more inferred port mappings — the JSON artifacts
 written by ``repro-pmevo infer -o`` or ``repro-pmevo export --format json``
 — each under a stable *mapping id* that requests address.  Per mapping it
 precomputes the :class:`repro.throughput.batched.FixedMappingEvaluator`
-(the mapping's µop matrix, scattered once), so the per-batch work is one
-counts fill and one kernel call.
+(the mapping's union-closure table, built once), so the per-batch work is
+one counts fill and one small product with that table.
 
 Hot reload (:meth:`MappingRegistry.reload`) re-reads every artifact path
 and swaps in mappings whose :meth:`~repro.core.mapping.ThreeLevelMapping.fingerprint`

@@ -15,13 +15,14 @@ A ``POST /v1/predict`` batch is answered from three tiers:
    computing; this request awaits the in-flight future instead of
    recomputing (single-flight per key).
 3. **Fresh misses** — deduplicated and evaluated as *one*
-   :class:`repro.throughput.batched.FixedMappingEvaluator` call (one kernel
-   call for the whole batch) on a single-threaded executor, so the event
+   :class:`repro.throughput.batched.FixedMappingEvaluator` call (one
+   product of the batch's counts with the mapping's union-closure table,
+   then a divide and a max) on a single-threaded executor, so the event
    loop keeps accepting connections and serving cached hits while numpy
    runs.  Per-request cost is therefore amortized over batch width, not
    paid per sequence.
 
-The kernel is exact for integer masses below 2^53, so a prediction does not
+Evaluation is exact for integer masses below 2^53, so a prediction does not
 depend on batch composition: the three tiers return the same floats for the
 same sequence — cold, warm, and coalesced answers are indistinguishable
 (``tests/test_serving_equivalence.py``).  A sequence whose total µop mass

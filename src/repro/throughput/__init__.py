@@ -11,7 +11,6 @@ from repro.throughput.bottleneck import (
     bottleneck_throughput,
     bottleneck_throughput_dense,
     bottleneck_throughput_reference,
-    bottleneck_throughput_unions,
 )
 from repro.throughput.lp import LPProblem, build_lp, lp_throughput, lp_throughput_masses
 from repro.throughput.predictor import (
@@ -26,7 +25,6 @@ __all__ = [
     "bottleneck_throughput",
     "bottleneck_throughput_dense",
     "bottleneck_throughput_reference",
-    "bottleneck_throughput_unions",
     "lp_throughput",
     "lp_throughput_masses",
     "build_lp",

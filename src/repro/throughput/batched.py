@@ -1,29 +1,25 @@
-"""Batched throughput evaluation: the evaluators around the one kernel.
+"""Batched throughput evaluation: an experiment count matrix
+``X[experiment, instruction]`` against per-instruction µop tables.
 
 Fitness evaluation speed "directly corresponds to the quality of the obtained
 solution" (Section 4.5).  This module is our analogue of the paper's
-aggressively vectorized bottleneck implementation.  Every evaluator here
-reduces its work to :func:`repro.throughput.bottleneck.bottleneck_rows` —
-an experiment count matrix ``X[experiment, instruction]`` against µop
-multiplicity matrices ``M[instruction, mask]`` — and differs only in what it
-holds fixed:
+aggressively vectorized bottleneck implementation.  The two evaluators
+differ in what they hold fixed:
 
 * :class:`BatchedThroughputEvaluator` fixes the experiment set (``X`` is
-  built once) and streams candidate mappings through it.  The evolver hands
-  it a whole :class:`repro.pmevo.packed.PackedPopulation` per generation
-  (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`), scattered
-  with one vectorized add per µop slot into a reusable
-  :class:`PackedWorkspace`, so steady-state evaluation does no large
-  allocations and no per-genome Python loops.  Local search and the final
-  ``D_avg`` pass one dict genome at a time
-  (:meth:`~BatchedThroughputEvaluator.throughputs`).
-* :class:`FixedMappingEvaluator` fixes the mapping (``M`` is scattered once)
-  and streams batches of instruction sequences through it, one kernel call
-  per batch — the hot path of the prediction serving layer.
+  built once) and streams candidate mappings, scattered over all ``2^|P|``
+  masks, through :func:`repro.throughput.bottleneck.bottleneck_rows`.  The
+  evolver hands it a whole :class:`repro.pmevo.packed.PackedPopulation` per
+  generation (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`),
+  scattered with one vectorized add per µop slot into a reusable
+  :class:`PackedWorkspace`.  Local search and the final ``D_avg`` pass one
+  dict genome at a time (:meth:`~BatchedThroughputEvaluator.throughputs`).
+* :class:`FixedMappingEvaluator` fixes the mapping, tabulated once over the
+  union closure of its masks, and streams batches of instruction sequences
+  through it — the hot path of the prediction serving layer.
 
-Counts and multiplicities are integers, so the kernel is exact (see its
-contract): the packed, dict and fixed-mapping paths agree bit for bit with
-each other and with
+Counts and multiplicities are integers, so every sum is exact: the packed,
+dict and fixed-mapping paths agree bit for bit with each other and with
 :func:`~repro.throughput.bottleneck.bottleneck_throughput_reference`,
 however the work is batched or chunked.
 """
@@ -38,7 +34,7 @@ import numpy as np
 from repro.core.errors import ExperimentError, MappingError
 from repro.core.experiment import Experiment, ExperimentSet
 from repro.core.mapping import ThreeLevelMapping
-from repro.throughput.bottleneck import bottleneck_rows
+from repro.throughput.bottleneck import bottleneck_max, bottleneck_rows, closure_table
 
 if TYPE_CHECKING:  # import would cycle through repro.pmevo at runtime
     from repro.pmevo.packed import PackedPopulation
@@ -62,27 +58,6 @@ def _count_matrix(experiments: Sequence[Experiment], index: Mapping[str, int]) -
                 )
             counts[row, col] = float(count)
     return counts
-
-
-def _uop_matrix(
-    genome: Mapping[str, Mapping[int, int]], index: Mapping[str, int], num_ports: int
-) -> np.ndarray:
-    """``M[instruction, mask]``: a genome's µop multiplicities, scattered.
-
-    Instructions outside ``index`` are skipped (genomes may cover more
-    instructions than the universe).
-    """
-    size = 1 << num_ports
-    matrix = np.zeros((len(index), size), dtype=np.float64)
-    for name, uops in genome.items():
-        row = index.get(name)
-        if row is None:
-            continue
-        for mask, mult in uops.items():
-            if mask <= 0 or mask >= size:
-                raise MappingError(f"mask {mask:#x} invalid for {num_ports} ports")
-            matrix[row, mask] += float(mult)
-    return matrix
 
 
 class PackedWorkspace:
@@ -168,8 +143,22 @@ class BatchedThroughputEvaluator:
 
     def uop_matrix(self, genome: Mapping[str, Mapping[int, int]]) -> np.ndarray:
         """Scatter a genome (``name -> {mask -> multiplicity}``) into a dense
-        ``[instruction, 2^|P|]`` multiplicity matrix."""
-        return _uop_matrix(genome, self._index, self.num_ports)
+        ``[instruction, 2^|P|]`` multiplicity matrix.
+
+        Instructions outside the universe are skipped (genomes may cover
+        more instructions than the experiments use).
+        """
+        size = 1 << self.num_ports
+        matrix = np.zeros((len(self._index), size), dtype=np.float64)
+        for name, uops in genome.items():
+            row = self._index.get(name)
+            if row is None:
+                continue
+            for mask, mult in uops.items():
+                if mask <= 0 or mask >= size:
+                    raise MappingError(f"mask {mask:#x} invalid for {self.num_ports} ports")
+                matrix[row, mask] += float(mult)
+        return matrix
 
     def _validate_covers(self, matrix: np.ndarray) -> None:
         # Every instruction used by some experiment must have at least one µop.
@@ -284,19 +273,22 @@ class BatchedThroughputEvaluator:
 class FixedMappingEvaluator:
     """Evaluates batches of experiments against one fixed mapping.
 
-    The transpose of :class:`BatchedThroughputEvaluator`: there the
-    experiment set is fixed at construction and candidate mappings stream
-    through; here the *mapping* is fixed — its µop matrix is scattered once —
-    and batches of instruction sequences stream through, each batch as one
-    kernel call.  This is the hot path of the prediction serving layer
-    (:mod:`repro.serving`).
+    The transpose of :class:`BatchedThroughputEvaluator`: here the *mapping*
+    is fixed and batches of instruction sequences stream through — the hot
+    path of the prediction serving layer (:mod:`repro.serving`).
 
-    Under the kernel's exactness contract a prediction for a sequence is one
+    Construction builds the mapping's
+    :func:`~repro.throughput.bottleneck.closure_table` (``table[i, j]``
+    counts instruction ``i``'s µops inside the ``j``-th union of the
+    mapping's masks); a batch is one product ``counts[:, used] @
+    table[used]`` over the instructions it uses, a divide and a max.
+
+    The sums are exact integers below ``2^53``, so a prediction is one
     specific float, the same as a direct single-experiment
-    :meth:`BatchedThroughputEvaluator.throughputs` call, no matter which
-    other sequences share its batch; ``tests/test_serving_equivalence.py``
-    pins this.  :meth:`total_mass` lets callers reject up front a sequence
-    whose mass would break the contract.
+    :meth:`BatchedThroughputEvaluator.throughputs` call, whatever shares
+    its batch; ``tests/test_serving_equivalence.py`` pins this.
+    :meth:`total_mass` lets callers reject up front a sequence whose mass
+    would break the contract.
 
     Parameters
     ----------
@@ -324,10 +316,11 @@ class FixedMappingEvaluator:
         missing = [name for name in self.instruction_names if name not in mapping]
         if missing:
             raise MappingError(f"instructions not covered by the mapping: {missing}")
-        self._matrix = _uop_matrix(dict(mapping.items()), self._index, self.num_ports)
+        uops = [mapping.uops_of(name) for name in self.instruction_names]
+        self._table, self._sizes = closure_table(uops)
         # Exact integer µop counts, for total_mass.
         self._uop_totals = {
-            name: sum(mapping.uops_of(name).values()) for name in self.instruction_names
+            name: sum(row.values()) for name, row in zip(self.instruction_names, uops)
         }
 
     @property
@@ -356,7 +349,9 @@ class FixedMappingEvaluator:
 
     def throughputs(self, experiments: Sequence[Experiment]) -> np.ndarray:
         """Predicted throughput for each experiment, as a ``[batch]`` array."""
-        return bottleneck_rows(_count_matrix(experiments, self._index), self._matrix)
+        counts = _count_matrix(experiments, self._index)
+        used = np.flatnonzero(counts.any(axis=0))
+        return bottleneck_max(counts[:, used] @ self._table[used], self._sizes)
 
     def throughput(self, experiment: Experiment) -> float:
         """Predicted throughput of a single experiment."""

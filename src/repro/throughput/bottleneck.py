@@ -15,26 +15,25 @@ Three implementations with identical results:
   ``2^|P|`` subsets with a per-mask subset test.  Θ(2^|P|·k) for ``k``
   distinct masks; exists to make tests and the correctness argument obvious.
 * :func:`bottleneck_throughput_dense` — the same enumeration, expressed as a
-  superset-sum (zeta transform) over the dense ``2^|P|`` mask space by the
-  shared kernel :func:`bottleneck_rows`.  Θ(|P|·2^|P|) with small constants;
-  this is the vectorized algorithm whose scaling the paper's Figure 8
-  measures.
-* :func:`bottleneck_throughput_unions` — exploits that an optimal bottleneck
-  set can be assumed to be a *union of occurring µop masks* (dropping a port
-  that completes no occurring mask only shrinks ``|Q|`` without losing
-  mass).  Θ(2^k·k) for ``k`` distinct masks, independent of ``|P|``; the
-  fastest choice for the short experiments PMEvo uses.
+  superset-sum (zeta transform) over the dense ``2^|P|`` mask space by
+  :func:`bottleneck_rows`.  Θ(|P|·2^|P|) with small constants; this is the
+  vectorized algorithm whose scaling the paper's Figure 8 measures, and the
+  kernel the evolver and local search run on stacks of candidate mappings.
+* :func:`bottleneck_throughput` — the closure variant.  An optimal
+  bottleneck set can be assumed to be a *union of occurring µop masks*:
+  dropping a port that completes no occurring mask keeps the numerator and
+  shrinks ``|Q|``.  :func:`closure_table` tabulates the numerators over the
+  union closure ``L`` of the masks only, so its cost follows the number of
+  distinct masks, not ``|P|``, and no array of length ``2^|P|`` exists.
+  Serving's fixed-mapping evaluator builds the same table once per mapping.
 
-:func:`bottleneck_throughput` picks between the dense and union variants
-based on problem size.  :func:`bottleneck_rows` is the one vectorized
-kernel: the evolver, local search, serving, and the dense variant all
-evaluate Equation 1 through it.
+Dense and closure end in the same tail, :func:`bottleneck_max`.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -45,8 +44,9 @@ __all__ = [
     "bottleneck_throughput",
     "bottleneck_throughput_reference",
     "bottleneck_throughput_dense",
-    "bottleneck_throughput_unions",
     "bottleneck_rows",
+    "bottleneck_max",
+    "closure_table",
     "dense_mass_vector",
     "zeta_transform",
     "popcounts",
@@ -133,7 +133,7 @@ def bottleneck_rows(
     masses: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Equation 1 for every experiment row of ``counts`` — the one kernel.
+    """Equation 1 for every experiment row of ``counts``, over all ``2^|P|`` sets.
 
     ``counts[e, i]`` is how often instruction ``i`` occurs in experiment
     ``e``; ``uops[i, Q]`` is how many µops with port mask ``Q`` instruction
@@ -166,14 +166,49 @@ def bottleneck_rows(
     else:
         masses = np.matmul(counts, uops, out=masses)
     zeta_transform(masses, num_ports)
-    totals = masses[..., -1]
-    if np.any(totals >= EXACT_MASS_LIMIT):
+    return bottleneck_max(masses, _divisors(num_ports), out=out)
+
+
+def bottleneck_max(
+    masses: np.ndarray, sizes: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Equation 1's tail: ``masses[..., j]`` is the mass inside a set of
+    ``sizes[j]`` ports; divide in place and take the max over the sets.
+
+    The last set must hold every µop, so its column is the row total: a row
+    whose total reaches ``2^53`` raises (see :func:`bottleneck_rows`).
+    """
+    total = masses[..., -1].max(initial=0.0)
+    if total >= EXACT_MASS_LIMIT:
         raise ExperimentError(
-            f"total µop mass {totals.max():.17g} reaches 2^53: float64 can no "
+            f"total µop mass {total:.17g} reaches 2^53: float64 can no "
             "longer hold it exactly"
         )
-    np.divide(masses, _divisors(num_ports), out=masses)
+    np.divide(masses, sizes, out=masses)
     return masses.max(axis=-1, out=out)
+
+
+def closure_table(rows: Sequence[Mapping[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Equation 1's numerators over the union closure ``L`` of the rows' masks.
+
+    Returns ``(table, sizes)`` for :func:`bottleneck_max`: ``table[i, j]``
+    sums ``rows[i]``'s masses on masks inside ``L[j]``, and ``sizes[j] =
+    |L[j]|``.  The table is ``W @ C`` with ``W[i, k] = rows[i][K_k]`` and
+    ``C[k, j] = [K_k ⊆ L[j]]`` over the distinct masks ``K``, so for integer
+    counts ``counts @ table`` is exactly the table of the combined rows.
+    An optimal bottleneck set lies in ``L`` (module docstring), so the max
+    over ``L`` is the same float as the max over all ``2^|P|`` sets.
+    """
+    masks = sorted({mask for row in rows for mask in row})
+    unions = {0}
+    for mask in masks:
+        unions |= {union | mask for union in unions}
+    closure = sorted(unions - {0})  # ascending: the last is every mask's union
+    weights = np.array([[row.get(mask, 0) for mask in masks] for row in rows], dtype=np.float64)
+    dtype = np.int64 if closure[-1] < 1 << 63 else object  # Python ints past 63 ports
+    contained = (np.array(masks, dtype)[:, None] & ~np.array(closure, dtype)) == 0
+    sizes = np.array([q.bit_count() for q in closure], dtype=np.float64)
+    return weights @ contained.astype(np.float64), sizes
 
 
 def dense_mass_vector(masses: Mapping[int, float], num_ports: int) -> np.ndarray:
@@ -211,47 +246,12 @@ def bottleneck_throughput_dense(masses: Mapping[int, float], num_ports: int) -> 
     return float(bottleneck_rows(_ONCE, uops)[0])
 
 
-def bottleneck_throughput_unions(masses: Mapping[int, float], num_ports: int) -> float:
-    """Equation 1 restricted to unions of occurring µop masks.
+def bottleneck_throughput(masses: Mapping[int, float], num_ports: int) -> float:
+    """Compute Equation 1 over the union closure of the occurring masks.
 
-    An optimal bottleneck set ``Q*`` only needs ports that appear in some
-    µop mask counted into it — removing any other port keeps the numerator
-    and shrinks the denominator.  Hence it suffices to maximize over the
-    union-closure of the occurring masks, which for the short experiments
-    PMEvo generates is far smaller than ``2^|P|``.
+    The experiment is one row of :func:`closure_table`; its cost follows
+    the number of distinct masks, whatever ``num_ports`` is.
     """
     _check(masses, num_ports)
-    items = [(mask, mass) for mask, mass in masses.items() if mass > 0.0]
-    if not items:
-        raise ExperimentError("experiment carries no mass")
-    distinct = sorted({mask for mask, _ in items})
-    # Enumerate unions of subsets of the distinct masks, deduplicated.
-    unions: set[int] = set()
-    frontier = [0]
-    for mask in distinct:
-        frontier += [u | mask for u in frontier]
-        frontier = list(set(frontier))
-    unions = {u for u in frontier if u}
-    best = 0.0
-    for q in unions:
-        total = sum(mass for mask, mass in items if mask & ~q == 0)
-        best = max(best, total / mask_size(q))
-    return best
-
-
-# Above roughly this many ports the dense 2^|P| tables stop being cheap and
-# the union-closure variant (independent of |P|) wins for sparse experiments.
-_DENSE_PORT_LIMIT = 14
-
-
-def bottleneck_throughput(masses: Mapping[int, float], num_ports: int) -> float:
-    """Compute Equation 1, picking a suitable implementation.
-
-    Uses the dense vectorized enumeration for realistic port counts and the
-    union-closure variant for very wide machines where ``2^|P|`` tables
-    would dominate.
-    """
-    distinct = len(masses)
-    if num_ports <= _DENSE_PORT_LIMIT and (1 << num_ports) <= (1 << distinct):
-        return bottleneck_throughput_dense(masses, num_ports)
-    return bottleneck_throughput_unions(masses, num_ports)
+    table, sizes = closure_table([masses])
+    return float(bottleneck_max(table, sizes)[0])

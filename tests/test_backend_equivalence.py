@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core import Experiment, PortSpace, ThreeLevelMapping
-from repro.pmevo import PackedPopulation, random_genome
-from repro.throughput import BatchedThroughputEvaluator
+from repro.machine import preset_machine
+from repro.pmevo import PackedPopulation, random_experiments, random_genome
+from repro.throughput import BatchedThroughputEvaluator, FixedMappingEvaluator
 from repro.throughput.bottleneck import (
     bottleneck_throughput,
     bottleneck_throughput_dense,
     bottleneck_throughput_reference,
-    bottleneck_throughput_unions,
 )
 from repro.throughput.lp import lp_throughput, lp_throughput_masses
 
@@ -55,13 +55,11 @@ def test_all_backends_agree_on_random_instances(seed):
         masses = mapping.uop_masses(experiment)
         reference = bottleneck_throughput_reference(masses, num_ports)
         dense = bottleneck_throughput_dense(masses, num_ports)
-        unions = bottleneck_throughput_unions(masses, num_ports)
         dispatched = bottleneck_throughput(masses, num_ports)
         lp = lp_throughput_masses(masses, num_ports)
         context = f"seed={seed} experiment={dict(experiment)}"
         assert from_batched == pytest.approx(reference, abs=TOLERANCE), context
         assert dense == pytest.approx(reference, abs=TOLERANCE), context
-        assert unions == pytest.approx(reference, abs=TOLERANCE), context
         assert dispatched == pytest.approx(reference, abs=TOLERANCE), context
         assert lp == pytest.approx(reference, abs=TOLERANCE), context
 
@@ -108,6 +106,31 @@ def test_packed_kernel_agrees_with_all_backends(seed):
             ), context
 
 
+@pytest.mark.parametrize("machine", ["SKL", "ZEN", "A72"])
+def test_scaling_an_experiment_scales_every_backend(machine):
+    """Metamorphic: ``e.scaled(k)`` multiplies every µop mass by ``k``, so
+    every backend must predict one float for it, and that float is
+    ``k · t(e)`` up to rounding.  Not bit for bit: the backends compute
+    ``k·W / |Q|`` in one rounding, while ``k · t(e)`` rounds ``W / |Q|``
+    first, and the two differ in the last bit for some experiments."""
+    truth = preset_machine(machine).ground_truth_mapping()
+    names = truth.instructions
+    num_ports = truth.ports.num_ports
+    experiments = random_experiments(names, size=5, count=200, seed=5)
+    fixed = FixedMappingEvaluator(truth)
+    base = fixed.throughputs(experiments)
+    for k in (2, 3, 7):
+        scaled = [experiment.scaled(k) for experiment in experiments]
+        predicted = fixed.throughputs(scaled)
+        batched = BatchedThroughputEvaluator(scaled, names, num_ports)
+        assert np.array_equal(batched.throughputs(truth), predicted)
+        for experiment, value in zip(scaled, predicted.tolist()):
+            masses = truth.uop_masses(experiment)
+            assert bottleneck_throughput(masses, num_ports) == value
+            assert bottleneck_throughput_reference(masses, num_ports) == value
+        np.testing.assert_allclose(predicted, k * base, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_agreement_survives_fractional_masses(seed):
     """Congruence scaling produces non-integer masses; backends still agree."""
@@ -121,7 +144,7 @@ def test_agreement_survives_fractional_masses(seed):
     assert bottleneck_throughput_dense(masses, num_ports) == pytest.approx(
         reference, abs=TOLERANCE
     )
-    assert bottleneck_throughput_unions(masses, num_ports) == pytest.approx(
+    assert bottleneck_throughput(masses, num_ports) == pytest.approx(
         reference, abs=TOLERANCE
     )
     assert lp_throughput_masses(masses, num_ports) == pytest.approx(

@@ -18,7 +18,9 @@ from repro.throughput import (
     BatchedThroughputEvaluator,
     FixedMappingEvaluator,
     MappingPredictor,
+    bottleneck_throughput,
     bottleneck_throughput_reference,
+    lp_throughput_masses,
 )
 
 
@@ -173,7 +175,39 @@ class TestExactnessGuard:
         assert batched.throughputs(mapping).tolist() == [expected]
 
 
+@st.composite
+def wide_mapping_and_batch(draw):
+    """A mapping on up to 40 ports over at most 10 distinct masks (so its
+    union closure has at most 1,024 sets), and a batch of experiments."""
+    num_ports = draw(st.integers(min_value=2, max_value=40))
+    full = (1 << num_ports) - 1
+    masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=10, unique=True))
+    names = [f"i{i}" for i in range(draw(st.integers(1, 8)))]
+    uops = st.dictionaries(st.sampled_from(masks), st.integers(1, 3), min_size=1, max_size=3)
+    assignment = {name: draw(uops) for name in names}
+    mapping = ThreeLevelMapping(PortSpace.numbered(num_ports), assignment)
+    experiment = st.dictionaries(st.sampled_from(names), st.integers(1, 5), min_size=1)
+    batch = draw(st.lists(experiment, min_size=1, max_size=6))
+    return mapping, [Experiment(counts) for counts in batch]
+
+
 class TestFixedMappingEvaluator:
     def test_empty_batch_gives_empty_result(self, paper_three_level):
         out = FixedMappingEvaluator(paper_three_level).throughputs([])
         assert out.shape == (0,)
+
+    @given(wide_mapping_and_batch())
+    @settings(max_examples=100, deadline=None)
+    def test_closure_table_matches_every_backend(self, mapping_and_batch):
+        # No array of length 2^|P| may exist: at 40 ports one would not fit
+        # in memory.
+        mapping, batch = mapping_and_batch
+        num_ports = mapping.ports.num_ports
+        fixed = FixedMappingEvaluator(mapping).throughputs(batch)
+        for experiment, predicted in zip(batch, fixed.tolist()):
+            masses = mapping.uop_masses(experiment)
+            assert predicted == bottleneck_throughput(masses, num_ports)
+            if num_ports <= 10:
+                assert predicted == bottleneck_throughput_reference(masses, num_ports)
+            lp = lp_throughput_masses(masses, num_ports)
+            assert predicted == pytest.approx(lp, rel=1e-9)

@@ -16,7 +16,6 @@ from repro.throughput import (
     bottleneck_throughput,
     bottleneck_throughput_dense,
     bottleneck_throughput_reference,
-    bottleneck_throughput_unions,
     lp_throughput_masses,
 )
 from repro.throughput.bottleneck import dense_mass_vector, popcounts, zeta_transform
@@ -42,7 +41,6 @@ class TestExampleFromPaper:
         masses = paper_two_level.uop_masses(paper_experiment)
         assert bottleneck_throughput_reference(masses, 3) == pytest.approx(1.5)
         assert bottleneck_throughput_dense(masses, 3) == pytest.approx(1.5)
-        assert bottleneck_throughput_unions(masses, 3) == pytest.approx(1.5)
         assert bottleneck_throughput(masses, 3) == pytest.approx(1.5)
 
     def test_three_level_example(self, paper_three_level, paper_experiment):
@@ -67,7 +65,7 @@ class TestValidation:
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ExperimentError):
-            bottleneck_throughput_unions({1: -1.0}, 3)
+            bottleneck_throughput({1: -1.0}, 3)
 
     def test_nonpositive_ports_rejected(self):
         with pytest.raises(MappingError):
@@ -95,8 +93,21 @@ class TestKnownValues:
         masses = {0b01: 3.0, 0b11: 1.0}
         assert bottleneck_throughput(masses, 2) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("num_ports", [63, 64, 65, 70])
+    def test_masks_wider_than_a_machine_word(self, num_ports):
+        top = 1 << (num_ports - 1)
+        masses = {top | 0b1: 3.0, top: 2.0, 0b110: 4.0}
+        assert bottleneck_throughput(masses, num_ports) == 2.5
+
     def test_zero_mass_entries_ignored(self):
-        assert bottleneck_throughput_unions({0b1: 0.0, 0b10: 2.0}, 2) == pytest.approx(2.0)
+        assert bottleneck_throughput({0b1: 0.0, 0b10: 2.0}, 2) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("num_ports", [1, 2, 3])
+    def test_zero_mass_gives_zero_for_any_port_count(self, num_ports):
+        masses = {0b1: 0.0}
+        expected = bottleneck_throughput_reference(masses, num_ports)
+        assert expected == 0.0
+        assert bottleneck_throughput(masses, num_ports) == expected
 
 
 class TestAgreement:
@@ -106,7 +117,6 @@ class TestAgreement:
         masses, num_ports = masses_and_ports
         reference = bottleneck_throughput_reference(masses, num_ports)
         assert bottleneck_throughput_dense(masses, num_ports) == pytest.approx(reference)
-        assert bottleneck_throughput_unions(masses, num_ports) == pytest.approx(reference)
         assert bottleneck_throughput(masses, num_ports) == pytest.approx(reference)
 
     @given(masses_strategy(max_ports=5))
