@@ -28,7 +28,7 @@ from repro.throughput import MappingPredictor
 from bench_lib import scaled, write_result
 
 
-def test_ablation_longer_experiments(benchmark):
+def test_ablation_longer_experiments():
     machine = toy_machine(num_ports=3, measurement=MeasurementConfig(noisy=False))
     universe = machine.isa.names
     ports = machine.config.ports
@@ -76,6 +76,3 @@ def test_ablation_longer_experiments(benchmark):
 
     # Paper finding: no substantial benefit from more complex experiments.
     assert mapes["pairs + triples"] >= mapes["pairs only"] - 0.03
-
-    predictor = MappingPredictor(machine.ground_truth_mapping())
-    benchmark(lambda: [predictor.predict(e) for e in held_out[:20]])

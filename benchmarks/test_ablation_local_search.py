@@ -12,7 +12,7 @@ from bench_lib import scaled, write_result
 from test_ablation_mutation import _toy_training_data
 
 
-def test_ablation_local_search(benchmark):
+def test_ablation_local_search():
     machine, measured, singles = _toy_training_data()
     ports = machine.config.ports
     rows = []
@@ -43,8 +43,3 @@ def test_ablation_local_search(benchmark):
     # The hill climb must never hurt either objective.
     assert stats[2][0] <= stats[0][0] + 1e-9
     assert stats[2][1] <= stats[0][1] + 1e-9
-
-    config = EvolutionConfig(
-        population_size=30, max_generations=8, local_search_rounds=2, seed=0
-    )
-    benchmark(lambda: PortMappingEvolver(ports, measured, singles, config).run().davg)

@@ -57,7 +57,7 @@ def _mean_davg(ports: PortSpace, measured, singles, population, rate) -> float:
     return sum(davgs) / len(davgs)
 
 
-def test_ablation_mutation_operator(benchmark):
+def test_ablation_mutation_operator():
     machine, measured, singles = _toy_training_data()
     ports: PortSpace = machine.config.ports
     populations = (scaled(60, minimum=30), scaled(400, minimum=150))
@@ -89,8 +89,3 @@ def test_ablation_mutation_operator(benchmark):
     assert results[(large, 0.0)] - min(
         results[(large, rate)] for rate in rates
     ) < 0.02
-
-    config = EvolutionConfig(
-        population_size=30, max_generations=8, mutation_rate=0.0, seed=0
-    )
-    benchmark(lambda: PortMappingEvolver(ports, measured, singles, config).run().davg)

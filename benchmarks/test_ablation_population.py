@@ -15,7 +15,7 @@ from bench_lib import scaled, write_result
 from test_ablation_mutation import _toy_training_data
 
 
-def test_ablation_population_size(benchmark):
+def test_ablation_population_size():
     machine, measured, singles = _toy_training_data()
     ports = machine.config.ports
     rows = []
@@ -46,6 +46,3 @@ def test_ablation_population_size(benchmark):
     populations = sorted(quality)
     # Larger populations must not be worse than the smallest one.
     assert quality[populations[-1]] <= quality[populations[0]] + 1e-9
-
-    config = EvolutionConfig(population_size=20, max_generations=8, seed=0)
-    benchmark(lambda: PortMappingEvolver(ports, measured, singles, config).run().davg)

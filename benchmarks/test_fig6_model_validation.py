@@ -21,7 +21,7 @@ from bench_lib import scaled, stratified_forms, write_result
 MAX_LENGTH = 12
 
 
-def test_fig6_model_error_vs_experiment_length(machines, benchmark):
+def test_fig6_model_error_vs_experiment_length(machines):
     machine = machines["SKL"]
     names = stratified_forms(machine, per_class=1, limit=scaled(20, minimum=10))
     per_length = scaled(60, minimum=15)
@@ -59,13 +59,3 @@ def test_fig6_model_error_vs_experiment_length(machines, benchmark):
     # experiment accuracy.
     assert series["uops.info"][0] < 8.0
     assert max(series["uops.info"][6:]) >= series["uops.info"][0]
-
-    # Timed kernel: one model-vs-measurement comparison at length 4.
-    experiments = random_experiments(names, size=4, count=10, seed=7)
-    measured = np.array([machine.measure(e) for e in experiments])
-
-    def kernel():
-        predictions = np.array([oracle.predict(e) for e in experiments])
-        return mape(predictions, measured)
-
-    benchmark(kernel)

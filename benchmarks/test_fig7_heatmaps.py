@@ -27,7 +27,7 @@ from repro.throughput import MappingPredictor
 from bench_lib import scaled, write_result
 
 
-def test_fig7_heatmaps(machines, pmevo_results, benchmark_sets, benchmark):
+def test_fig7_heatmaps(machines, pmevo_results, benchmark_sets):
     grid = []
     for name in ("SKL", "ZEN", "A72"):
         grid.append((f"PMEvo/{name}", MappingPredictor(pmevo_results[name].mapping, "PMEvo"), name))
@@ -82,11 +82,3 @@ def test_fig7_heatmaps(machines, pmevo_results, benchmark_sets, benchmark):
     # llvm-mca's ZEN/A72 axis limits blow up like the paper's 100/150-cycle
     # axes (over-estimated predictions stretch the plot).
     assert heatmaps["llvm-mca/ZEN"].limit > heatmaps["PMEvo/ZEN"].limit
-
-    # Timed kernel: building one heat map.
-    report = evaluate_predictor(
-        MappingPredictor(pmevo_results["SKL"].mapping, "PMEvo"), benchmark_sets["SKL"], "SKL"
-    )
-    predicted = np.array(report.predicted)
-    measured = np.array(report.measured)
-    benchmark(lambda: build_heatmap(predicted, measured, bins=35))

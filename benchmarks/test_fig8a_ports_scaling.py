@@ -58,7 +58,7 @@ def _time_per_experiment(func, workload, num_ports, repeats) -> float:
     return (time.perf_counter() - start) / (repeats * len(workload))
 
 
-def test_fig8a_bottleneck_vs_lp_port_scaling(benchmark):
+def test_fig8a_bottleneck_vs_lp_port_scaling():
     rng = np.random.default_rng(12)
     rows = []
     series = {"bn": {}, "lp": {}}
@@ -91,8 +91,3 @@ def test_fig8a_bottleneck_vs_lp_port_scaling(benchmark):
     ratio_at_10 = series["lp"][10] / series["bn"][10]
     ratio_at_20 = series["lp"][20] / series["bn"][20]
     assert ratio_at_20 < ratio_at_10 / 4
-
-    # Timed kernel: the 10-port bottleneck evaluation (the paper's headline).
-    rng = np.random.default_rng(5)
-    workload = random_workload(10, length=4, rng=rng, num_mappings=2, num_experiments=8)
-    benchmark(lambda: [bottleneck_throughput_dense(m, 10) for m in workload])

@@ -19,7 +19,7 @@ NUM_PORTS = 10
 LENGTHS = tuple(range(1, 11))
 
 
-def test_fig8b_bottleneck_vs_lp_length_scaling(benchmark):
+def test_fig8b_bottleneck_vs_lp_length_scaling():
     rng = np.random.default_rng(21)
     rows = []
     ratios = []
@@ -56,8 +56,3 @@ def test_fig8b_bottleneck_vs_lp_length_scaling(benchmark):
     # Both methods grow mildly with length: no explosion from 1 to 10.
     assert bn_times[-1] < bn_times[0] * 20
     assert lp_times[-1] < lp_times[0] * 20
-
-    # Timed kernel: length-10 bottleneck evaluations.
-    rng = np.random.default_rng(3)
-    workload = random_workload(NUM_PORTS, length=10, rng=rng, num_mappings=2, num_experiments=8)
-    benchmark(lambda: [bottleneck_throughput_dense(m, NUM_PORTS) for m in workload])

@@ -1,23 +1,22 @@
 """Prediction-server throughput: cold vs warm cache, 1 vs 32 clients.
 
 PR 10 added the serving layer (``repro-pmevo serve``): an asyncio HTTP/JSON
-API over inferred mappings with a bounded prediction LRU and single-flight
-coalescing of concurrent misses into batched backend calls.  This bench
-measures what the cache actually buys end to end — the server runs as a
+API over inferred mappings with a bounded prediction LRU; each request's
+misses are evaluated in one batched backend call on the event loop.  This
+bench measures what the cache actually buys end to end — the server runs as a
 real subprocess and every number includes HTTP framing, JSON, and
 canonicalization, exactly what a client pays:
 
-* **cold** — every sequence is a miss: request parse + executor hop +
+* **cold** — every sequence is a miss: request parse + inline
   fixed-mapping evaluation (one product of the batch's counts with the
   mapping's union-closure table; exact, hence batch-independent) + cache
   fill.
 * **warm** — every sequence hits the LRU: request parse + dict lookup.
-* **1 vs 32 clients** — the event loop serves hits while the single
-  evaluator thread crunches misses, and concurrent misses coalesce.  Warm
-  throughput is bounded by the one event loop, so 32 clients land at
-  parity with 1, not above it — the bar is that concurrency does not
-  *collapse* it: a warm prediction at 32 clients costs at most twice the
-  server CPU of a single-client one.
+* **1 vs 32 clients** — one event loop answers hits and evaluates misses
+  for every connection.  Warm throughput is bounded by that loop, so 32
+  clients land at parity with 1, not above it — the bar is that
+  concurrency does not *collapse* it: a warm prediction at 32 clients costs
+  at most twice the server CPU of a single-client one.
 
 The server figures are its CPU seconds per prediction, not wall time:
 hypervisor steal moves wall time by up to half on a shared host, which made

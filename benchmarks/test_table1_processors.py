@@ -6,12 +6,11 @@ backend shape.
 """
 
 from repro.analysis import format_kv_rows
-from repro.core import Experiment
 
 from bench_lib import write_result
 
 
-def test_table1_processors(machines, benchmark):
+def test_table1_processors(machines):
     columns = {}
     for name in ("SKL", "ZEN", "A72"):
         machine = machines[name]
@@ -36,13 +35,3 @@ def test_table1_processors(machines, benchmark):
         }
     text = format_kv_rows(columns, title="Table 1: evaluated (simulated) processors")
     write_result("table1_processors", text)
-
-    # Timed kernel: a representative throughput measurement on SKL.
-    machine = machines["SKL"]
-    experiment = Experiment({machine.isa.names[0]: 1, machine.isa.names[40]: 1})
-
-    def measure_once():
-        machine._cache.pop(experiment, None)  # defeat memoization for timing
-        return machine.measure(experiment)
-
-    benchmark(measure_once)

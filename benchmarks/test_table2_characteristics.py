@@ -20,7 +20,7 @@ from repro.analysis import format_kv_rows
 from bench_lib import write_result
 
 
-def test_table2_mapping_characteristics(pmevo_results, benchmark):
+def test_table2_mapping_characteristics(pmevo_results):
     columns = {}
     for name in ("SKL", "ZEN", "A72"):
         result = pmevo_results[name]
@@ -37,16 +37,3 @@ def test_table2_mapping_characteristics(pmevo_results, benchmark):
         assert result.congruent_fraction >= 0.35, name
         # Compact mappings: a handful of distinct µops, not hundreds.
         assert result.num_uops <= 40, name
-
-    # Timed kernel: one fitness evaluation of the final SKL mapping.
-    result = pmevo_results["SKL"]
-    reduced = result.measurements.restricted_to(result.partition.representatives)
-    from repro.throughput import BatchedThroughputEvaluator
-
-    evaluator = BatchedThroughputEvaluator(
-        reduced,
-        tuple(reduced.instruction_names()),
-        result.representative_mapping.ports.num_ports,
-    )
-    genome = {n: u for n, u in result.representative_mapping.items()}
-    benchmark(lambda: evaluator.davg(genome))

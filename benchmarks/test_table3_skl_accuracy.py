@@ -27,7 +27,7 @@ from repro.throughput import MappingPredictor
 from bench_lib import scaled, write_result
 
 
-def test_table3_skl_accuracy(machines, pmevo_results, benchmark_sets, benchmark):
+def test_table3_skl_accuracy(machines, pmevo_results, benchmark_sets):
     machine = machines["SKL"]
     bench = benchmark_sets["SKL"]
 
@@ -68,6 +68,3 @@ def test_table3_skl_accuracy(machines, pmevo_results, benchmark_sets, benchmark)
     worst_mapping_mape = max(reports[n].mape for n in mapping_based)
     assert reports["Ithemal"].mape > 1.5 * worst_mapping_mape
     assert reports["Ithemal"].spearman < min(reports[n].spearman for n in mapping_based)
-
-    # Timed kernel: PMEvo mapping prediction over the benchmark set.
-    benchmark(lambda: [pmevo.predict(e) for e in bench.experiments[:50]])

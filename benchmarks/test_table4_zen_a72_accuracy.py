@@ -23,7 +23,7 @@ from repro.throughput import MappingPredictor
 from bench_lib import write_result
 
 
-def test_table4_zen_a72_accuracy(machines, pmevo_results, benchmark_sets, benchmark):
+def test_table4_zen_a72_accuracy(machines, pmevo_results, benchmark_sets):
     rows = []
     reports = {}
     for name in ("ZEN", "A72"):
@@ -66,8 +66,3 @@ def test_table4_zen_a72_accuracy(machines, pmevo_results, benchmark_sets, benchm
             np.array(mca_report.predicted) > np.array(mca_report.measured) * 1.05
         )
         assert over > 0.4, name
-
-    # Timed kernel: PMEvo prediction on ZEN.
-    pmevo = MappingPredictor(pmevo_results["ZEN"].mapping, name="PMEvo")
-    experiments = benchmark_sets["ZEN"].experiments[:50]
-    benchmark(lambda: [pmevo.predict(e) for e in experiments])

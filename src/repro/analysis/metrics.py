@@ -15,7 +15,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.errors import ReproError
 from repro.core.experiment import Experiment, ExperimentSet
@@ -95,7 +94,11 @@ def _robust_ranks(values: np.ndarray) -> np.ndarray:
     exponent = np.maximum(exponent, -296.0)
     scale = 10.0 ** (exponent - 11)
     snapped[nonzero] = np.round(values[nonzero] / scale) * scale
-    return stats.rankdata(snapped)
+    # Imported here: scipy.stats pulls in scipy.optimize, and the CLI
+    # imports this module whether or not it ranks anything.
+    from scipy.stats import rankdata
+
+    return rankdata(snapped)
 
 
 def spearman_cc(predicted: Iterable[float], measured: Iterable[float]) -> float:

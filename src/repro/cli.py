@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve throughput predictions over HTTP/JSON",
         epilog="Serves POST /v1/predict (batched sequence -> throughput), "
         "GET /healthz, GET /v1/stats, and POST /v1/reload over a mapping "
-        "registry.  Predictions are memoized in a bounded LRU and concurrent "
-        "cache misses are coalesced into single batched backend calls.  "
+        "registry.  Predictions are memoized in a bounded LRU, and each "
+        "request's cache misses are evaluated in one batched backend call.  "
         "SIGTERM drains in-flight requests before exiting.  See "
         "docs/serving.md for the API reference.",
     )

@@ -10,8 +10,8 @@ serving path:
 * :mod:`repro.serving.cache` — a bounded LRU of per-sequence predictions.
 * :mod:`repro.serving.protocol` — request validation, sequence
   canonicalization, structured 4xx errors.
-* :mod:`repro.serving.server` — the stdlib-asyncio HTTP server with
-  single-flight miss coalescing and batched evaluation.
+* :mod:`repro.serving.server` — the stdlib-asyncio HTTP server: cache hits,
+  then one batched evaluation of a request's misses on the event loop.
 
 Run it with ``repro-pmevo serve --mapping skl.json``; see
 ``docs/serving.md``.

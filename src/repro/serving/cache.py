@@ -9,8 +9,8 @@ batch-independent bit for bit (see
 indistinguishable from recomputing.
 
 The server runs on one asyncio event loop and touches the cache only from
-loop callbacks, never from executor threads, so the implementation needs no
-locking — an ``OrderedDict`` with move-to-end is the whole mechanism.
+that loop's thread, so the implementation needs no locking — an
+``OrderedDict`` with move-to-end is the whole mechanism.
 """
 
 from __future__ import annotations

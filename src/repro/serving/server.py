@@ -7,24 +7,24 @@ deliberately small HTTP/1.1 implementation (request line, headers,
 
 Hot-path design
 ---------------
-A ``POST /v1/predict`` batch is answered from three tiers:
+A ``POST /v1/predict`` batch is answered from two tiers:
 
 1. **Cache hits** — a bounded LRU keyed by ``(mapping id, canonical
    sequence)`` (:mod:`repro.serving.cache`); hits never touch numpy.
-2. **Coalesced misses** — sequences some concurrent request is already
-   computing; this request awaits the in-flight future instead of
-   recomputing (single-flight per key).
-3. **Fresh misses** — deduplicated and evaluated as *one*
+2. **Misses** — deduplicated and evaluated as *one*
    :class:`repro.throughput.batched.FixedMappingEvaluator` call (one
    product of the batch's counts with the mapping's union-closure table,
-   then a divide and a max) on a single-threaded executor, so the event
-   loop keeps accepting connections and serving cached hits while numpy
-   runs.  Per-request cost is therefore amortized over batch width, not
-   paid per sequence.
+   then a divide and a max), made directly on the event loop, then cached.
+
+A typical miss batch costs tens of microseconds, less than a hop to a
+worker thread would, so there is no worker thread and no coalescing of
+concurrent misses.  While a batch evaluates the loop serves nothing else;
+``max_batch`` and ``max_sequence`` bound that stall.  With no ``await``
+between a lookup, its evaluation and the cache fill, a hot reload — which
+runs on the same loop — cannot land in between, so a fill is never stale.
 
 Evaluation is exact for integer masses below 2^53, so a prediction does not
-depend on batch composition: the three tiers return the same floats for the
-same sequence — cold, warm, and coalesced answers are indistinguishable
+depend on batch composition: cold and warm answers are the same floats
 (``tests/test_serving_equivalence.py``).  A sequence whose total µop mass
 reaches 2^53 is rejected up front with a structured 400.
 
@@ -46,7 +46,6 @@ import signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.errors import ReproError, ServingError
 from repro.core.experiment import Experiment
@@ -105,7 +104,6 @@ class _Stats:
         self.predict_requests = 0
         self.error_responses = 0
         self.predictions = 0
-        self.coalesced = 0
         self.batches = 0
         self.batch_entries = 0
         self.max_batch = 0
@@ -134,7 +132,10 @@ class _Stats:
                 "predict": self.predict_requests,
                 "errors": self.error_responses,
             },
-            "predictions": {"total": self.predictions, "coalesced": self.coalesced},
+            # Nothing is coalesced since misses are evaluated inline; the key
+            # stays because clients of the schema (perfbench's traced run's
+            # serving.coalesced_share among them) read it.
+            "predictions": {"total": self.predictions, "coalesced": 0},
             "cache": cache.stats(),
             "batches": {
                 "count": self.batches,
@@ -186,10 +187,6 @@ class PredictionServer:
         self.idle_timeout = idle_timeout
         self.grace = grace
         self.stats = _Stats()
-        self._inflight: dict[tuple[str, int, Experiment], asyncio.Future] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="predict-eval"
-        )
         self._server: asyncio.base_events.Server | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._busy = 0
@@ -202,9 +199,12 @@ class PredictionServer:
     async def handle_predict(self, payload: object) -> tuple[int, dict]:
         """Answer a decoded ``/v1/predict`` payload.
 
-        Returns ``(status, response body)``.  Public and socket-free so the
-        property-test wall can drive cold/warm/coalesced paths directly.
+        Returns ``(status, response body)``.  Validates the whole request
+        first, then answers cache hits and evaluates the distinct misses in
+        one call, without yielding to the loop.  Public and socket-free so
+        the property-test wall can drive cold and warm paths directly.
         """
+        # Still async though nothing awaits: tracers and tests call it as a coroutine.
         request = parse_predict_request(
             payload, max_batch=self.max_batch, max_sequence=self.max_sequence
         )
@@ -243,69 +243,30 @@ class PredictionServer:
                     f"{mass}, at least 2^53: its throughput is not exact in float64",
                 )
 
-        generation = entry.generation
         results: list[float | None] = [None] * len(request.sequences)
         cached = [False] * len(request.sequences)
-        pending: list[tuple[int, asyncio.Future]] = []
-        fresh: dict[Experiment, asyncio.Future] = {}
-        loop = asyncio.get_running_loop()
+        fresh: dict[Experiment, list[int]] = {}
         for i, sequence in enumerate(request.sequences):
             hit = self.cache.get(mapping_id, sequence)
             if hit is not None:
                 results[i] = hit
                 cached[i] = True
-                continue
-            key = (mapping_id, generation, sequence)
-            future = self._inflight.get(key)
-            if future is not None:
-                # Some concurrent request is already computing this very
-                # sequence: await its result instead of recomputing.
-                self.stats.coalesced += 1
-                pending.append((i, future))
-                continue
-            future = fresh.get(sequence)
-            if future is None:
-                future = loop.create_future()
-                self._inflight[key] = future
-                fresh[sequence] = future
-            pending.append((i, future))
+            else:
+                fresh.setdefault(sequence, []).append(i)
 
         if fresh:
-            sequences = list(fresh)
-            self.stats.record_batch(len(sequences))
-            try:
-                values = await loop.run_in_executor(
-                    self._executor, entry.evaluator.throughputs, sequences
-                )
-            except BaseException as exc:
-                for sequence, future in fresh.items():
-                    self._inflight.pop((mapping_id, generation, sequence), None)
-                    if not future.done():
-                        future.set_exception(exc)
-                        # This request re-raises below instead of awaiting its
-                        # own futures; mark the exception retrieved so asyncio
-                        # does not warn.  Coalesced waiters in other requests
-                        # still receive it from their awaits.
-                        future.exception()
-                raise
-            current = self.registry.get(mapping_id)
-            for sequence, value in zip(sequences, values):
+            self.stats.record_batch(len(fresh))
+            values = entry.evaluator.throughputs(list(fresh))
+            for (sequence, indices), value in zip(fresh.items(), values):
                 value = float(value)
-                future = fresh[sequence]
-                self._inflight.pop((mapping_id, generation, sequence), None)
-                future.set_result(value)
-                # A hot reload may have swapped the mapping while numpy ran;
-                # never let a stale generation repopulate the fresh cache.
-                if current.generation == generation:
-                    self.cache.put(mapping_id, sequence, value)
-
-        for i, future in pending:
-            results[i] = await future
+                for i in indices:
+                    results[i] = value
+                self.cache.put(mapping_id, sequence, value)
 
         self.stats.predictions += len(results)
         return 200, {
             "mapping": mapping_id,
-            "generation": generation,
+            "generation": entry.generation,
             "throughputs": results,
             "cached": cached,
         }
@@ -518,7 +479,6 @@ class PredictionServer:
                 )
         for writer in list(self._writers):
             writer.close()
-        self._executor.shutdown(wait=True)
 
     async def run(self, host: str, port: int) -> int:
         """Serve until SIGTERM/SIGINT; returns a process exit code.

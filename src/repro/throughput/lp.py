@@ -9,7 +9,9 @@ The throughput of an experiment under a port mapping is the optimum of::
           x_{u,k} = 0              for (u,k) ∉ M              (D)
 
 Constraint (D) is enforced structurally: variables only exist for edges in
-``M``.  The LP is built sparsely and solved with scipy's HiGHS backend.
+``M``.  The LP is built sparsely and solved with scipy's HiGHS backend;
+scipy is imported on first use, so importing this module (and with it the
+CLI) does not pay for ``scipy.optimize``.
 
 This module is the reference implementation the bottleneck simulation
 algorithm (:mod:`repro.throughput.bottleneck`) is validated against, and the
@@ -19,15 +21,17 @@ algorithm (:mod:`repro.throughput.bottleneck`) is validated against, and the
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.core.errors import ExperimentError, MappingError, SolverError
 from repro.core.experiment import Experiment
 from repro.core.mapping import ThreeLevelMapping, TwoLevelMapping
 from repro.core.ports import indices_from_mask
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["lp_throughput", "lp_throughput_masses", "build_lp", "LPProblem"]
 
@@ -56,6 +60,8 @@ class LPProblem:
 
     def solve(self) -> float:
         """Solve the LP and return the optimal throughput ``t``."""
+        from scipy.optimize import linprog
+
         result = linprog(
             c=self.cost,
             A_eq=self.a_eq,
@@ -76,6 +82,8 @@ def build_lp(masses: Mapping[int, float], num_ports: int) -> LPProblem:
     Variables are ordered ``[x_{u0,k0}, x_{u0,k1}, ..., t]`` with one ``x``
     per (µop, allowed port) edge and the makespan ``t`` last.
     """
+    from scipy.sparse import csr_matrix
+
     if num_ports <= 0:
         raise MappingError(f"number of ports must be positive, got {num_ports}")
     if not masses:

@@ -1,6 +1,10 @@
 """Tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,22 @@ class TestParser:
             ["worker", "--connect", "h:1", "--max-reconnect-attempts", "0"]
         )
         assert args.max_reconnect_attempts == 0
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # Only the LP oracle and the rank correlation call scipy; every command
+    # starts faster and smaller when its import waits for them.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 Serving must be a *transparent* cache over the analytical model: the float a
 client receives for a sequence is one specific value, regardless of
 
-* whether the cache was cold, warm, or the sequence was coalesced into a
-  concurrent request's in-flight batch,
+* whether the cache was cold or warm, or a concurrent request already
+  evaluated the sequence,
 * which other sequences happened to share its evaluation batch (counts and
   multiplicities are integers, so the kernel's sums are exact in any order
   and a whole-batch matmul cannot depend on the batch width),
@@ -18,7 +18,8 @@ The properties pinned here:
    bit for bit, for any batch split;
 3. served == the per-experiment ``bottleneck_throughput``, bit for bit: both
    maximize over the union closure of the masks with exact integer sums;
-4. cold == warm == coalesced, bit for bit.
+4. cold == warm, and overlapping concurrent requests share one evaluation,
+   bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +152,22 @@ class TestServedEqualsDirect:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_coalesced_concurrent_misses_bit_identical(self, seed):
-        # Concurrent requests with overlapping cold sequences: one computes,
-        # the others await the in-flight future — all see identical floats.
+    def test_concurrent_overlapping_requests_bit_identical(self, seed):
+        # Concurrent requests with overlapping cold sequences: the first
+        # evaluates its misses on the loop's own thread without yielding, so
+        # the others find every sequence cached — all see identical floats.
         mapping, sequences = _random_problem(seed, num_sequences=8)
         server = _server_for(mapping)
         overlap = sequences[: len(sequences) // 2 + 1]
+        evaluator = server.registry.get("m").evaluator
+        evaluate = evaluator.throughputs
+        threads = []
+
+        def recording(batch):
+            threads.append(threading.get_ident())
+            return evaluate(batch)
+
+        evaluator.throughputs = recording
 
         async def fire():
             return await asyncio.gather(
@@ -170,7 +182,9 @@ class TestServedEqualsDirect:
         assert np.array_equal(np.array(b1["throughputs"]), direct)
         assert np.array_equal(np.array(b2["throughputs"]), direct[: len(overlap)])
         assert np.array_equal(np.array(b3["throughputs"]), direct[::-1])
-        assert server.stats.coalesced > 0 or server.cache.hits > 0
+        assert all(b2["cached"]) and all(b3["cached"])
+        assert server.stats.batches == 1
+        assert threads == [threading.get_ident()]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))

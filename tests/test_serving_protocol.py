@@ -398,6 +398,7 @@ class TestHttpErrorPaths:
         status, stats = _with_server(server, scenario)
         assert status == 200
         assert stats["requests"]["predict"] == 2
+        assert stats["predictions"] == {"total": 4, "coalesced": 0}
         assert stats["cache"]["hits"] == 2 and stats["cache"]["misses"] == 2
         assert stats["batches"] == {"count": 1, "entries": 2, "max": 2, "mean": 2.0}
         assert stats["latency"]["count"] == 2
