@@ -93,7 +93,9 @@ def test_importing_the_cli_does_not_import_scipy():
     # starts faster and smaller when its import waits for them.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
     code = (
         "import sys, repro.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
