@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from pathlib import Path
 
+import numpy as np
+
+from repro.core import MappingError
 from repro.machine import Machine
+from repro.throughput import BatchedThroughputEvaluator
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -58,3 +63,27 @@ def stratified_forms(machine: Machine, per_class: int = 1, limit: int = 24) -> l
     for cls in sorted(by_class):
         names.extend(by_class[cls][:per_class])
     return names[:limit]
+
+
+def uop_matrix(
+    evaluator: BatchedThroughputEvaluator, genome: Mapping[str, Mapping[int, int]]
+) -> np.ndarray:
+    """Scatter a genome (``name -> {mask -> multiplicity}``) into a dense
+    ``[instruction, 2^|P|]`` multiplicity matrix over ``evaluator``'s
+    instruction universe: the dense reference the kernel benches time
+    against ``bottleneck_rows``.
+
+    Instructions outside the universe are skipped (genomes may cover
+    more instructions than the experiments use).
+    """
+    size = 1 << evaluator.num_ports
+    matrix = np.zeros((len(evaluator._index), size), dtype=np.float64)
+    for name, uops in genome.items():
+        row = evaluator._index.get(name)
+        if row is None:
+            continue
+        for mask, mult in uops.items():
+            if mask <= 0 or mask >= size:
+                raise MappingError(f"mask {mask:#x} invalid for {evaluator.num_ports} ports")
+            matrix[row, mask] += float(mult)
+    return matrix

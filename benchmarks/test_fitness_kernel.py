@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from bench_lib import append_result, scaled, stratified_forms
+from bench_lib import append_result, scaled, stratified_forms, uop_matrix
 from repro.core import Experiment, ExperimentSet
 from repro.machine import MeasurementConfig, a72_machine
 from repro.pmevo import (
@@ -97,7 +97,7 @@ def _legacy_fitness(evaluator, genomes, chunk):
     )
     for start in range(0, len(genomes), chunk):
         part = genomes[start : start + chunk]
-        matrices = np.stack([evaluator.uop_matrix(genome) for genome in part])
+        matrices = np.stack([uop_matrix(evaluator, genome) for genome in part])
         predicted[start : start + len(part)] = bottleneck_rows(evaluator.counts, matrices)
     davgs = evaluator.davg_from_throughputs(predicted)
     volumes = np.empty(len(genomes), dtype=np.float64)
@@ -134,7 +134,7 @@ def _legacy_kernel(evaluator, genomes, chunk):
     )
     for start in range(0, len(genomes), chunk):
         part = genomes[start : start + chunk]
-        matrices = np.stack([evaluator.uop_matrix(genome) for genome in part])
+        matrices = np.stack([uop_matrix(evaluator, genome) for genome in part])
         predicted[start : start + len(part)] = bottleneck_rows(evaluator.counts, matrices)
     return predicted
 

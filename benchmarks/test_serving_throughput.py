@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_lib import append_result, scaled
+from bench_lib import append_result, scaled, uop_matrix
 from repro.core import Experiment, PortSpace, ThreeLevelMapping
 from repro.throughput import BatchedThroughputEvaluator, FixedMappingEvaluator, bottleneck_rows
 
@@ -210,7 +210,7 @@ def _closure_vs_dense_cpu(mapping: ThreeLevelMapping, pool: list[dict]) -> tuple
     sequences = [Experiment(seq) for seq in pool]
     evaluator = FixedMappingEvaluator(mapping)
     dense = BatchedThroughputEvaluator(sequences, mapping.instructions, NUM_PORTS)
-    uops = dense.uop_matrix(dict(mapping.items()))
+    uops = uop_matrix(dense, dict(mapping.items()))
     starts = range(0, len(sequences), BATCH)
 
     def closure():

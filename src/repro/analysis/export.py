@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import io
 
+from repro.core.experiment import Experiment
 from repro.core.mapping import ThreeLevelMapping
 from repro.core.ports import indices_from_mask, mask_size
-from repro.throughput.bottleneck import bottleneck_throughput
-from repro.core.experiment import Experiment
+from repro.throughput.predictor import MappingPredictor, predict_many
 
 __all__ = ["to_llvm_sched_model", "to_osaca_table", "reciprocal_throughputs"]
 
@@ -36,13 +36,9 @@ def _sanitize(name: str) -> str:
 
 def reciprocal_throughputs(mapping: ThreeLevelMapping) -> dict[str, float]:
     """Reciprocal throughput (cycles per instruction) per covered form."""
-    num_ports = mapping.ports.num_ports
-    return {
-        name: bottleneck_throughput(
-            mapping.uop_masses(Experiment({name: 1})), num_ports
-        )
-        for name in mapping.instructions
-    }
+    singletons = [Experiment({name: 1}) for name in mapping.instructions]
+    predicted = predict_many(MappingPredictor(mapping), singletons)
+    return dict(zip(mapping.instructions, predicted.tolist()))
 
 
 def to_llvm_sched_model(mapping: ThreeLevelMapping, model_name: str = "PMEvoModel") -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.experiment import Experiment, ExperimentSet
-from repro.throughput.predictor import ThroughputPredictor
+from repro.throughput.predictor import ThroughputPredictor, predict_many
 
 __all__ = ["mape", "pearson_cc", "spearman_cc", "AccuracyReport", "evaluate_predictor"]
 
@@ -146,7 +146,7 @@ def evaluate_predictor(
     """Evaluate a predictor against measured experiments."""
     experiments: Sequence[Experiment] = benchmark.experiments
     measured = np.array(benchmark.throughputs)
-    predicted = np.array([predictor.predict(e) for e in experiments])
+    predicted = predict_many(predictor, experiments)
     p, m = _validate(predicted, measured)
     return AccuracyReport(
         predictor=predictor.name,

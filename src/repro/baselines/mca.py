@@ -18,13 +18,13 @@ shapes.
 
 Prediction uses the same analytical throughput model over the hand-written
 mapping (llvm-mca's dispatch/queue simulation adds nothing for
-dependency-free, frontend-light experiments).
+dependency-free, frontend-light experiments): :class:`LLVMMCAPredictor` is a
+:class:`MappingPredictor` that only chooses the mapping.
 """
 
 from __future__ import annotations
 
 from repro.core.errors import ISAError
-from repro.core.experiment import Experiment
 from repro.core.isa import ISA
 from repro.core.mapping import ThreeLevelMapping
 from repro.core.ports import PortSpace
@@ -207,21 +207,11 @@ def mca_scheduling_model(machine: Machine) -> ThreeLevelMapping:
     return ThreeLevelMapping(ports, assignment)
 
 
-class LLVMMCAPredictor:
+class LLVMMCAPredictor(MappingPredictor):
     """Analytical throughput over the hand-written scheduling model."""
 
     def __init__(self, machine: Machine):
-        self.name = "llvm-mca"
-        self._inner = MappingPredictor(
-            mca_scheduling_model(machine), name=self.name, backend="bottleneck"
-        )
-
-    @property
-    def mapping(self) -> ThreeLevelMapping:
-        return self._inner.mapping
-
-    def predict(self, experiment: Experiment) -> float:
-        return self._inner.predict(experiment)
+        super().__init__(mca_scheduling_model(machine), name="llvm-mca")
 
     def __repr__(self) -> str:
         return "LLVMMCAPredictor()"

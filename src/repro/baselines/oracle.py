@@ -4,7 +4,8 @@ Abel and Reineke's uops.info provides measured per-instruction port usage
 for Intel cores — in our setting, the machine's *published* ground-truth
 mapping (visible µops; hidden quirks and blocking behaviour excluded, since
 per-port µop counters cannot see either).  Throughput prediction is the
-analytical model over that mapping.
+analytical model over that mapping: a :class:`MappingPredictor` that only
+chooses which mapping.
 
 This is the strongest mapping-based baseline and is only "available" for
 the SKL preset, mirroring the paper (uops.info only covers Intel).
@@ -13,14 +14,13 @@ the SKL preset, mirroring the paper (uops.info only covers Intel).
 from __future__ import annotations
 
 from repro.core.errors import ISAError
-from repro.core.experiment import Experiment
 from repro.machine.measurement import Machine
 from repro.throughput.predictor import MappingPredictor
 
 __all__ = ["UopsInfoPredictor"]
 
 
-class UopsInfoPredictor:
+class UopsInfoPredictor(MappingPredictor):
     """Analytical throughput from the machine's published port mapping."""
 
     #: Machines uops.info covers, as in the paper's evaluation.
@@ -32,18 +32,7 @@ class UopsInfoPredictor:
                 f"uops.info-style data is only available for {self.SUPPORTED}, "
                 f"not {machine.name!r} (pass enforce_support=False to override)"
             )
-        self.name = "uops.info"
-        self._inner = MappingPredictor(
-            machine.ground_truth_mapping(), name=self.name, backend="bottleneck"
-        )
-
-    @property
-    def mapping(self):
-        """The published mapping this oracle predicts with."""
-        return self._inner.mapping
-
-    def predict(self, experiment: Experiment) -> float:
-        return self._inner.predict(experiment)
+        super().__init__(machine.ground_truth_mapping(), name="uops.info")
 
     def __repr__(self) -> str:
         return "UopsInfoPredictor()"

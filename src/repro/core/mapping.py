@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
 from repro.core.errors import MappingError
 from repro.core.experiment import Experiment
@@ -109,16 +108,6 @@ class TwoLevelMapping:
         return f"TwoLevelMapping({len(self)} instructions, {self.ports.num_ports} ports)"
 
 
-@dataclass(frozen=True)
-class _UopEdge:
-    """One labeled edge ``(i, n, u)`` of a three-level mapping, resolved to
-    the instruction it belongs to."""
-
-    instruction: str
-    multiplicity: int
-    mask: int
-
-
 class ThreeLevelMapping:
     """A three-level port mapping (Definition 4).
 
@@ -174,12 +163,6 @@ class ThreeLevelMapping:
     def items(self) -> Iterator[tuple[str, dict[int, int]]]:
         for name, uops in self._assignment.items():
             yield name, dict(uops)
-
-    def edges(self) -> Iterator[_UopEdge]:
-        """Iterate over all labeled instruction→µop edges ``(i, n, u)``."""
-        for name, uops in self._assignment.items():
-            for mask, count in uops.items():
-                yield _UopEdge(name, count, mask)
 
     def distinct_uops(self) -> tuple[int, ...]:
         """Sorted masks of all distinct µops used anywhere in the mapping.

@@ -246,10 +246,6 @@ class Machine:
 
     # -- convenience -------------------------------------------------------
 
-    def peak_ipc(self) -> float:
-        """Upper bound on sustained instructions per cycle (port count)."""
-        return float(self.config.ports.num_ports)
-
     def describe(self) -> str:
         """Short human-readable summary (used by the Table 1 bench)."""
         cfg = self.config

@@ -7,16 +7,19 @@ aggressively vectorized bottleneck implementation.  The two evaluators
 differ in what they hold fixed:
 
 * :class:`BatchedThroughputEvaluator` fixes the experiment set (``X`` is
-  built once) and streams candidate mappings, scattered over all ``2^|P|``
-  masks, through :func:`repro.throughput.bottleneck.bottleneck_rows`.  The
-  evolver hands it a whole :class:`repro.pmevo.packed.PackedPopulation` per
+  built once) and streams candidate mappings through it.  The evolver
+  hands it a whole :class:`repro.pmevo.packed.PackedPopulation` per
   generation (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`),
-  scattered with one vectorized add per µop slot into a reusable
-  :class:`PackedWorkspace`.  Local search and the final ``D_avg`` pass one
-  dict genome at a time (:meth:`~BatchedThroughputEvaluator.throughputs`).
+  scattered over all ``2^|P|`` masks with one vectorized add per µop slot
+  into a reusable :class:`PackedWorkspace` and evaluated by
+  :func:`repro.throughput.bottleneck.bottleneck_rows`.  Local search and
+  the final ``D_avg`` pass one dict genome at a time
+  (:meth:`~BatchedThroughputEvaluator.throughputs`), a product of ``X``
+  with that genome's union-closure table.
 * :class:`FixedMappingEvaluator` fixes the mapping, tabulated once over the
   union closure of its masks, and streams batches of instruction sequences
-  through it — the hot path of the prediction serving layer.
+  through it — the hot path of the prediction serving layer and of every
+  :class:`~repro.throughput.predictor.MappingPredictor`.
 
 Counts and multiplicities are integers, so every sum is exact: the packed,
 dict and fixed-mapping paths agree bit for bit with each other and with
@@ -141,34 +144,6 @@ class BatchedThroughputEvaluator:
     def num_experiments(self) -> int:
         return len(self.experiments)
 
-    def uop_matrix(self, genome: Mapping[str, Mapping[int, int]]) -> np.ndarray:
-        """Scatter a genome (``name -> {mask -> multiplicity}``) into a dense
-        ``[instruction, 2^|P|]`` multiplicity matrix.
-
-        Instructions outside the universe are skipped (genomes may cover
-        more instructions than the experiments use).
-        """
-        size = 1 << self.num_ports
-        matrix = np.zeros((len(self._index), size), dtype=np.float64)
-        for name, uops in genome.items():
-            row = self._index.get(name)
-            if row is None:
-                continue
-            for mask, mult in uops.items():
-                if mask <= 0 or mask >= size:
-                    raise MappingError(f"mask {mask:#x} invalid for {self.num_ports} ports")
-                matrix[row, mask] += float(mult)
-        return matrix
-
-    def _validate_covers(self, matrix: np.ndarray) -> None:
-        # Every instruction used by some experiment must have at least one µop.
-        used = self.counts.sum(axis=0) > 0
-        has_uop = matrix.sum(axis=1) > 0
-        missing = used & ~has_uop
-        if missing.any():
-            names = [self.instruction_names[i] for i in np.nonzero(missing)[0]]
-            raise MappingError(f"instructions without µops: {names}")
-
     # -- the packed population path (the EA hot loop) ------------------------
 
     def packed_workspace(self, capacity: int) -> PackedWorkspace:
@@ -200,7 +175,7 @@ class BatchedThroughputEvaluator:
         ``np.add.at``, which exists for the duplicate-index case, at a
         fraction of its cost).  Unused slots carry mask 0 *and* multiplicity
         0, so they add zero to the empty-set column, which therefore stays
-        zero — exactly as in :meth:`uop_matrix`.
+        zero.
         """
         chunk = masks.shape[0]
         target = workspace.uops[:chunk]
@@ -247,11 +222,28 @@ class BatchedThroughputEvaluator:
     def throughputs(
         self, mapping: ThreeLevelMapping | Mapping[str, Mapping[int, int]]
     ) -> np.ndarray:
-        """Predicted throughput per experiment for a mapping or raw genome."""
+        """Predicted throughput per experiment for a mapping or raw genome:
+        ``X`` times the genome's union-closure table.  Instructions outside
+        the universe are skipped (genomes may cover more than ``X`` uses).
+        """
         genome = dict(mapping.items()) if isinstance(mapping, ThreeLevelMapping) else mapping
-        matrix = self.uop_matrix(genome)
-        self._validate_covers(matrix)
-        return bottleneck_rows(self.counts, matrix)
+        rows = [genome.get(name, {}) for name in self.instruction_names]
+        size = 1 << self.num_ports
+        for row in rows:
+            for mask in row:
+                if mask <= 0 or mask >= size:
+                    raise MappingError(f"mask {mask:#x} invalid for {self.num_ports} ports")
+        # Every instruction used by some experiment must have at least one µop.
+        used = self.counts.any(axis=0)
+        missing = [
+            name
+            for name, row, needed in zip(self.instruction_names, rows, used)
+            if needed and sum(row.values()) <= 0
+        ]
+        if missing:
+            raise MappingError(f"instructions without µops: {missing}")
+        table, sizes = closure_table(rows)
+        return bottleneck_max(self.counts @ table, sizes)
 
     def davg(
         self, mapping: ThreeLevelMapping | Mapping[str, Mapping[int, int]]

@@ -17,15 +17,18 @@ Three implementations with identical results:
 * :func:`bottleneck_throughput_dense` — the same enumeration, expressed as a
   superset-sum (zeta transform) over the dense ``2^|P|`` mask space by
   :func:`bottleneck_rows`.  Θ(|P|·2^|P|) with small constants; this is the
-  vectorized algorithm whose scaling the paper's Figure 8 measures, and the
-  kernel the evolver and local search run on stacks of candidate mappings.
+  vectorized algorithm whose scaling the paper's Figure 8 measures.
+  :func:`bottleneck_rows` has one other caller: the evolver's packed
+  population path, which evaluates a whole stack of candidate mappings.
 * :func:`bottleneck_throughput` — the closure variant.  An optimal
   bottleneck set can be assumed to be a *union of occurring µop masks*:
   dropping a port that completes no occurring mask keeps the numerator and
   shrinks ``|Q|``.  :func:`closure_table` tabulates the numerators over the
   union closure ``L`` of the masks only, so its cost follows the number of
   distinct masks, not ``|P|``, and no array of length ``2^|P|`` exists.
-  Serving's fixed-mapping evaluator builds the same table once per mapping.
+  Every evaluation of a *single* mapping builds this table once: local
+  search and the final ``D_avg``, serving, the predictors, mapping
+  comparison and export.
 
 Dense and closure end in the same tail, :func:`bottleneck_max`.
 """

@@ -4,6 +4,10 @@ Everything that can predict a throughput (cycles per steady-state iteration)
 for an experiment — inferred port mappings, ground-truth oracles, the
 IACA/llvm-mca/Ithemal-style baselines — implements :class:`ThroughputPredictor`
 so the evaluation harness (Tables 3/4, Figures 6/7) can treat them uniformly.
+
+:class:`MappingPredictor` answers from its mapping's union-closure table, built
+once in a :class:`~repro.throughput.batched.FixedMappingEvaluator`; the
+uops.info and llvm-mca baselines are subclasses that only choose the mapping.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import numpy as np
 
 from repro.core.experiment import Experiment
 from repro.core.mapping import ThreeLevelMapping, TwoLevelMapping
-from repro.throughput.bottleneck import bottleneck_throughput
-from repro.throughput.lp import lp_throughput_masses
+from repro.throughput.batched import FixedMappingEvaluator
 
 __all__ = ["ThroughputPredictor", "MappingPredictor", "predict_many"]
 
@@ -45,12 +48,16 @@ class MappingPredictor:
     Parameters
     ----------
     mapping:
-        A two- or three-level port mapping.
+        A two- or three-level port mapping (a two-level one is lifted with
+        :meth:`~repro.core.mapping.TwoLevelMapping.to_three_level`).
     name:
         Display name used in reports (defaults to ``"mapping"``).
     backend:
-        ``"bottleneck"`` (default) or ``"lp"`` — which solver evaluates the
-        analytical model.  Both compute the same optimum.
+        Only ``"bottleneck"`` is accepted; anything else raises
+        :class:`ValueError`.
+
+    :meth:`predict` raises :class:`~repro.core.errors.ExperimentError` for
+    an instruction the mapping does not cover.
     """
 
     def __init__(
@@ -59,18 +66,16 @@ class MappingPredictor:
         name: str = "mapping",
         backend: str = "bottleneck",
     ):
-        if backend not in ("bottleneck", "lp"):
+        if backend != "bottleneck":
             raise ValueError(f"unknown backend {backend!r}")
         self.mapping = mapping
         self.name = name
-        self.backend = backend
+        if isinstance(mapping, TwoLevelMapping):
+            mapping = mapping.to_three_level()
+        self._evaluator = FixedMappingEvaluator(mapping)
 
     def predict(self, experiment: Experiment) -> float:
-        masses = self.mapping.uop_masses(experiment)
-        num_ports = self.mapping.ports.num_ports
-        if self.backend == "lp":
-            return lp_throughput_masses(masses, num_ports)
-        return bottleneck_throughput(masses, num_ports)
+        return self._evaluator.throughput(experiment)
 
     def __repr__(self) -> str:
-        return f"MappingPredictor({self.name!r}, backend={self.backend!r})"
+        return f"MappingPredictor({self.name!r})"

@@ -1,5 +1,8 @@
 """Tests for the baseline predictors (Section 5.3 comparisons)."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,17 @@ from repro.baselines import (
     UopsInfoPredictor,
     mca_scheduling_model,
 )
-from repro.core import Experiment, ExperimentSet, ISAError
-from repro.machine import MeasurementConfig, a72_machine, skl_machine, zen_machine
+from repro.core import Experiment, ExperimentSet, ISAError, TwoLevelMapping
+from repro.machine import (
+    PRESET_NAMES,
+    MeasurementConfig,
+    a72_machine,
+    preset_machine,
+    skl_machine,
+    zen_machine,
+)
 from repro.pmevo import random_experiments
+from repro.throughput import MappingPredictor, bottleneck_throughput
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +45,28 @@ def skl_bench(skl):
     for experiment in experiments:
         bench.add(experiment, skl.measure(experiment))
     return bench
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_mapping_predictors_equal_per_experiment_bottleneck(name):
+    # Every mapping-based predictor answers from its mapping's union-closure
+    # table; that must be Equation 1 on the experiment's µop masses, bit for
+    # bit, for three-level and two-level mappings alike.
+    machine = preset_machine(name, MeasurementConfig(noisy=False))
+    truth = machine.ground_truth_mapping()
+    two_level = TwoLevelMapping(
+        truth.ports,
+        {n: functools.reduce(operator.or_, truth.uops_of(n)) for n in truth.instructions},
+    )
+    predictors = [MappingPredictor(truth), MappingPredictor(two_level), LLVMMCAPredictor(machine)]
+    if name in UopsInfoPredictor.SUPPORTED:
+        predictors.append(UopsInfoPredictor(machine))
+    experiments = random_experiments(truth.instructions, size=5, count=300, seed=5)
+    num_ports = truth.ports.num_ports
+    for predictor in predictors:
+        for experiment in experiments:
+            masses = predictor.mapping.uop_masses(experiment)
+            assert predictor.predict(experiment) == bottleneck_throughput(masses, num_ports)
 
 
 class TestUopsInfo:

@@ -66,6 +66,12 @@ class TestAgainstScalarModel:
         scalar = [predictor.predict(e) for e in evaluator.experiments]
         assert batched == pytest.approx(scalar)
 
+    def test_predictor_backend_is_bottleneck_only(self, simple_setup):
+        _, mapping = simple_setup
+        assert MappingPredictor(mapping, backend="bottleneck").name == "mapping"
+        with pytest.raises(ValueError):
+            MappingPredictor(mapping, backend="lp")
+
     def test_davg_definition(self, simple_setup):
         evaluator, mapping = simple_setup
         predicted = evaluator.throughputs(mapping)
@@ -83,7 +89,7 @@ class TestAgainstScalarModel:
         evaluator, _ = simple_setup
         genome = {"add": {0b1000: 1}, "mul": {1: 1}, "store": {1: 1}}
         with pytest.raises(MappingError):
-            evaluator.uop_matrix(genome)
+            evaluator.throughputs(genome)
 
     def test_extra_instructions_in_genome_ignored(self, simple_setup):
         evaluator, mapping = simple_setup
@@ -204,6 +210,8 @@ class TestFixedMappingEvaluator:
         mapping, batch = mapping_and_batch
         num_ports = mapping.ports.num_ports
         fixed = FixedMappingEvaluator(mapping).throughputs(batch)
+        batched = BatchedThroughputEvaluator(batch, mapping.instructions, num_ports)
+        assert batched.throughputs(mapping).tolist() == fixed.tolist()
         for experiment, predicted in zip(batch, fixed.tolist()):
             masses = mapping.uop_masses(experiment)
             assert predicted == bottleneck_throughput(masses, num_ports)

@@ -25,6 +25,7 @@ The properties pinned here:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import tempfile
 import threading
@@ -68,19 +69,19 @@ def _random_problem(seed: int, num_sequences: int = 12):
     return mapping, sequences
 
 
+@contextlib.contextmanager
 def _server_for(mapping, mapping_id="m"):
-    """A PredictionServer over a throwaway on-disk artifact.
+    """A PredictionServer over a throwaway on-disk artifact, which lives
+    as long as the ``with`` block.
 
     Plain tempfile (not the tmp_path fixture): hypothesis runs many examples
     per test invocation and function-scoped fixtures are not reset between
     them.
     """
-    tmp = tempfile.TemporaryDirectory()
-    path = Path(tmp.name) / f"{mapping_id}.json"
-    path.write_text(mapping.to_json())
-    server = PredictionServer(MappingRegistry([(mapping_id, path)]))
-    server._tmp = tmp  # keep the directory alive as long as the server
-    return server
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{mapping_id}.json"
+        path.write_text(mapping.to_json())
+        yield PredictionServer(MappingRegistry([(mapping_id, path)]))
 
 
 def _payload(sequences):
@@ -109,11 +110,10 @@ class TestServedEqualsDirect:
     @given(seed=st.integers(0, 10_000))
     def test_cold_warm_coalesced_and_direct_bit_identical(self, seed):
         mapping, sequences = _random_problem(seed)
-        server = _server_for(mapping)
-
-        cold, cold_cached = _served(server, sequences)
+        with _server_for(mapping) as server:
+            cold, cold_cached = _served(server, sequences)
+            warm, warm_cached = _served(server, sequences)
         assert not any(cold_cached)
-        warm, warm_cached = _served(server, sequences)
         assert all(warm_cached)
         assert np.array_equal(cold, warm)
 
@@ -157,26 +157,26 @@ class TestServedEqualsDirect:
         # evaluates its misses on the loop's own thread without yielding, so
         # the others find every sequence cached — all see identical floats.
         mapping, sequences = _random_problem(seed, num_sequences=8)
-        server = _server_for(mapping)
         overlap = sequences[: len(sequences) // 2 + 1]
-        evaluator = server.registry.get("m").evaluator
-        evaluate = evaluator.throughputs
         threads = []
+        with _server_for(mapping) as server:
+            evaluator = server.registry.get("m").evaluator
+            evaluate = evaluator.throughputs
 
-        def recording(batch):
-            threads.append(threading.get_ident())
-            return evaluate(batch)
+            def recording(batch):
+                threads.append(threading.get_ident())
+                return evaluate(batch)
 
-        evaluator.throughputs = recording
+            evaluator.throughputs = recording
 
-        async def fire():
-            return await asyncio.gather(
-                server.handle_predict(_payload(sequences)),
-                server.handle_predict(_payload(overlap)),
-                server.handle_predict(_payload(list(reversed(sequences)))),
-            )
+            async def fire():
+                return await asyncio.gather(
+                    server.handle_predict(_payload(sequences)),
+                    server.handle_predict(_payload(overlap)),
+                    server.handle_predict(_payload(list(reversed(sequences)))),
+                )
 
-        (s1, b1), (s2, b2), (s3, b3) = asyncio.run(fire())
+            (s1, b1), (s2, b2), (s3, b3) = asyncio.run(fire())
         assert s1 == s2 == s3 == 200
         direct = _direct_single(mapping, sequences)
         assert np.array_equal(np.array(b1["throughputs"]), direct)
@@ -190,11 +190,11 @@ class TestServedEqualsDirect:
     @given(seed=st.integers(0, 10_000))
     def test_list_and_count_spellings_share_results_and_cache(self, seed):
         mapping, sequences = _random_problem(seed, num_sequences=6)
-        server = _server_for(mapping)
         as_counts = {"sequences": [dict(seq) for seq in sequences]}
         as_lists = {"sequences": [list(seq.instances()) for seq in sequences]}
-        _, body_counts = asyncio.run(server.handle_predict(as_counts))
-        _, body_lists = asyncio.run(server.handle_predict(as_lists))
+        with _server_for(mapping) as server:
+            _, body_counts = asyncio.run(server.handle_predict(as_counts))
+            _, body_lists = asyncio.run(server.handle_predict(as_lists))
         assert body_counts["throughputs"] == body_lists["throughputs"]
         # The list spelling canonicalized onto the cached multiset entries.
         assert all(body_lists["cached"])
@@ -206,9 +206,8 @@ class TestServedOverHttp:
         # JSON body, equal the direct backend bit for bit (json round-trips
         # IEEE doubles exactly via repr shortest-round-trip).
         mapping, sequences = _random_problem(7)
-        server = _server_for(mapping)
 
-        async def drive():
+        async def drive(server):
             host, port = await server.start("127.0.0.1", 0)
             reader, writer = await asyncio.open_connection(host, port)
             payload = json.dumps(_payload(sequences)).encode()
@@ -231,7 +230,8 @@ class TestServedOverHttp:
             await server.shutdown()
             return status_line, json.loads(body)
 
-        status_line, body = asyncio.run(drive())
+        with _server_for(mapping) as server:
+            status_line, body = asyncio.run(drive(server))
         assert b"200" in status_line
         direct = _direct_single(mapping, sequences)
         assert np.array_equal(np.array(body["throughputs"], dtype=np.float64), direct)

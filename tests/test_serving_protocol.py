@@ -275,10 +275,17 @@ class TestRegistryAndReload:
 
 
 class _Client:
-    """A tiny keep-alive HTTP client against an in-process server."""
+    """A tiny keep-alive HTTP client against an in-process server; a
+    context manager that closes its connection."""
 
     def __init__(self, host, port):
         self.conn = http.client.HTTPConnection(host, port, timeout=5)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.conn.close()
 
     def request(self, method, path, body=None, headers=None):
         raw = None if body is None else (
@@ -310,17 +317,17 @@ class TestHttpErrorPaths:
 
     def test_http_error_statuses_are_structured_4xx(self, server):
         def scenario(host, port):
-            client = _Client(host, port)
-            checks = []
-            checks.append(client.request("POST", "/v1/predict", body=b"{nope"))
-            checks.append(client.request("POST", "/v1/predict", body={"sequences": [["fdiv"]]}))
-            checks.append(client.request("POST", "/v1/predict", body={"mapping": "x", "sequences": [["add"]]}))
-            checks.append(client.request("POST", "/v1/predict", body={"sequences": [["add"]] * 9}))
-            checks.append(client.request("GET", "/nope"))
-            checks.append(client.request("DELETE", "/v1/predict", body=b""))
-            # The connection survived every error and still serves:
-            checks.append(client.request("POST", "/v1/predict", body={"sequences": [["add"]]}))
-            return checks
+            with _Client(host, port) as client:
+                checks = []
+                checks.append(client.request("POST", "/v1/predict", body=b"{nope"))
+                checks.append(client.request("POST", "/v1/predict", body={"sequences": [["fdiv"]]}))
+                checks.append(client.request("POST", "/v1/predict", body={"mapping": "x", "sequences": [["add"]]}))
+                checks.append(client.request("POST", "/v1/predict", body={"sequences": [["add"]] * 9}))
+                checks.append(client.request("GET", "/nope"))
+                checks.append(client.request("DELETE", "/v1/predict", body=b""))
+                # The connection survived every error and still serves:
+                checks.append(client.request("POST", "/v1/predict", body={"sequences": [["add"]]}))
+                return checks
 
         results = _with_server(server, scenario)
         statuses = [status for status, _ in results]
@@ -336,10 +343,10 @@ class TestHttpErrorPaths:
         server = PredictionServer(MappingRegistry([("heavy", path)]))
 
         def scenario(host, port):
-            client = _Client(host, port)
-            rejected = client.request("POST", "/v1/predict", body={"sequences": [{"a": 3, "b": 1}]})
-            served = client.request("POST", "/v1/predict", body={"sequences": [{"a": 1, "b": 1}]})
-            return rejected, served
+            with _Client(host, port) as client:
+                rejected = client.request("POST", "/v1/predict", body={"sequences": [{"a": 3, "b": 1}]})
+                served = client.request("POST", "/v1/predict", body={"sequences": [{"a": 1, "b": 1}]})
+                return rejected, served
 
         (status, body), (served_status, served_body) = _with_server(server, scenario)
         assert status == 400
@@ -351,10 +358,10 @@ class TestHttpErrorPaths:
         server = PredictionServer(registry, max_body_bytes=1024)
 
         def scenario(host, port):
-            client = _Client(host, port)
-            huge = json.dumps({"sequences": [["add"]] * 2000})
-            assert len(huge) > 1024
-            return client.request("POST", "/v1/predict", body=huge)
+            with _Client(host, port) as client:
+                huge = json.dumps({"sequences": [["add"]] * 2000})
+                assert len(huge) > 1024
+                return client.request("POST", "/v1/predict", body=huge)
 
         status, body = _with_server(server, scenario)
         assert status == 413
@@ -377,12 +384,12 @@ class TestHttpErrorPaths:
 
     def test_reload_over_http(self, tmp_path, other_mapping, server):
         def scenario(host, port):
-            client = _Client(host, port)
-            first = client.request("POST", "/v1/predict", body={"sequences": [["add"]]})
-            (tmp_path / "toy.json").write_text(other_mapping.to_json())
-            reload_response = client.request("POST", "/v1/reload", body=b"")
-            second = client.request("POST", "/v1/predict", body={"sequences": [["add"]]})
-            return first, reload_response, second
+            with _Client(host, port) as client:
+                first = client.request("POST", "/v1/predict", body={"sequences": [["add"]]})
+                (tmp_path / "toy.json").write_text(other_mapping.to_json())
+                reload_response = client.request("POST", "/v1/reload", body=b"")
+                second = client.request("POST", "/v1/predict", body={"sequences": [["add"]]})
+                return first, reload_response, second
 
         first, reload_response, second = _with_server(server, scenario)
         assert reload_response[0] == 200 and reload_response[1]["reloaded"] == ["toy"]
@@ -390,10 +397,10 @@ class TestHttpErrorPaths:
 
     def test_stats_surface(self, server):
         def scenario(host, port):
-            client = _Client(host, port)
-            client.request("POST", "/v1/predict", body={"sequences": [["add"], ["mul"]]})
-            client.request("POST", "/v1/predict", body={"sequences": [["add"], ["mul"]]})
-            return client.request("GET", "/v1/stats")
+            with _Client(host, port) as client:
+                client.request("POST", "/v1/predict", body={"sequences": [["add"], ["mul"]]})
+                client.request("POST", "/v1/predict", body={"sequences": [["add"], ["mul"]]})
+                return client.request("GET", "/v1/stats")
 
         status, stats = _with_server(server, scenario)
         assert status == 200

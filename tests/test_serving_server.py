@@ -99,6 +99,7 @@ class ServeProcess:
                 continue
             if line is None:
                 stderr = self.proc.stderr.read()
+                self.kill()
                 raise AssertionError(
                     f"server exited before binding; stdout: {self.lines}; stderr: {stderr}"
                 )
@@ -122,14 +123,22 @@ class ServeProcess:
     def terminate_and_wait(self, timeout: float = 20.0) -> int:
         self.proc.send_signal(signal.SIGTERM)
         code = self.proc.wait(timeout=timeout)
-        self._reader.join(timeout=5)
-        self.drain_stdout()
+        self._close_pipes()
         return code
 
     def kill(self) -> None:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait(timeout=10)
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        """Once the process has exited: let the reader reach EOF, keep its
+        lines, and close both pipes."""
+        self._reader.join(timeout=5)
+        self.drain_stdout()
+        self.proc.stdout.close()
+        self.proc.stderr.close()
 
 
 @pytest.fixture
