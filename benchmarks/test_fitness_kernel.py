@@ -15,13 +15,16 @@ interesting numbers here are genomes/second through each path, on two
 problem shapes:
 
 * ``a72`` — a real machine subsample (7 ports, pair experiments).  Here
-  the dense einsum/zeta math over the ``2^|P|`` mask space dominates both
-  paths equally, so the packed win is the workspace reuse and the removal
-  of per-genome allocation churn — real but modest.
+  the math over the ``2^|P|`` mask space dominates.  The legacy path
+  zeta-transforms every experiment's mass row and divides all ``2^|P|``
+  masses; the packed kernel zeta-transforms each genome's µop stack
+  instead (16 instruction rows against 214 experiment rows), multiplies
+  by the counts one port-set size at a time and divides only the ``|P|``
+  per-size maxima.  It must be >= 2x cheaper in CPU here.
 * ``wide-isa`` — many instruction forms over a small port count (the
   Figure 8a low-port regime).  Here the per-genome Python traffic is the
-  wall, and packing removes it wholesale; this is the regime the >= 3x
-  acceptance bar targets.
+  wall, and packing removes it wholesale; the best of the two shapes must
+  reach >= 3x.
 
 Each path is timed as best-of-N process CPU seconds
 (:func:`time.process_time`), which hypervisor steal cannot inflate the way
@@ -55,6 +58,7 @@ CHUNK = 64
 REPEATS = 3
 EVOLVER_GENERATIONS = 8
 MIN_SPEEDUP = 3.0
+MIN_A72_SPEEDUP = 2.0
 
 
 def _a72_problem():
@@ -227,4 +231,8 @@ def test_fitness_kernel_speedup():
     assert best >= MIN_SPEEDUP, (
         f"packed kernel peaks at {best:.2f}x the legacy path "
         f"(need >= {MIN_SPEEDUP}x)"
+    )
+    assert a72_speedup >= MIN_A72_SPEEDUP, (
+        f"packed kernel is {a72_speedup:.2f}x the legacy path on a72 "
+        f"(need >= {MIN_A72_SPEEDUP}x)"
     )

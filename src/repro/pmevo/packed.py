@@ -27,8 +27,9 @@ same downstream evolution bit for bit.
 Population-scale consumers:
 
 * :meth:`repro.throughput.batched.BatchedThroughputEvaluator.throughputs_from_packed`
-  evaluates all genomes with one vectorized scatter per slot axis — no
-  Python per-genome loops (the tentpole kernel).
+  evaluates all genomes block by block, with one vectorized scatter per
+  slot axis into a µop stack that is zeta-transformed once per
+  instruction — no Python per-genome loops.
 * :meth:`PackedPopulation.volumes` computes every genome's µop volume
   ``V = Σ n·|u|`` in one vectorized pass.
 * :meth:`PackedPopulation.to_npz_base64` /

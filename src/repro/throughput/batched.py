@@ -9,13 +9,13 @@ differ in what they hold fixed:
 * :class:`BatchedThroughputEvaluator` fixes the experiment set (``X`` is
   built once) and streams candidate mappings through it.  The evolver
   hands it a whole :class:`repro.pmevo.packed.PackedPopulation` per
-  generation (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`),
-  scattered over all ``2^|P|`` masks with one vectorized add per µop slot
-  into a reusable :class:`PackedWorkspace` and evaluated by
-  :func:`repro.throughput.bottleneck.bottleneck_rows`.  Local search and
-  the final ``D_avg`` pass one dict genome at a time
-  (:meth:`~BatchedThroughputEvaluator.throughputs`), a product of ``X``
-  with that genome's union-closure table.
+  generation (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`):
+  each block of genomes is scattered into a mask-major µop stack inside a
+  reusable :class:`PackedWorkspace`, zeta transformed there (per
+  instruction, not per experiment), and multiplied by ``X`` one port-set
+  size at a time.  Local search and the final ``D_avg`` pass one dict
+  genome at a time (:meth:`~BatchedThroughputEvaluator.throughputs`), a
+  product of ``X`` with that genome's union-closure table.
 * :class:`FixedMappingEvaluator` fixes the mapping, tabulated once over the
   union closure of its masks, and streams batches of instruction sequences
   through it — the hot path of the prediction serving layer and of every
@@ -29,6 +29,8 @@ however the work is batched or chunked.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -37,7 +39,12 @@ import numpy as np
 from repro.core.errors import ExperimentError, MappingError
 from repro.core.experiment import Experiment, ExperimentSet
 from repro.core.mapping import ThreeLevelMapping
-from repro.throughput.bottleneck import bottleneck_max, bottleneck_rows, closure_table
+from repro.throughput.bottleneck import (
+    bottleneck_max,
+    closure_table,
+    popcounts,
+    zeta_transform,
+)
 
 if TYPE_CHECKING:  # import would cycle through repro.pmevo at runtime
     from repro.pmevo.packed import PackedPopulation
@@ -63,35 +70,48 @@ def _count_matrix(experiments: Sequence[Experiment], index: Mapping[str, int]) -
     return counts
 
 
+@functools.lru_cache(maxsize=None)
+def _sets_by_size(num_ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty port sets in order of size, and where each size starts:
+    the sets of ``k`` ports are ``order[bounds[k - 1] : bounds[k]]``, so the
+    last set is the full port set."""
+    order = np.argsort(popcounts(num_ports)[1:], kind="stable") + 1
+    bounds = np.cumsum([0] + [math.comb(num_ports, k) for k in range(1, num_ports + 1)])
+    order.flags.writeable = bounds.flags.writeable = False  # shared by every call
+    return order, bounds
+
+
 class PackedWorkspace:
     """Preallocated buffers for packed-population evaluation.
 
-    Owns the dense scatter target (``[capacity, instruction, 2^|P|]``), the
-    mass workspace (``[capacity, experiment, 2^|P|]``), and the broadcast
-    index grids the per-slot ``np.add.at`` scatter uses.  One workspace is
-    allocated per evolver and reused for every generation; populations
-    larger than ``capacity`` are evaluated in capacity-sized chunks through
-    the same buffers.
+    A block of up to ``capacity`` genomes passes through four flat buffers,
+    each viewed at the block's size from its start:
 
-    ``masses`` is a ``[capacity, experiment, 2^|P|]`` *view* of a buffer
-    whose memory order is ``[capacity, 2^|P|, experiment]`` — the layout the
-    contraction in :func:`numpy.einsum` naturally produces, which keeps the
-    zeta transform's strided half-block adds on long contiguous runs
-    (measurably faster than the C-order view, with bit-identical results).
+    * ``stack`` — the block's µops, mask-major ``[2^|P|, block·U]`` over the
+      ``U`` instruction columns some experiment uses (column ``g·U + i``),
+      zeta transformed in place;
+    * ``sets`` — the stack's nonempty rows in order of port-set size;
+    * ``masses`` — the masses ``[sets, block, experiment]`` of one size's
+      sets, at most ``C(|P|, ⌊|P|/2⌋)`` of them;
+    * ``best`` — each size's largest mass, ``[|P|, block, experiment]``.
+
+    One workspace is allocated per evolver and reused for every generation;
+    populations larger than ``capacity`` are evaluated in capacity-sized
+    blocks through the same buffers.
     """
 
-    __slots__ = ("capacity", "uops", "masses", "genome_index", "instruction_index")
+    __slots__ = ("capacity", "stack", "sets", "masses", "best")
 
     def __init__(self, capacity: int, num_instructions: int, num_experiments: int, num_ports: int):
         if capacity < 1:
             raise MappingError("workspace capacity must be positive")
-        size = 1 << num_ports
+        columns = capacity * num_instructions
         self.capacity = capacity
-        self.uops = np.zeros((capacity, num_instructions, size), dtype=np.float64)
-        masses_buffer = np.empty((capacity, size, num_experiments), dtype=np.float64)
-        self.masses = masses_buffer.transpose(0, 2, 1)
-        self.genome_index = np.arange(capacity, dtype=np.intp)[:, None]
-        self.instruction_index = np.arange(num_instructions, dtype=np.intp)[None, :]
+        self.stack = np.empty((1 << num_ports) * columns, dtype=np.float64)
+        self.sets = np.empty(((1 << num_ports) - 1) * columns, dtype=np.float64)
+        widest = math.comb(num_ports, num_ports // 2)
+        self.masses = np.empty(widest * capacity * num_experiments, dtype=np.float64)
+        self.best = np.empty(num_ports * capacity * num_experiments, dtype=np.float64)
 
 
 class BatchedThroughputEvaluator:
@@ -139,6 +159,10 @@ class BatchedThroughputEvaluator:
         self.experiments = tuple(exps)
         #: ``X[experiment, instruction]``, the kernel's count matrix.
         self.counts = _count_matrix(exps, self._index)
+        # The instruction columns some experiment uses: the packed kernel
+        # stacks µops for these only.
+        self._used = np.flatnonzero(self.counts.any(axis=0))
+        self._used_counts = self.counts[:, self._used]
 
     @property
     def num_experiments(self) -> int:
@@ -149,7 +173,7 @@ class BatchedThroughputEvaluator:
     def packed_workspace(self, capacity: int) -> PackedWorkspace:
         """Allocate reusable evaluation buffers for ``capacity`` genomes."""
         return PackedWorkspace(
-            capacity, len(self.instruction_names), self.num_experiments, self.num_ports
+            capacity, len(self._used), self.num_experiments, self.num_ports
         )
 
     def _check_packed(self, packed: "PackedPopulation") -> None:
@@ -163,61 +187,82 @@ class BatchedThroughputEvaluator:
                 f"packed population holds masks invalid for {self.num_ports} ports"
             )
 
-    def _scatter_packed(
-        self, workspace: PackedWorkspace, masks: np.ndarray, mults: np.ndarray
-    ) -> np.ndarray:
-        """Scatter a chunk of packed genomes into the dense µop workspace.
-
-        One vectorized scatter-add per µop-slot axis, no Python per-genome
-        loops.  Within one slot the targets ``(genome, instruction, mask)``
-        are all distinct — every ``(genome, instruction)`` pair appears
-        exactly once — so the buffered fancy-index ``+=`` is exact (equal to
-        ``np.add.at``, which exists for the duplicate-index case, at a
-        fraction of its cost).  Unused slots carry mask 0 *and* multiplicity
-        0, so they add zero to the empty-set column, which therefore stays
-        zero.
-        """
-        chunk = masks.shape[0]
-        target = workspace.uops[:chunk]
-        target[:] = 0.0
-        genome_index = workspace.genome_index[:chunk]
-        instruction_index = workspace.instruction_index
-        for slot in range(masks.shape[2]):
-            target[genome_index, instruction_index, masks[:, :, slot]] += mults[
-                :, :, slot
-            ]
-        return target
-
     def throughputs_from_packed(
         self, packed: "PackedPopulation", workspace: PackedWorkspace | None = None
     ) -> np.ndarray:
         """Predicted throughputs for a whole packed population.
 
         Returns a ``[population, experiment]`` array equal, bit for bit, to
-        calling :meth:`throughputs` on each unpacked genome — without the
-        per-genome Python scatter that makes the dict path the EA's wall.
+        calling :meth:`throughputs` on each unpacked genome.
+
+        Per block of genomes, :meth:`_zeta_stack` gives ``stack[Q, g·U +
+        i]``, genome ``g``'s µops of instruction ``i`` inside ``Q``: the
+        zeta transform runs once per instruction, however many experiments
+        use it.  It is linear and every entry is an integer, so the masses
+        of the sets of ``k`` ports are exactly their stack rows times
+        ``X``, and their max divided by ``k`` is the max of the quotients,
+        because ``x ↦ fl(x / k)`` is monotone.
+        :func:`~repro.throughput.bottleneck.bottleneck_max` divides the
+        ``|P|`` maxima, keeps the largest and guards the last, the full port
+        set's mass (the row total), against ``2^53``.
 
         ``workspace`` holds the preallocated buffers (created on the fly
         when omitted); populations beyond its capacity are processed in
-        chunks.
+        blocks.
         """
         self._check_packed(packed)
         population = len(packed)
         if workspace is None:
             workspace = self.packed_workspace(min(population, 64))
-        out = np.empty((population, self.num_experiments), dtype=np.float64)
+        num_ports, num_experiments = self.num_ports, self.num_experiments
+        _, bounds = _sets_by_size(num_ports)
+        sizes = np.arange(1, num_ports + 1, dtype=np.float64)
+        counts_t = self._used_counts.T
+        out = np.empty((population, num_experiments), dtype=np.float64)
         for start in range(0, population, workspace.capacity):
             stop = min(start + workspace.capacity, population)
-            uops = self._scatter_packed(
-                workspace, packed.masks[start:stop], packed.mults[start:stop]
-            )
-            bottleneck_rows(
-                self.counts,
-                uops,
-                masses=workspace.masses[: stop - start],
-                out=out[start:stop],
-            )
+            sets = self._zeta_stack(workspace, packed.masks[start:stop], packed.mults[start:stop])
+            block = stop - start
+            best = workspace.best[: num_ports * block * num_experiments]
+            best = best.reshape(num_ports, block, num_experiments)
+            for k in range(num_ports):  # the sets of k + 1 ports
+                group = sets[bounds[k] : bounds[k + 1]]
+                masses = workspace.masses[: len(group) * block * num_experiments]
+                np.matmul(
+                    group.reshape(-1, counts_t.shape[0]),
+                    counts_t,
+                    out=masses.reshape(-1, num_experiments),
+                )
+                masses.reshape(len(group), block, num_experiments).max(axis=0, out=best[k])
+            bottleneck_max(best.transpose(1, 2, 0), sizes, out=out[start:stop])
         return out
+
+    def _zeta_stack(
+        self, workspace: PackedWorkspace, masks: np.ndarray, mults: np.ndarray
+    ) -> np.ndarray:
+        """Scatter one block's packed µops into the mask-major stack, zeta
+        transform it, and return its nonempty rows in order of port-set
+        size, ``[2^|P| - 1, block·U]``.
+
+        One vectorized add per µop slot: within a slot every column appears
+        once, so the buffered fancy-index ``+=`` is exact, and unused slots
+        (mask 0, multiplicity 0) add zero to the empty set's row.
+        """
+        size = 1 << self.num_ports
+        # Slot-major over the used columns: one slot is a contiguous [block, U].
+        masks = np.ascontiguousarray(masks[:, self._used].transpose(2, 0, 1), np.intp)
+        mults = np.ascontiguousarray(mults[:, self._used].transpose(2, 0, 1))
+        columns = masks[0].size
+        flat = workspace.stack[: size * columns]
+        flat.fill(0.0)
+        column = np.arange(columns)
+        for slot_masks, slot_mults in zip(masks, mults):
+            flat[slot_masks.ravel() * columns + column] += slot_mults.ravel()
+        stack = flat.reshape(size, columns)
+        zeta_transform(stack.T, self.num_ports)
+        order, _ = _sets_by_size(self.num_ports)
+        sets = workspace.sets[: (size - 1) * columns].reshape(size - 1, columns)
+        return np.take(stack, order, axis=0, out=sets, mode="clip")  # "clip": unbuffered
 
     def throughputs(
         self, mapping: ThreeLevelMapping | Mapping[str, Mapping[int, int]]

@@ -17,9 +17,11 @@ Three implementations with identical results:
 * :func:`bottleneck_throughput_dense` — the same enumeration, expressed as a
   superset-sum (zeta transform) over the dense ``2^|P|`` mask space by
   :func:`bottleneck_rows`.  Θ(|P|·2^|P|) with small constants; this is the
-  vectorized algorithm whose scaling the paper's Figure 8 measures.
-  :func:`bottleneck_rows` has one other caller: the evolver's packed
-  population path, which evaluates a whole stack of candidate mappings.
+  vectorized algorithm whose scaling the paper's Figure 8 measures.  The
+  evolver's packed population path reuses its pieces in another order: it
+  runs :func:`zeta_transform` over each genome block's µop stack, once per
+  instruction rather than once per experiment, and ends in
+  :func:`bottleneck_max` over the per-size maxima.
 * :func:`bottleneck_throughput` — the closure variant.  An optimal
   bottleneck set can be assumed to be a *union of occurring µop masks*:
   dropping a port that completes no occurring mask keeps the numerator and
@@ -30,7 +32,8 @@ Three implementations with identical results:
   search and the final ``D_avg``, serving, the predictors, mapping
   comparison and export.
 
-Dense and closure end in the same tail, :func:`bottleneck_max`.
+Dense, closure and the packed population path end in the same tail,
+:func:`bottleneck_max`.
 """
 
 from __future__ import annotations
@@ -129,13 +132,7 @@ def zeta_transform(values: np.ndarray, num_ports: int) -> np.ndarray:
     return values
 
 
-def bottleneck_rows(
-    counts: np.ndarray,
-    uops: np.ndarray,
-    *,
-    masses: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def bottleneck_rows(counts: np.ndarray, uops: np.ndarray) -> np.ndarray:
     """Equation 1 for every experiment row of ``counts``, over all ``2^|P|`` sets.
 
     ``counts[e, i]`` is how often instruction ``i`` occurs in experiment
@@ -147,9 +144,6 @@ def bottleneck_rows(
 
     The chain is: mass product ``W = counts @ uops``, zeta transform of
     ``W`` over the mask axis, division by ``|Q|``, max over ``Q``.
-    ``masses`` optionally supplies the buffer for ``W`` in any memory order
-    (the evolver passes a transposed view, which is the order the stack's
-    einsum writes naturally); ``out`` receives the maxima.
 
     Exactness contract: counts and multiplicities are non-negative
     integers, so every entry of ``W`` and every superset sum is a sum of
@@ -165,11 +159,11 @@ def bottleneck_rows(
     """
     num_ports = uops.shape[-1].bit_length() - 1
     if uops.ndim == 3:
-        masses = np.einsum("ei,piu->peu", counts, uops, out=masses, optimize=True)
+        masses = np.einsum("ei,piu->peu", counts, uops, optimize=True)
     else:
-        masses = np.matmul(counts, uops, out=masses)
+        masses = counts @ uops
     zeta_transform(masses, num_ports)
-    return bottleneck_max(masses, _divisors(num_ports), out=out)
+    return bottleneck_max(masses, _divisors(num_ports))
 
 
 def bottleneck_max(

@@ -13,6 +13,7 @@ from repro.core import (
     PortSpace,
     ThreeLevelMapping,
 )
+from repro.pmevo import PackedPopulation
 from repro.throughput import (
     EXACT_MASS_LIMIT,
     BatchedThroughputEvaluator,
@@ -154,6 +155,12 @@ def _heavy_mapping(multiplicity):
     )
 
 
+def _packed(mapping):
+    """The mapping as a one-genome packed population."""
+    genome = {name: mapping.uops_of(name) for name in mapping.instructions}
+    return PackedPopulation.from_genomes([genome], mapping.instructions)
+
+
 class TestExactnessGuard:
     """Masses are exact float64 integers only below 2^53; past it the
     kernel refuses instead of answering a rounded value."""
@@ -168,6 +175,10 @@ class TestExactnessGuard:
         batched = BatchedThroughputEvaluator([sequence], mapping.instructions, 2)
         with pytest.raises(ExperimentError):
             batched.throughputs(mapping)
+        # The packed path reads its guard from the size-|P| maximum, the
+        # full port set's mass.
+        with pytest.raises(ExperimentError):
+            batched.throughputs_from_packed(_packed(mapping))
 
     def test_mass_just_below_2_to_53_is_exact(self):
         mapping = _heavy_mapping(2**52 + 1)
@@ -179,6 +190,7 @@ class TestExactnessGuard:
         assert fixed.throughput(sequence) == expected
         batched = BatchedThroughputEvaluator([sequence], mapping.instructions, 2)
         assert batched.throughputs(mapping).tolist() == [expected]
+        assert batched.throughputs_from_packed(_packed(mapping)).tolist() == [[expected]]
 
 
 @st.composite

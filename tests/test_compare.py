@@ -1,5 +1,6 @@
 """Tests for mapping comparison (behavioural distance, port permutations)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from repro.analysis import (
     permutation_equivalent,
     throughput_distance,
 )
+from repro.analysis.compare import _DISTANCE_CHUNK
 from repro.core import MappingError, PortSpace, ThreeLevelMapping
 from repro.core.ports import indices_from_mask, mask_from_indices
+from repro.throughput import MappingPredictor, predict_many
 
 
 def _permute(mapping: ThreeLevelMapping, permutation) -> ThreeLevelMapping:
@@ -61,6 +64,29 @@ class TestThroughputDistance:
         other = ThreeLevelMapping(sample.ports, {"mul": {1: 1}})
         with pytest.raises(MappingError):
             throughput_distance(sample, other)
+
+    def test_family_beyond_one_chunk_gives_the_per_experiment_mean(self):
+        rng = np.random.default_rng(0)
+        ports = PortSpace.numbered(6)
+        names = [f"op{i}" for i in range(60)]
+
+        def random_mapping():
+            return ThreeLevelMapping(
+                ports,
+                {
+                    name: {int(rng.integers(1, 64)): int(rng.integers(1, 4)) for _ in range(2)}
+                    for name in names
+                },
+            )
+
+        first, second = random_mapping(), random_mapping()
+        family = canonical_experiments(names)
+        assert len(family) > _DISTANCE_CHUNK
+        t1 = predict_many(MappingPredictor(first), family)
+        t2 = predict_many(MappingPredictor(second), family)
+        expected = float(np.mean(np.abs(t1 - t2) / np.maximum(t1, t2)))
+        assert expected > 0.0
+        assert throughput_distance(first, second) == expected
 
 
 class TestCanonicalExperiments:

@@ -163,7 +163,7 @@ class TestKernelEquivalence:
 
 @st.composite
 def packed_instances(draw):
-    num_ports = draw(st.integers(min_value=2, max_value=5))
+    num_ports = draw(st.integers(min_value=1, max_value=8))
     full = (1 << num_ports) - 1
     names = ["i0", "i1", "i2"]
     genomes = []
