@@ -18,9 +18,9 @@ problem shapes:
   the math over the ``2^|P|`` mask space dominates.  The legacy path
   zeta-transforms every experiment's mass row and divides all ``2^|P|``
   masses; the packed kernel zeta-transforms each genome's µop stack
-  instead (16 instruction rows against 214 experiment rows), multiplies
-  by the counts one port-set size at a time and divides only the ``|P|``
-  per-size maxima.  It must be >= 2x cheaper in CPU here.
+  instead (16 instruction rows against 214 experiment rows) before the
+  product with the counts, and divides only the ``|P|`` per-size maxima.
+  It must be >= 2x cheaper in CPU here.
 * ``wide-isa`` — many instruction forms over a small port count (the
   Figure 8a low-port regime).  Here the per-genome Python traffic is the
   wall, and packing removes it wholesale; the best of the two shapes must
@@ -28,8 +28,9 @@ problem shapes:
 
 Each path is timed as best-of-N process CPU seconds
 (:func:`time.process_time`), which hypervisor steal cannot inflate the way
-it inflates wall time on a shared host; the wall-clock rates are printed
-beside them.  With ``REPRO_BENCH_RECORD=1`` results are *appended* to
+it inflates wall time on a shared host; the legacy and packed runs
+alternate, and the wall-clock rates are printed beside them.  With
+``REPRO_BENCH_RECORD=1`` results are *appended* to
 ``benchmarks/results/fitness_kernel.txt`` so speedups accumulate as history
 across runs.
 """
@@ -55,7 +56,7 @@ from repro.throughput import BatchedThroughputEvaluator, bottleneck_rows
 
 POPULATION = 256
 CHUNK = 64
-REPEATS = 3
+REPEATS = 5
 EVOLVER_GENERATIONS = 8
 MIN_SPEEDUP = 3.0
 MIN_A72_SPEEDUP = 2.0
@@ -119,16 +120,18 @@ def _packed_fitness(evaluator, genomes, names, workspace):
     return davgs, volumes
 
 
-def _best_seconds(fn, repeats=REPEATS):
-    """Best-of-``repeats`` process CPU seconds and wall seconds of ``fn``."""
-    best_cpu = best_wall = float("inf")
-    result = None
+def _best_seconds(legacy, packed, repeats=REPEATS):
+    """Best-of-``repeats`` process CPU seconds and wall seconds of
+    ``legacy`` and of ``packed``, each with its last result.  The two run
+    alternately, so a burst of host noise hits both sides alike."""
+    best = {fn: [float("inf"), float("inf"), None] for fn in (legacy, packed)}
     for _ in range(repeats):
-        cpu_start, wall_start = time.process_time(), time.perf_counter()
-        result = fn()
-        best_wall = min(best_wall, time.perf_counter() - wall_start)
-        best_cpu = min(best_cpu, time.process_time() - cpu_start)
-    return best_cpu, best_wall, result
+        for fn, record in best.items():
+            cpu_start, wall_start = time.process_time(), time.perf_counter()
+            record[2] = fn()
+            record[1] = min(record[1], time.perf_counter() - wall_start)
+            record[0] = min(record[0], time.process_time() - cpu_start)
+    return best[legacy], best[packed]
 
 
 def _legacy_kernel(evaluator, genomes, chunk):
@@ -154,20 +157,18 @@ def _time_shape(label, num_ports, measured, singles, names=None):
 
     # Kernel proper: dense scatter + evaluation, population already packed.
     packed = PackedPopulation.from_genomes(genomes, names)
-    kernel_legacy_cpu, kernel_legacy_wall, kernel_legacy_out = _best_seconds(
-        lambda: _legacy_kernel(evaluator, genomes, CHUNK)
+    kernel_legacy, kernel_packed = _best_seconds(
+        lambda: _legacy_kernel(evaluator, genomes, CHUNK),
+        lambda: evaluator.throughputs_from_packed(packed, workspace=workspace),
     )
-    kernel_packed_cpu, kernel_packed_wall, kernel_packed_out = _best_seconds(
-        lambda: evaluator.throughputs_from_packed(packed, workspace=workspace)
-    )
+    kernel_legacy_cpu, kernel_legacy_wall, kernel_legacy_out = kernel_legacy
+    kernel_packed_cpu, kernel_packed_wall, kernel_packed_out = kernel_packed
     assert np.array_equal(kernel_legacy_out, kernel_packed_out)
 
     # End to end, as `_evaluate` runs it: pack + kernel + D_avg + volumes.
-    legacy_cpu, legacy_wall, legacy_out = _best_seconds(
-        lambda: _legacy_fitness(evaluator, genomes, CHUNK)
-    )
-    packed_cpu, packed_wall, packed_out = _best_seconds(
-        lambda: _packed_fitness(evaluator, genomes, names, workspace)
+    (legacy_cpu, legacy_wall, legacy_out), (packed_cpu, packed_wall, packed_out) = _best_seconds(
+        lambda: _legacy_fitness(evaluator, genomes, CHUNK),
+        lambda: _packed_fitness(evaluator, genomes, names, workspace),
     )
     assert np.array_equal(legacy_out[0], packed_out[0])
     assert np.array_equal(legacy_out[1], packed_out[1])

@@ -12,10 +12,11 @@ differ in what they hold fixed:
   generation (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`):
   each block of genomes is scattered into a mask-major µop stack inside a
   reusable :class:`PackedWorkspace`, zeta transformed there (per
-  instruction, not per experiment), and multiplied by ``X`` one port-set
-  size at a time.  Local search and the final ``D_avg`` pass one dict
-  genome at a time (:meth:`~BatchedThroughputEvaluator.throughputs`), a
-  product of ``X`` with that genome's union-closure table.
+  instruction, not per experiment), and multiplied by ``X``; only each
+  port-set size's maximum is divided.  Local search and the final
+  ``D_avg`` pass one dict genome at a time
+  (:meth:`~BatchedThroughputEvaluator.throughputs`), a product of ``X``
+  with that genome's union-closure table.
 * :class:`FixedMappingEvaluator` fixes the mapping, tabulated once over the
   union closure of its masks, and streams batches of instruction sequences
   through it — the hot path of the prediction serving layer and of every
@@ -91,8 +92,8 @@ class PackedWorkspace:
       ``U`` instruction columns some experiment uses (column ``g·U + i``),
       zeta transformed in place;
     * ``sets`` — the stack's nonempty rows in order of port-set size;
-    * ``masses`` — the masses ``[sets, block, experiment]`` of one size's
-      sets, at most ``C(|P|, ⌊|P|/2⌋)`` of them;
+    * ``masses`` — those rows times ``X``, ``[2^|P| - 1, block, experiment]``:
+      one matmul per block;
     * ``best`` — each size's largest mass, ``[|P|, block, experiment]``.
 
     One workspace is allocated per evolver and reused for every generation;
@@ -105,12 +106,11 @@ class PackedWorkspace:
     def __init__(self, capacity: int, num_instructions: int, num_experiments: int, num_ports: int):
         if capacity < 1:
             raise MappingError("workspace capacity must be positive")
-        columns = capacity * num_instructions
+        sets, columns = (1 << num_ports) - 1, capacity * num_instructions
         self.capacity = capacity
-        self.stack = np.empty((1 << num_ports) * columns, dtype=np.float64)
-        self.sets = np.empty(((1 << num_ports) - 1) * columns, dtype=np.float64)
-        widest = math.comb(num_ports, num_ports // 2)
-        self.masses = np.empty(widest * capacity * num_experiments, dtype=np.float64)
+        self.stack = np.empty((sets + 1) * columns, dtype=np.float64)
+        self.sets = np.empty(sets * columns, dtype=np.float64)
+        self.masses = np.empty(sets * capacity * num_experiments, dtype=np.float64)
         self.best = np.empty(num_ports * capacity * num_experiments, dtype=np.float64)
 
 
@@ -223,17 +223,16 @@ class BatchedThroughputEvaluator:
             stop = min(start + workspace.capacity, population)
             sets = self._zeta_stack(workspace, packed.masks[start:stop], packed.mults[start:stop])
             block = stop - start
+            # One product per block, so a threaded BLAS hands off work once
+            # per block rather than once per set size.
+            rows = len(sets) * block  # (set, genome) pairs
+            masses = workspace.masses[: rows * num_experiments].reshape(rows, num_experiments)
+            np.matmul(sets.reshape(rows, -1), counts_t, out=masses)
+            masses = masses.reshape(len(sets), block, num_experiments)
             best = workspace.best[: num_ports * block * num_experiments]
             best = best.reshape(num_ports, block, num_experiments)
             for k in range(num_ports):  # the sets of k + 1 ports
-                group = sets[bounds[k] : bounds[k + 1]]
-                masses = workspace.masses[: len(group) * block * num_experiments]
-                np.matmul(
-                    group.reshape(-1, counts_t.shape[0]),
-                    counts_t,
-                    out=masses.reshape(-1, num_experiments),
-                )
-                masses.reshape(len(group), block, num_experiments).max(axis=0, out=best[k])
+                masses[bounds[k] : bounds[k + 1]].max(axis=0, out=best[k])
             bottleneck_max(best.transpose(1, 2, 0), sizes, out=out[start:stop])
         return out
 
