@@ -26,6 +26,13 @@ problem shapes:
   wall, and packing removes it wholesale; the best of the two shapes must
   reach >= 3x.
 
+A third record is the whole evolver on the a72 shape at population 256:
+generations per CPU second, and a generation's CPU time over the CPU time
+spent inside ``throughputs_from_packed``.  That ratio must stay <= 2.5, so
+the Python around the kernel (recombination, deduplicating selection,
+bookkeeping) cannot creep back; it compares two figures of one run, so a
+slow host cannot fail it.
+
 Each path is timed as best-of-N process CPU seconds
 (:func:`time.process_time`), which hypervisor steal cannot inflate the way
 it inflates wall time on a shared host; the legacy and packed runs
@@ -57,9 +64,10 @@ from repro.throughput import BatchedThroughputEvaluator, bottleneck_rows
 POPULATION = 256
 CHUNK = 64
 REPEATS = 5
-EVOLVER_GENERATIONS = 8
+EVOLVER_GENERATIONS = 20
 MIN_SPEEDUP = 3.0
 MIN_A72_SPEEDUP = 2.0
+MAX_GENERATION_OVER_KERNEL = 2.5
 
 
 def _a72_problem():
@@ -191,20 +199,9 @@ def _time_shape(label, num_ports, measured, singles, names=None):
     return kernel_speedup, lines
 
 
-def test_fitness_kernel_speedup():
-    report = ["fitness-kernel (legacy dict path -> packed kernel)"]
-
-    a72_speedup, lines = _time_shape("a72", *_a72_problem())
-    report.extend(lines)
-    num_ports, measured, singles = _wide_isa_problem()
-    wide_names = tuple(f"op{i}" for i in range(160))
-    wide_speedup, lines = _time_shape(
-        "wide-isa", num_ports, measured, singles, names=wide_names
-    )
-    report.extend(lines)
-
-    # Whole-evolver rate on the packed hot path (fitness + operators).
-    num_ports, measured, singles = _wide_isa_problem(num_instructions=48)
+def _generation_cost(num_ports, measured, singles):
+    """CPU seconds of the evolver's generations, and of the kernel calls
+    inside them, on one problem at the bench population."""
     from repro.core import PortSpace
 
     evolver = PortMappingEvolver(
@@ -214,16 +211,48 @@ def test_fitness_kernel_speedup():
         EvolutionConfig(
             population_size=scaled(POPULATION, minimum=CHUNK),
             max_generations=EVOLVER_GENERATIONS,
+            patience=EVOLVER_GENERATIONS,
             seed=0,
         ),
     )
+    kernel = evolver.evaluator.throughputs_from_packed
+    kernel_cpu = [0.0]
+
+    def timed_kernel(*args, **kwargs):
+        start = time.process_time()
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            kernel_cpu[0] += time.process_time() - start
+
+    evolver.evaluator.throughputs_from_packed = timed_kernel
     state = evolver.init_state()
-    epoch_start = time.perf_counter()
+    kernel_cpu[0] = 0.0
+    start = time.process_time()
     evolver.advance(state, EVOLVER_GENERATIONS)
-    epochs_per_second = EVOLVER_GENERATIONS / (time.perf_counter() - epoch_start)
+    return state.generation, time.process_time() - start, kernel_cpu[0]
+
+
+def test_fitness_kernel_speedup():
+    report = ["fitness-kernel (legacy dict path -> packed kernel)"]
+
+    a72 = _a72_problem()
+    a72_speedup, lines = _time_shape("a72", *a72)
+    report.extend(lines)
+    num_ports, measured, singles = _wide_isa_problem()
+    wide_names = tuple(f"op{i}" for i in range(160))
+    wide_speedup, lines = _time_shape(
+        "wide-isa", num_ports, measured, singles, names=wide_names
+    )
+    report.extend(lines)
+
+    # Whole-evolver rate on the a72 shape (operators, selection, kernel).
+    generations, generation_cpu, kernel_cpu = _generation_cost(*a72)
+    over_kernel = generation_cpu / kernel_cpu
     report.append(
-        f"  evolver (48 instr, packed hot path): "
-        f"{epochs_per_second:.2f} epochs/s (generations/s)"
+        f"  evolver (a72, pop={scaled(POPULATION, minimum=CHUNK)}): "
+        f"{generations / generation_cpu:.1f} generations/CPU-s; a generation "
+        f"costs {over_kernel:.2f}x its kernel CPU"
     )
 
     append_result("fitness_kernel", "\n".join(report))
@@ -236,4 +265,8 @@ def test_fitness_kernel_speedup():
     assert a72_speedup >= MIN_A72_SPEEDUP, (
         f"packed kernel is {a72_speedup:.2f}x the legacy path on a72 "
         f"(need >= {MIN_A72_SPEEDUP}x)"
+    )
+    assert over_kernel <= MAX_GENERATION_OVER_KERNEL, (
+        f"a generation costs {over_kernel:.2f}x the CPU of its kernel calls "
+        f"(need <= {MAX_GENERATION_OVER_KERNEL}x)"
     )

@@ -54,12 +54,14 @@ Serialization
 ``from_json``): the population, the objective arrays, the generation
 counters, *and the numpy bit-generator state* are all captured, so a
 deserialized state continues bit-identically to the original.  The
-population travels as a base64-armoured compressed npz of its
-:class:`~repro.pmevo.packed.PackedPopulation` form.  This codec is the only
-thing that crosses a process boundary: the socket migration transport
-(:mod:`repro.pmevo.transport`) ships it per epoch and checkpoint/resume
-(:mod:`repro.pmevo.checkpoint`) writes it at epoch barriers.  Malformed
-payloads raise :class:`repro.core.errors.CheckpointError` and nothing else.
+population is a :class:`~repro.pmevo.packed.PackedPopulation` throughout a
+run, kept in normal form, and travels as it is, as a base64-armoured
+compressed npz.  This codec is the only thing that crosses a process
+boundary: the socket migration transport (:mod:`repro.pmevo.transport`)
+ships it per epoch and checkpoint/resume (:mod:`repro.pmevo.checkpoint`)
+writes it at epoch barriers.  Malformed payloads, a population that breaks
+the packed invariants included, raise
+:class:`repro.core.errors.CheckpointError` and nothing else.
 :class:`EvolutionResult` never leaves the process; its ``to_json`` is the
 byte string the transport-equivalence tests compare.
 """
@@ -69,7 +71,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -85,13 +87,12 @@ from repro.pmevo.operators import mutate, recombine
 from repro.pmevo.packed import PackedPopulation
 from repro.pmevo.population import (
     Genome,
-    copy_genome,
-    genome_key,
     genome_to_jsonable,
     genome_to_mapping,
     genome_volume,
     random_population,
 )
+from repro.pmevo.population import genome_key  # noqa: F401  (perfbench traces this lookup)
 from repro.throughput.batched import BatchedThroughputEvaluator
 
 if TYPE_CHECKING:  # both modules import this one at load time
@@ -285,10 +286,12 @@ class EvolutionState:
     Everything the generation loop reads or writes lives here (not on the
     evolver), so several states can share one evolver — and one state can be
     shipped to a worker process, advanced a few generations, and shipped
-    back — without interference.
+    back — without interference.  ``population`` stays in
+    :meth:`~repro.pmevo.packed.PackedPopulation.normalized` form, so its
+    serialized bytes equal those of its dict genomes packed afresh.
     """
 
-    population: list[Genome]
+    population: PackedPopulation
     davgs: np.ndarray
     volumes: np.ndarray
     rng: np.random.Generator
@@ -335,7 +338,7 @@ class EvolutionState:
         return {
             "population": {
                 "encoding": self.POPULATION_ENCODING,
-                "data": PackedPopulation.from_genomes(self.population).to_npz_base64(),
+                "data": self.population.to_npz_base64(),
             },
             "davgs": [float(v) for v in self.davgs],
             "volumes": [float(v) for v in self.volumes],
@@ -360,8 +363,9 @@ class EvolutionState:
 
         Raises :class:`repro.core.errors.CheckpointError`, and nothing
         else, on any malformed payload: missing keys, an unknown bit
-        generator or population encoding, values of the wrong type, or
-        numbers too large for their field.
+        generator or population encoding, a population that breaks the
+        :class:`~repro.pmevo.packed.PackedPopulation` invariants, values of
+        the wrong type, or numbers too large for their field.
         """
         try:
             rng_payload = dict(data["rng"])
@@ -388,7 +392,7 @@ class EvolutionState:
                 )
             population = PackedPopulation.from_npz_base64(
                 population_payload["data"]
-            ).to_genomes()
+            ).normalized()
             return cls(
                 population=population,
                 davgs=np.asarray(data["davgs"], dtype=np.float64),
@@ -439,37 +443,48 @@ def migrate_ring(states: list[EvolutionState], migration_size: int) -> int:
 
     Emigrants are the ``migration_size`` best individuals (lexicographic
     ``(D_avg, volume)``, stable sort) of each island's *pre-migration*
-    population; they replace the destination's worst individuals.  States
-    are mutated in place.  The donor keeps its copies — migration copies,
-    it does not resettle.
+    population; their rows replace the destination's worst individuals.
+    States are mutated in place.  The donor keeps its copies — migration
+    copies, it does not resettle.
     """
     if migration_size <= 0 or len(states) < 2:
         return 0
     snapshots = []
     for state in states:
-        order = np.lexsort((state.volumes, state.davgs))
-        emigrants = [
-            (
-                copy_genome(state.population[int(i)]),
-                float(state.davgs[int(i)]),
-                float(state.volumes[int(i)]),
-            )
-            for i in order[:migration_size]
-        ]
-        snapshots.append(emigrants)
+        best = np.lexsort((state.volumes, state.davgs))[:migration_size]
+        snapshots.append(
+            (state.population.take(best), state.davgs[best], state.volumes[best])
+        )
     moved = 0
-    for source, emigrants in enumerate(snapshots):
+    for source, (emigrants, davgs, volumes) in enumerate(snapshots):
         target = states[(source + 1) % len(states)]
+        size = len(target.population)
         # Worst-first within the target, recomputed against its own
         # (pre-migration) objectives — deterministic under the stable sort.
-        worst = np.lexsort((target.volumes, target.davgs))[::-1]
-        for slot, (genome, davg, volume) in zip(worst[: len(emigrants)], emigrants):
-            index = int(slot)
-            target.population[index] = genome
-            target.davgs[index] = davg
-            target.volumes[index] = volume
-            moved += 1
+        worst = np.lexsort((target.volumes, target.davgs))[::-1][: len(emigrants)]
+        rows = np.arange(size)
+        rows[worst] = size + np.arange(len(worst))
+        target.population = PackedPopulation.concatenate(
+            [target.population, emigrants]
+        ).take(rows)
+        target.davgs[worst] = davgs
+        target.volumes[worst] = volumes
+        moved += len(worst)
     return moved
+
+
+def _select_distinct(keys: np.ndarray, ranked: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` of ``ranked``, preferring distinct genomes.
+
+    ``keys[i]`` identifies candidate ``i``'s genome.  Walking ``ranked``
+    best first, a candidate whose genome was already taken is set aside;
+    the set-aside duplicates, in ranked order, fill up only when there are
+    fewer than ``count`` distinct genomes.
+    """
+    _, first = np.unique(keys[ranked], return_index=True)
+    distinct = np.zeros(len(ranked), dtype=bool)
+    distinct[first] = True
+    return np.concatenate([ranked[distinct], ranked[~distinct]])[:count]
 
 
 class PortMappingEvolver:
@@ -519,14 +534,9 @@ class PortMappingEvolver:
 
     # -- evaluation --------------------------------------------------------
 
-    def _evaluate(self, genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray]:
-        """(D_avg, volume) arrays for a batch of genomes.
-
-        The batch is packed once into a :class:`PackedPopulation` and
-        evaluated by the population-wide kernel — the only Python-level
-        per-genome work left in the hot loop is the packing itself.
-        """
-        packed = PackedPopulation.from_genomes(genomes, self.names)
+    def _evaluate(self, packed: PackedPopulation) -> tuple[np.ndarray, np.ndarray]:
+        """(D_avg, volume) arrays for a packed population, from the
+        population-wide kernel."""
         predicted = self.evaluator.throughputs_from_packed(
             packed, workspace=self._workspace
         )
@@ -544,12 +554,15 @@ class PortMappingEvolver:
         root seed instead.
         """
         rng = rng if rng is not None else self._rng
-        population = random_population(
-            rng,
-            self.config.population_size,
+        population = PackedPopulation.from_genomes(
+            random_population(
+                rng,
+                self.config.population_size,
+                self.names,
+                self.ports.num_ports,
+                self.singleton_throughputs,
+            ),
             self.names,
-            self.ports.num_ports,
-            self.singleton_throughputs,
         )
         davgs, volumes = self._evaluate(population)
         return EvolutionState(
@@ -566,29 +579,25 @@ class PortMappingEvolver:
         p = config.population_size
         rng = state.rng
 
-        children: list[Genome] = []
-        while len(children) < p:
-            i = int(rng.integers(0, p))
-            j = int(rng.integers(0, p))
-            child_a, child_b = recombine(rng, state.population[i], state.population[j])
-            children.append(child_a)
-            if len(children) < p:
-                children.append(child_b)
+        children = recombine(rng, state.population, p)
         if config.mutation_rate > 0.0:
-            children = [
-                mutate(
-                    rng,
-                    child,
-                    self.ports.num_ports,
-                    self.singleton_throughputs,
-                    rate=config.mutation_rate,
-                )
-                for child in children
-            ]
+            children = PackedPopulation.from_genomes(
+                [
+                    mutate(
+                        rng,
+                        child,
+                        self.ports.num_ports,
+                        self.singleton_throughputs,
+                        rate=config.mutation_rate,
+                    )
+                    for child in children.to_genomes()
+                ],
+                self.names,
+            )
 
         child_davgs, child_volumes = self._evaluate(children)
         state.evaluations += len(children)
-        all_genomes = state.population + children
+        candidates = PackedPopulation.concatenate([state.population, children])
         all_davgs = np.concatenate([state.davgs, child_davgs])
         all_volumes = np.concatenate([state.volumes, child_volumes])
 
@@ -600,22 +609,8 @@ class PortMappingEvolver:
         # diversity within a few generations.  Preferring distinct
         # genomes (falling back to duplicates only when there are not
         # enough) keeps the algorithm otherwise unchanged.
-        selected: list[int] = []
-        seen_keys: set[tuple] = set()
-        duplicates: list[int] = []
-        for index in ranked:
-            key = genome_key(all_genomes[index])
-            if key in seen_keys:
-                duplicates.append(int(index))
-                continue
-            seen_keys.add(key)
-            selected.append(int(index))
-            if len(selected) == p:
-                break
-        if len(selected) < p:
-            selected.extend(duplicates[: p - len(selected)])
-        order = np.array(selected)
-        state.population = [all_genomes[i] for i in order]
+        order = _select_distinct(candidates.row_keys(), ranked, p)
+        state.population = candidates.take(order)
         state.davgs = all_davgs[order]
         state.volumes = all_volumes[order]
         state.generation += 1
@@ -679,7 +674,7 @@ class PortMappingEvolver:
         self, state: EvolutionState, wall_seconds: float = 0.0
     ) -> EvolutionResult:
         """Local-search the state's best individual and package the result."""
-        best_genome = state.population[state.best_index()]
+        best_genome = state.population.take([state.best_index()]).to_genomes()[0]
         if self.config.local_search_rounds > 0:
             best_genome, _ = local_search(
                 self.evaluator,
@@ -768,7 +763,10 @@ class PortMappingEvolver:
             migrations = 0
 
         try:
-            transport.start(self)
+            # A run resumed after its last epoch has no work to hand out,
+            # and a socket transport would wait for workers in vain.
+            if any(self._active(state) for state in states):
+                transport.start(self)
             while True:
                 jobs = [(k, s) for k, s in enumerate(states) if self._active(s)]
                 if not jobs:

@@ -8,10 +8,23 @@ without a mutation operator while contributing substantial numbers of
 fitness computations" — so mutation here exists only for the ablation bench
 and is off by default.
 
+:func:`recombine` is a population operator on packed arrays
+(:class:`~repro.pmevo.packed.PackedPopulation`): one call draws every
+parent pair of a generation and splits every pair's pooled edges.  Its
+random draws are exactly those of the per-pair dict loop it replaced, which
+``tests/reference_operators.py`` keeps as the test oracle.  numpy's
+``Generator.integers(0, n)`` with ``1 < n < 2**32`` takes one 32-bit word
+``w`` per draw and returns ``(w·n) >> 32``, drawing again only while the low
+half of ``w·n`` is below ``2**32 mod n`` (Lemire's method); and that word
+stream continues across calls.  So the operator draws a buffer of words,
+replays the loop's draws on it in plain integer arithmetic, and advances the
+generator by exactly the words used: children, their slot orders and the
+generator state afterwards all equal the loop's, bit for bit.
+
 Invariant kept by all operators: every instruction has at least one µop in
 every genome.  The paper does not discuss how recombination avoids emptying
-one child's decomposition; we reassign a random pooled edge to the empty
-side (see DESIGN.md, "Recombination invariant").
+one child's decomposition; we reassign a random pooled edge, with its own
+multiplicity, to the empty side.
 """
 
 from __future__ import annotations
@@ -21,9 +34,13 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.core.ports import mask_size
+from repro.pmevo.packed import PackedPopulation, _mult_dtype
 from repro.pmevo.population import Genome, multiplicity_bound
 
 __all__ = ["recombine", "mutate"]
+
+_WORD = 1 << 32
+_LOW_HALF = _WORD - 1
 
 
 def _merge_edges(target: dict[int, int], mask: int, count: int) -> None:
@@ -31,35 +48,186 @@ def _merge_edges(target: dict[int, int], mask: int, count: int) -> None:
         target[mask] = target.get(mask, 0) + count
 
 
-def recombine(
-    rng: np.random.Generator, parent_a: Genome, parent_b: Genome
-) -> tuple[Genome, Genome]:
-    """Binary recombination: per-instruction random split of pooled edges.
+class _Words:
+    """A generator's stream of 32-bit words, drawn ahead and replayed.
 
-    Both parents must cover the same instruction set.  Returns two children.
+    ``integers(0, 2**32, dtype=np.uint32)`` returns the stream's words
+    themselves, so :meth:`bounded` replays ``Generator.integers(0, n)`` on
+    them, and :meth:`finish` leaves the generator exactly where those draws
+    would have.  ``reserve`` is the most words a caller reads between two
+    :meth:`ensure` calls, not counting redraws; a redraw ensures it anew.
     """
-    child_a: Genome = {}
-    child_b: Genome = {}
-    for name, uops_a in parent_a.items():
-        uops_b = parent_b[name]
-        pooled = [(mask, count) for mask, count in uops_a.items()]
-        pooled += [(mask, count) for mask, count in uops_b.items()]
-        side = rng.integers(0, 2, size=len(pooled))
-        to_a: dict[int, int] = {}
-        to_b: dict[int, int] = {}
-        for (mask, count), bit in zip(pooled, side):
-            _merge_edges(to_a if bit == 0 else to_b, mask, count)
-        # Re-establish the "at least one µop" invariant: hand a random
-        # pooled edge to the empty side (both sides can't be empty).
-        if not to_a:
-            mask, count = pooled[int(rng.integers(0, len(pooled)))]
-            _merge_edges(to_a, mask, count)
-        if not to_b:
-            mask, count = pooled[int(rng.integers(0, len(pooled)))]
-            _merge_edges(to_b, mask, count)
-        child_a[name] = to_a
-        child_b[name] = to_b
-    return child_a, child_b
+
+    def __init__(self, rng: np.random.Generator, count: int, reserve: int):
+        self.rng = rng
+        self.saved = rng.bit_generator.state
+        self.reserve = reserve
+        self.pos = 0
+        self._load(rng.integers(0, _WORD, size=count, dtype=np.uint32))
+
+    def _load(self, buffer: np.ndarray) -> None:
+        self.buffer = buffer
+        self.words = memoryview(buffer)
+        # high[k]: how many of the first k words have their top bit set,
+        # so a run of split bits is counted in O(1).
+        high = np.zeros(len(buffer) + 1, dtype=np.int32)
+        np.cumsum(buffer >> 31, dtype=np.int32, out=high[1:])
+        self.high = memoryview(high)
+
+    def ensure(self, count: int) -> None:
+        """Buffer at least ``count`` words past :attr:`pos`."""
+        missing = self.pos + count - len(self.buffer)
+        if missing > 0:
+            more = self.rng.integers(
+                0, _WORD, size=max(missing, len(self.buffer)), dtype=np.uint32
+            )
+            self._load(np.concatenate([self.buffer, more]))
+
+    def bounded(self, n: int) -> int:
+        """``Generator.integers(0, n)`` replayed: an int in ``[0, n)``."""
+        if n == 1:
+            return 0  # numpy draws no word for a one-value range
+        product = self.words[self.pos] * n
+        self.pos += 1
+        if product & _LOW_HALF < n:
+            threshold = _WORD % n
+            while product & _LOW_HALF < threshold:
+                self.ensure(self.reserve)
+                product = self.words[self.pos] * n
+                self.pos += 1
+        return product >> 32
+
+    def finish(self) -> None:
+        """Rewind the generator, then advance it by exactly the words used."""
+        self.rng.bit_generator.state = self.saved
+        self.rng.integers(0, _WORD, size=self.pos, dtype=np.uint32)
+
+
+def _replay(stream: _Words, lengths: list[list[int]], pairs: int):
+    """Replay the per-pair loop's draws on ``stream``.
+
+    Per pair: two parent indices, then per instruction one split bit per
+    pooled edge (a word's top bit; set sends the edge to child b) and, when
+    the bits leave a side empty, the index of the pooled edge that repairs
+    it.  Returns the parent indices, each (pair, instruction)'s first split
+    word, and the repairs as ``(pair, instruction, side, edge)``.
+    """
+    population = len(lengths)
+    instructions = range(len(lengths[0]))
+    first: list[int] = []
+    second: list[int] = []
+    starts: list[int] = []
+    repairs: list[tuple[int, int, int, int]] = []
+    for pair in range(pairs):
+        stream.ensure(stream.reserve)
+        a = stream.bounded(population)
+        b = stream.bounded(population)
+        first.append(a)
+        second.append(b)
+        row_a, row_b = lengths[a], lengths[b]
+        high, pos = stream.high, stream.pos
+        for instruction in instructions:
+            pooled = row_a[instruction] + row_b[instruction]
+            starts.append(pos)
+            to_b = high[pos + pooled] - high[pos]
+            pos += pooled
+            if to_b == 0 or to_b == pooled:
+                stream.pos = pos
+                empty = 1 if to_b == 0 else 0
+                repairs.append((pair, instruction, empty, stream.bounded(pooled)))
+                high, pos = stream.high, stream.pos
+        stream.pos = pos
+    return first, second, starts, repairs
+
+
+def recombine(
+    rng: np.random.Generator, parents: PackedPopulation, count: int
+) -> PackedPopulation:
+    """Binary recombination: ``count`` children of random parent pairs.
+
+    Per pair, two parents ``a`` and ``b`` are drawn uniformly
+    (``rng.integers(0, p)`` twice).  For each instruction, the pooled edges
+    (a's slots in order, then b's) go to child a or child b by one random
+    bit each; an edge whose mask is already on its side merges into that
+    first occurrence, adding multiplicities.  A side left empty gets one
+    random pooled edge with its own multiplicity.  Children come as a0, b0,
+    a1, b1, ... from ``ceil(count / 2)`` pairs; for odd ``count`` the last
+    child b is dropped, though its draws are made.  The result is in
+    :meth:`~repro.pmevo.packed.PackedPopulation.normalized` form.
+    """
+    pairs = -(-count // 2)
+    instructions, slots = parents.num_instructions, parents.max_uops
+    lengths = np.count_nonzero(parents.masks, axis=2)
+    reserve = 2 + instructions * (2 * slots + 1)  # one pair's words, sans redraws
+    stream = _Words(rng, pairs * reserve, reserve)
+    first, second, starts, repairs = _replay(stream, lengths.tolist(), pairs)
+    stream.finish()
+
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    a_len = lengths[first]
+    a_masks, b_masks = parents.masks[first], parents.masks[second]
+    a_used, b_used = a_masks != 0, b_masks != 0
+    # Each pooled edge's side (True: child b), read from its split word.
+    top = stream.buffer >= 1 << 31
+    offset = np.asarray(starts, dtype=np.intp).reshape(pairs, instructions, 1)
+    slot = np.arange(slots, dtype=np.intp)
+    a_side = top.take(offset + slot, mode="clip") & a_used
+    b_side = top.take(offset + a_len[..., None] + slot, mode="clip") & b_used
+    # A b-edge merges into the a-edge with its mask if both went one way;
+    # masks are unique within a row, so an a-edge has at most one partner.
+    merge = a_masks[..., :, None] == b_masks[..., None, :]
+    merge &= a_used[..., :, None]
+    merge &= a_side[..., :, None] == b_side[..., None, :]
+    merged = merge.any(axis=2)
+    wide = _mult_dtype(2 * int(parents.mults.max()))
+    a_mults = parents.mults[first].astype(wide)
+    b_mults = parents.mults[second]
+    np.add(
+        a_mults,
+        np.take_along_axis(b_mults, merge.argmax(axis=3), axis=2),
+        out=a_mults,
+        where=merge.any(axis=3),
+    )
+    del merge
+
+    pooled_masks = np.concatenate([a_masks, b_masks], axis=2)
+    pooled_mults = np.concatenate([a_mults, b_mults], axis=2)
+    keep = [
+        np.concatenate([a_used & ~a_side, b_used & ~b_side & ~merged], axis=2),
+        np.concatenate([a_side, b_side & ~merged], axis=2),
+    ]
+    if count % 2:
+        keep[1][-1] = False  # the dropped last child b
+        repairs = [r for r in repairs if not (r[0] == pairs - 1 and r[2] == 1)]
+    values = [(pooled_masks[side], pooled_mults[side]) for side in keep]
+
+    if repairs:
+        pair, instruction, rep_side, edge = np.array(repairs, dtype=np.intp).T
+        from_a = edge < a_len[pair, instruction]
+        owner = np.where(from_a, first[pair], second[pair])
+        edge = np.where(from_a, edge, edge - a_len[pair, instruction])
+        rep_masks = parents.masks[owner, instruction, edge]
+        rep_mults = parents.mults[owner, instruction, edge]
+    counts = np.stack([side.sum(axis=2) for side in keep], axis=1)  # [pairs, 2, I]
+    width = int(counts.max(initial=1))
+    top_mult = max(int(side_mults.max(initial=1)) for _, side_mults in values)
+    if repairs:
+        top_mult = max(top_mult, int(rep_mults.max()))
+    masks = np.zeros((pairs, 2, instructions, width), dtype=np.uint32)
+    mults = np.zeros(masks.shape, dtype=_mult_dtype(top_mult))
+    used = np.arange(width)
+    for side, (side_masks, side_mults) in enumerate(values):
+        filled = used < counts[:, side, :, None]
+        masks[:, side][filled] = side_masks
+        mults[:, side][filled] = side_mults
+    if repairs:
+        masks[pair, rep_side, instruction, 0] = rep_masks
+        mults[pair, rep_side, instruction, 0] = rep_mults
+    shape = (2 * pairs, instructions, width)
+    return PackedPopulation(
+        parents.names, masks.reshape(shape)[:count], mults.reshape(shape)[:count]
+    )
 
 
 def mutate(

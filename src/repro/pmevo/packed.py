@@ -1,12 +1,10 @@
 """Packed, array-backed population representation (the EA's data plane).
 
-The evolutionary hot loop spends its time turning genomes — nested
-``dict[str, dict[int, int]]`` structures — into dense numpy arrays, one
-genome at a time.  At paper scale (populations of 100 000 over hundreds of
-instruction forms) that per-genome Python traffic is the wall between us and
-the C++ core the original PMEvo delegates to (Section 4.5: fitness
-evaluation speed "directly corresponds to the quality of the obtained
-solution").
+The evolutionary hot loop works on whole populations, and per-genome Python
+traffic over nested ``dict[str, dict[int, int]]`` genomes is the wall
+between us and the C++ core the original PMEvo delegates to (Section 4.5:
+fitness evaluation speed "directly corresponds to the quality of the
+obtained solution").
 
 :class:`PackedPopulation` is the structure-of-arrays answer: a whole
 population lives in two rectangular arrays,
@@ -17,12 +15,21 @@ population lives in two rectangular arrays,
   multiplicity (0 on unused slots; the dtype is the smallest unsigned type
   that holds every multiplicity, ``uint8`` in practice),
 
-plus the shared instruction-name tuple that gives rows their meaning.  The
-representation is **losslessly** interconvertible with the dict genomes the
-evolutionary operators produce: slot order preserves µop dict insertion
-order, which the recombination RNG stream observes, so
-``unpack(pack(population))`` reproduces not just the same mappings but the
-same downstream evolution bit for bit.
+plus the shared instruction-name tuple that gives rows their meaning.  An
+evolver's population stays in this form from initialization to the final
+local search: :func:`repro.pmevo.operators.recombine` maps a packed
+population to packed children, selection deduplicates by
+:meth:`PackedPopulation.row_keys` and keeps rows with :meth:`take`, and
+migration copies rows.  Dict genomes appear only at the boundaries
+(the random initial population, local search and export of the winner,
+and the mutation ablation), through :meth:`from_genomes` and
+:meth:`to_genomes`, which are lossless inverses: slot order is µop dict
+insertion order, which the recombination RNG stream observes.
+
+A population is kept in the *normal form* :meth:`from_genomes` produces:
+the slot axis is as wide as the widest row and ``mults`` has the narrowest
+dtype that fits (:meth:`normalized`), so a packed population serializes to
+the same bytes as its dict genomes packed afresh.
 
 Population-scale consumers:
 
@@ -36,7 +43,9 @@ Population-scale consumers:
   :meth:`PackedPopulation.from_npz_base64` give a compact binary wire/disk
   form (compressed npz, base64-armoured for JSON) that
   :class:`repro.pmevo.evolution.EvolutionState` embeds, shrinking the epoch
-  payloads the migration transports and checkpoints ship.
+  payloads the migration transports and checkpoints ship.  The decoder
+  checks every invariant, because a loaded population goes straight into
+  the hot loop.
 """
 
 from __future__ import annotations
@@ -73,8 +82,9 @@ class PackedPopulation:
 
     Invariants: ``masks`` and ``mults`` share the shape
     ``[population, instruction, slot]``; used slots (``mask != 0``) are a
-    prefix of each ``[population, instruction]`` row, carry multiplicity
-    ``>= 1``, and hold masks that are unique within their row.
+    non-empty prefix of each ``[population, instruction]`` row, carry
+    multiplicity ``>= 1``, and hold masks that are unique within their row;
+    unused slots are zero in both arrays.
     """
 
     __slots__ = ("names", "masks", "mults")
@@ -106,6 +116,102 @@ class PackedPopulation:
     def max_uops(self) -> int:
         """Slot capacity per instruction (the widest µop decomposition)."""
         return self.masks.shape[2]
+
+    # -- rows ----------------------------------------------------------------
+
+    def normalized(self) -> "PackedPopulation":
+        """The same genomes in :meth:`from_genomes` normal form: the slot
+        axis trimmed to the widest row, ``mults`` in the narrowest dtype."""
+        width = int(np.count_nonzero(self.masks, axis=2).max(initial=1))
+        dtype = _mult_dtype(int(self.mults.max(initial=1)))
+        if width == self.max_uops and dtype == self.mults.dtype:
+            return self
+        return PackedPopulation(
+            self.names,
+            np.ascontiguousarray(self.masks[:, :, :width]),
+            self.mults[:, :, :width].astype(dtype),
+        )
+
+    def take(self, indices) -> "PackedPopulation":
+        """Genomes ``indices`` (copied, in that order), in normal form."""
+        return PackedPopulation(
+            self.names, self.masks[indices], self.mults[indices]
+        ).normalized()
+
+    @classmethod
+    def concatenate(cls, populations: Sequence["PackedPopulation"]) -> "PackedPopulation":
+        """Stack populations over one instruction universe into one, padded
+        to the widest slot axis and multiplicity dtype among them."""
+        names = populations[0].names
+        if any(population.names != names for population in populations):
+            raise MappingError("cannot concatenate populations over different instructions")
+        shape = (
+            sum(len(population) for population in populations),
+            len(names),
+            max(population.max_uops for population in populations),
+        )
+        masks = np.zeros(shape, dtype=np.uint32)
+        mults = np.zeros(
+            shape, dtype=np.result_type(*(population.mults for population in populations))
+        )
+        start = 0
+        for population in populations:
+            stop = start + len(population)
+            masks[start:stop, :, : population.max_uops] = population.masks
+            mults[start:stop, :, : population.max_uops] = population.mults
+            start = stop
+        return cls(names, masks, mults)
+
+    def row_keys(self) -> np.ndarray:
+        """One opaque key per genome: two keys are equal exactly when the
+        genomes hold the same µops, whatever their slot order.
+
+        Each slot's (mask, multiplicity) pair becomes one integer, mask
+        first, in the narrowest dtype that holds them all, and each row's
+        integers are sorted: masks are unique within a row, so that sorts
+        the slots by mask, and unused slots (all zero) sort first.  A
+        genome's key is the bytes of its sorted rows.  Keys compare only
+        within one population, which fixes the slot width and dtype.
+        """
+        radix = int(self.mults.max(initial=0)) + 1
+        top = (int(self.masks.max(initial=0)) + 1) * radix - 1
+        if top < 1 << 64:
+            slots = self.masks.astype(_mult_dtype(top))
+            slots *= radix
+            slots += self.mults
+        else:  # too wide for one integer: sort (mask, multiplicity) records
+            slots = np.empty(
+                self.masks.shape, dtype=[("mask", np.uint32), ("mult", self.mults.dtype)]
+            )
+            slots["mask"], slots["mult"] = self.masks, self.mults
+        slots.sort(axis=2)
+        rows = slots.reshape(len(self), -1)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+    def _check_invariants(self) -> None:
+        """Raise :class:`MappingError` unless the arrays hold valid genomes:
+        ``uint32`` masks and unsigned multiplicities, at least one genome,
+        used slots a non-empty prefix of every row with multiplicity ``>= 1``
+        and masks unique within their row, and unused slots all zero."""
+        if self.masks.dtype != np.uint32 or self.mults.dtype.kind != "u":
+            raise MappingError(
+                f"masks must be uint32 and multiplicities unsigned, got "
+                f"{self.masks.dtype} and {self.mults.dtype}"
+            )
+        if not self.masks.size:
+            raise MappingError("a population needs genomes, instructions and slots")
+        used = self.masks != 0
+        if not used[:, :, 0].all():
+            raise MappingError("genome has an instruction without µops")
+        if (used[:, :, 1:] & ~used[:, :, :-1]).any():
+            raise MappingError("used µop slots are not a prefix of their row")
+        if (used != (self.mults != 0)).any():
+            raise MappingError(
+                "used µop slots need a multiplicity >= 1 and unused slots zero"
+            )
+        ordered = np.sort(self.masks, axis=2)
+        if ((ordered[:, :, 1:] == ordered[:, :, :-1]) & (ordered[:, :, 1:] != 0)).any():
+            raise MappingError("µop masks repeat within a row")
 
     # -- converters ----------------------------------------------------------
 
@@ -231,7 +337,8 @@ class PackedPopulation:
 
         Raises :class:`repro.core.errors.CheckpointError` on malformed
         payloads (bad base64, truncated archives, missing arrays, wrong
-        shapes) — the error contract of the state/checkpoint codecs.
+        shapes or dtypes, rows that break the class invariants) — the error
+        contract of the state/checkpoint codecs.
         """
         try:
             raw = base64.b64decode(text.encode("ascii"), validate=True)
@@ -247,6 +354,8 @@ class PackedPopulation:
         if names.ndim != 1:
             raise CheckpointError("packed population names must be a 1-D array")
         try:
-            return cls([str(name) for name in names], masks, mults)
+            population = cls([str(name) for name in names], masks, mults)
+            population._check_invariants()
         except MappingError as exc:
             raise CheckpointError(f"malformed packed population: {exc}") from exc
+        return population

@@ -984,6 +984,26 @@ def run_worker(
             return 0
 
 
+def _openblas_function(name: str, restype, argtypes: list):
+    """A function of the OpenBLAS bundled with numpy's wheels, declared with
+    ``restype`` and ``argtypes``, or ``None`` when there is no such library
+    or symbol (another numpy build)."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            function = getattr(ctypes.CDLL(path), name)
+        except (OSError, AttributeError):
+            continue
+        function.restype, function.argtypes = restype, argtypes
+        return function
+    return None
+
+
 def _local_worker(listener: socket.socket, host: str, port: int) -> None:
     """Body of a worker that :class:`SocketTransport` forked for itself.
 
@@ -991,9 +1011,18 @@ def _local_worker(listener: socket.socket, host: str, port: int) -> None:
     coordinator's port refuses connections instead of queueing them.  It
     leaves Ctrl-C to the coordinator, whose ``close()`` shuts it down, and
     it serves only that coordinator: once the connection ends, it exits.
+    It runs one BLAS thread: forked workers would otherwise each inherit
+    the coordinator's thread count and oversubscribe the cores between
+    them.  The fitness kernel is exact, so no result depends on it.
     """
+    import ctypes
     import signal
 
     listener.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    set_threads = _openblas_function(
+        "scipy_openblas_set_num_threads64_", None, [ctypes.c_int]
+    )
+    if set_threads is not None:
+        set_threads(1)
     run_worker(host, port, max_reconnect_attempts=0)

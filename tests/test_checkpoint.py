@@ -17,6 +17,7 @@ from repro.pmevo import (
     Checkpointer,
     EvolutionConfig,
     EvolutionState,
+    PackedPopulation,
     PortMappingEvolver,
     load_checkpoint,
     previous_path,
@@ -151,6 +152,64 @@ def test_any_json_in_any_field_loads_or_raises_checkpoint_error(field, value):
         LOADERS[kind](json.loads(json.dumps(document)))
     except CheckpointError:
         pass
+
+
+def _pad_slot(masks, mults):
+    """The arrays with one more, unused, slot per row."""
+    pad = ((0, 0), (0, 0), (0, 1))
+    return np.pad(masks, pad), np.pad(mults, pad)
+
+
+def _gap_before_a_used_slot(masks, mults):
+    masks, mults = _pad_slot(*_pad_slot(masks, mults))
+    masks[0, 0, -1], mults[0, 0, -1] = 0b10, 1
+    return masks, mults
+
+
+def _repeated_mask(masks, mults):
+    masks, mults = _pad_slot(masks, mults)
+    used = int(np.count_nonzero(masks[0, 0]))
+    masks[0, 0, used], mults[0, 0, used] = masks[0, 0, 0], 1
+    return masks, mults
+
+
+def _used_slot_without_multiplicity(masks, mults):
+    mults = mults.copy()
+    mults[0, 0, 0] = 0
+    return masks, mults
+
+
+def _instruction_without_uops(masks, mults):
+    masks, mults = masks.copy(), mults.copy()
+    masks[0, 0], mults[0, 0] = 0, 0
+    return masks, mults
+
+
+def _signed_multiplicities(masks, mults):
+    return masks, mults.astype(np.int64)
+
+
+# A loaded population goes straight into the hot loop, so the loader checks
+# every PackedPopulation invariant instead of repairing rows.
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _gap_before_a_used_slot,
+        _repeated_mask,
+        _used_slot_without_multiplicity,
+        _instruction_without_uops,
+        _signed_multiplicities,
+    ],
+)
+def test_population_breaking_packed_invariants_raises_checkpoint_error(edit):
+    document = copy.deepcopy(DOCUMENTS["state"])
+    population = PackedPopulation.from_npz_base64(document["population"]["data"])
+    masks, mults = edit(population.masks, population.mults)
+    document["population"]["data"] = PackedPopulation(
+        population.names, masks, mults
+    ).to_npz_base64()
+    with pytest.raises(CheckpointError, match="malformed packed population"):
+        EvolutionState.from_jsonable(document)
 
 
 class TestCheckpointFiles:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
 from repro.core import InferenceError, PortSpace
-from repro.pmevo import EvolutionConfig, PortMappingEvolver
+from repro.pmevo import EvolutionConfig, PackedPopulation, PortMappingEvolver, random_genome
+from repro.pmevo.evolution import _select_distinct
+from repro.pmevo.population import genome_key
 
 
 class TestEvolutionConfigValidation:
@@ -115,3 +117,50 @@ class TestEvolutionRecovery:
         ).run()
         assert set(result.mapping.instructions) == set(names)
         assert result.volume == result.mapping.uop_volume()
+
+
+def _selection_loop(genomes, ranked, count):
+    """The evolver's selection before packed dedup: one genome key per
+    candidate, walked in ranked order."""
+    selected, seen, duplicates = [], set(), []
+    for index in ranked:
+        key = genome_key(genomes[index])
+        if key in seen:
+            duplicates.append(int(index))
+            continue
+        seen.add(key)
+        selected.append(int(index))
+        if len(selected) == count:
+            break
+    if len(selected) < count:
+        selected.extend(duplicates[: count - len(selected)])
+    return selected
+
+
+@pytest.mark.parametrize("distinct", [40, 12, 5, 1])
+def test_packed_dedup_selects_like_the_genome_key_loop(distinct):
+    count = 12
+    rng = np.random.default_rng(distinct)
+    names = ("a", "b", "c")
+    singles = {"a": 1.0, "b": 2.0, "c": 3.0}
+    pool = [random_genome(rng, names, 4, singles) for _ in range(distinct)]
+    # Planted duplicates, half of them with their µops in reverse slot
+    # order: a genome is the same whatever order its µops were added in.
+    genomes = []
+    for _ in range(2 * count):
+        genome = pool[int(rng.integers(0, distinct))]
+        if rng.random() < 0.5:
+            genome = {name: dict(reversed(uops.items())) for name, uops in genome.items()}
+        genomes.append(genome)
+    # Parents and children are packed apart, at their own widths.
+    candidates = PackedPopulation.concatenate(
+        [
+            PackedPopulation.from_genomes(genomes[:count], names),
+            PackedPopulation.from_genomes(genomes[count:], names),
+        ]
+    )
+    keys = candidates.row_keys()
+    for _ in range(20):
+        ranked = rng.permutation(len(genomes))
+        selected = _select_distinct(keys, ranked, count)
+        assert selected.tolist() == _selection_loop(genomes, ranked, count)

@@ -8,6 +8,7 @@ from repro.core import InferenceError, PortSpace
 from repro.pmevo import (
     EvolutionConfig,
     EvolutionResult,
+    PackedPopulation,
     PortMappingEvolver,
     derive_island_rngs,
     migrate_ring,
@@ -67,6 +68,14 @@ class TestSeedDerivation:
         assert len(set(draws)) == 3
 
 
+def _genomes(state):
+    return state.population.to_genomes()
+
+
+def _elite(state):
+    return _genomes(state)[int(np.lexsort((state.volumes, state.davgs))[0])]
+
+
 class TestMigration:
     def _state(self, evolver, rng_seed):
         return evolver.init_state(np.random.default_rng(rng_seed))
@@ -75,15 +84,12 @@ class TestMigration:
         config = EvolutionConfig(population_size=12, max_generations=5)
         evolver = _island_evolver(config)
         states = [self._state(evolver, k) for k in range(3)]
-        elites = [
-            genome_key(s.population[int(np.lexsort((s.volumes, s.davgs))[0])])
-            for s in states
-        ]
+        elites = [genome_key(_elite(s)) for s in states]
         moved = migrate_ring(states, migration_size=1)
         assert moved == 3
         for source in range(3):
             target = states[(source + 1) % 3]
-            keys = {genome_key(g) for g in target.population}
+            keys = {genome_key(g) for g in _genomes(target)}
             assert elites[source] in keys
 
     def test_migration_keeps_objectives_consistent(self):
@@ -99,10 +105,46 @@ class TestMigration:
         config = EvolutionConfig(population_size=10, max_generations=5)
         evolver = _island_evolver(config)
         states = [self._state(evolver, k) for k in range(2)]
-        before = [[genome_key(g) for g in s.population] for s in states]
+        before = [[genome_key(g) for g in _genomes(s)] for s in states]
         assert migrate_ring(states, migration_size=0) == 0
-        after = [[genome_key(g) for g in s.population] for s in states]
+        after = [[genome_key(g) for g in _genomes(s)] for s in states]
         assert before == after
+
+    def test_rows_move_between_islands_of_different_slot_widths(self):
+        config = EvolutionConfig(population_size=10, max_generations=5)
+        evolver = _island_evolver(config)
+        states = [self._state(evolver, k) for k in range(2)]
+        # Island 0 holds a seven-µop row with a multiplicity past uint8, so
+        # its arrays are wider than island 1's in both axes; make it the
+        # elite so it emigrates.
+        wide = _genomes(states[0])
+        wide[0]["st"] = {mask: 1 for mask in range(1, 8)}
+        wide[0]["st"][0b100] = 300
+        states[0].population = PackedPopulation.from_genomes(wide, evolver.names)
+        states[0].davgs, states[0].volumes = evolver._evaluate(states[0].population)
+        states[0].davgs[0] = -1.0
+        assert states[0].population.max_uops == 7
+        assert states[1].population.max_uops < 7
+        emigrant = wide[0]
+        island_1 = _genomes(states[1])
+        worst = int(np.lexsort((states[1].volumes, states[1].davgs))[-1])
+
+        migrate_ring(states, migration_size=1)
+        received = _genomes(states[1])
+        assert list(received[worst]["st"].items()) == list(emigrant["st"].items())
+        assert received[:worst] + received[worst + 1 :] == (
+            island_1[:worst] + island_1[worst + 1 :]
+        )
+        for state in states:
+            # Rows stay in from_genomes normal form, whatever moved in or out.
+            fresh = PackedPopulation.from_genomes(_genomes(state), evolver.names)
+            assert state.population.mults.dtype == fresh.mults.dtype
+            assert np.array_equal(state.population.masks, fresh.masks)
+            assert np.array_equal(state.population.mults, fresh.mults)
+        assert states[1].population.mults.dtype == np.uint16
+        # Island 0 got island 1's elite in place of its worst (the wide row
+        # is its elite), so it keeps its width.
+        assert states[0].population.max_uops == 7
 
 
 class TestDeterminism:

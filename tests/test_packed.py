@@ -113,6 +113,23 @@ class TestRoundTrip:
         assert packed.to_genomes() == [{"a": {1: 1000}}]
 
 
+class TestRowKeys:
+    # At 2**50 a (mask, multiplicity) pair with a 2**20 mask no longer fits
+    # one 64-bit integer, and the keys come from sorted records instead.
+    @pytest.mark.parametrize("scale", [1, 2**50])
+    def test_keys_are_equal_exactly_when_genomes_are(self, scale):
+        wide = 1 << 20
+        genomes = [
+            {"i": {1: scale, wide: 2}, "j": {3: 1}},
+            {"i": {wide: 2, 1: scale}, "j": {3: 1}},  # same µops, other order
+            {"i": {1: scale, wide: 3}, "j": {3: 1}},
+            {"i": {1: scale}, "j": {3: 1, wide: 2}},
+        ]
+        keys = PackedPopulation.from_genomes(genomes).row_keys().tolist()
+        assert keys[0] == keys[1]
+        assert len(set(keys)) == 3
+
+
 class TestKernelEquivalence:
     def test_smoke_packed_equals_legacy_exactly(self):
         """The push-tier equivalence gate: packed == dict path, bit for bit."""
@@ -294,6 +311,22 @@ class TestStatePayloads:
         evolver.advance(clone, 3)
         assert state.to_json() == clone.to_json()
 
+    @pytest.mark.parametrize("mutation_rate", [0.0, 0.5])
+    def test_population_stays_in_from_genomes_normal_form(self, mutation_rate):
+        # The slot axis is the widest row and the multiplicity dtype the
+        # narrowest that fits, so the payload a state writes is the one its
+        # dict genomes packed afresh would give, byte for byte.
+        evolver = _toy_evolver(
+            population_size=16, max_generations=12, mutation_rate=mutation_rate
+        )
+        state = evolver.init_state()
+        for _ in range(6):
+            evolver.advance(state, 2)
+            population = state.population
+            fresh = PackedPopulation.from_genomes(population.to_genomes(), evolver.names)
+            assert population.to_npz_base64() == fresh.to_npz_base64()
+            assert state.to_jsonable()["population"]["data"] == fresh.to_npz_base64()
+
     def test_state_payload_uses_packed_encoding_and_shrinks(self):
         # The npz container has a fixed ~1 kB floor, so the size win shows
         # from realistic (non-toy) population sizes upward.
@@ -305,7 +338,7 @@ class TestStatePayloads:
 
         legacy_payload = dict(payload)
         legacy_payload["population"] = [
-            genome_to_jsonable(g) for g in state.population
+            genome_to_jsonable(g) for g in state.population.to_genomes()
         ]
         assert len(json.dumps(payload)) < len(json.dumps(legacy_payload))
 
@@ -318,7 +351,7 @@ class TestStatePayloads:
 
         legacy_payload = state.to_jsonable()
         legacy_payload["population"] = [
-            genome_to_jsonable(g) for g in state.population
+            genome_to_jsonable(g) for g in state.population.to_genomes()
         ]
         with pytest.raises(CheckpointError, match="packed-npz-b64"):
             type(state).from_jsonable(legacy_payload)

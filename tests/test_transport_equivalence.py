@@ -16,10 +16,12 @@ legitimately differ between equivalent runs: ``wall_seconds`` (timing) and
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import multiprocessing
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -39,6 +41,7 @@ from repro.pmevo import (
     load_checkpoint,
     run_worker,
 )
+from repro.pmevo import transport
 from repro.pmevo.transport import (
     PROTOCOL_VERSION,
     parse_address,
@@ -312,6 +315,15 @@ class TestResumeEquivalence:
         resumed = _evolver(workers=2).run(resume=load_checkpoint(path))
         assert _normalized(resumed) == _normalized(serial_result)
 
+    def test_resuming_a_finished_run_waits_for_no_worker(self, tmp_path, serial_result):
+        # A coordinator killed after the last barrier resumes to the result
+        # at once: no island has work, so no worker is awaited.
+        path = tmp_path / "snapshot.json"
+        _evolver().run(checkpointer=Checkpointer(path))
+        coordinator = SocketTransport(min_workers=2, start_timeout=1.0)
+        resumed = _evolver().run(transport=coordinator, resume=load_checkpoint(path))
+        assert _normalized(resumed) == _normalized(serial_result)
+
 
 class TestForkedWorkers:
     def test_no_process_left_behind(self, tmp_path):
@@ -324,6 +336,34 @@ class TestForkedWorkers:
         with pytest.raises(KeyboardInterrupt):
             _evolver(workers=2).run(checkpointer=kill)
         assert multiprocessing.active_children() == []
+
+
+    def test_forked_worker_runs_one_blas_thread(self, monkeypatch):
+        get_threads = transport._openblas_function(
+            "scipy_openblas_get_num_threads64_", ctypes.c_int, []
+        )
+        if get_threads is None:
+            pytest.skip("this numpy does not bundle scipy-openblas")
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        # The forked child inherits the patch: it reports its thread count
+        # where it would start serving.
+        monkeypatch.setattr(
+            transport, "run_worker", lambda *args, **kwargs: writer.send(get_threads())
+        )
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            child = context.Process(
+                target=transport._local_worker, args=(listener, "127.0.0.1", 0)
+            )
+            child.start()
+            child.join(30)
+            assert child.exitcode == 0
+            assert reader.poll(5) and reader.recv() == 1
+        finally:
+            listener.close()
+            reader.close()
+            writer.close()
 
 
 class TestSocketCLIEndToEnd:
