@@ -90,8 +90,7 @@ class IthemalPredictor:
         allocator = RegisterAllocator(allocation)
         body = allocator.allocate_sequence(forms)
         # Same steady-state differencing as the measurement harness.
-        short = self.machine.processor.run(body, iterations=4)
-        long = self.machine.processor.run(body, iterations=12)
+        short, long = self.machine.processor.run(body, (4, 12))
         return (long.cycles - short.cycles) / 8.0
 
     def _featurize(self, counts: dict[str, int]) -> np.ndarray:

@@ -333,6 +333,8 @@ def _subsample_names(machine, count: int, seed: int) -> list[str]:
     """A deterministic, class-diverse subsample of instruction forms."""
     import numpy as np
 
+    if count < 1:
+        raise ExperimentError(f"--forms must be at least 1, got {count}")
     names = list(machine.isa.names)
     if count >= len(names):
         return names

@@ -22,10 +22,20 @@ The paper instantiates the instruction forms of an experiment with operands
 
 :class:`RegisterAllocator` keeps this recency state across an entire unrolled
 loop body, exactly like the paper's allocator runs across unrolled iterations.
+Each register class is kept as a list sorted by ``(last write, index)``, so
+no pick sorts the register file: a read takes the first register the
+instruction does not use yet, a write takes the last of the unused
+registers that share the oldest write tick (the highest index), and an
+instruction's written registers move to the end of the list, in index
+order.  Registers, memory operands and immediates are immutable, so each
+distinct operand is built once and shared.  ``tests/test_regalloc.py``
+checks the picks against the original per-pick sort, kept as
+``tests/reference_regalloc.py``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 from repro.codegen.assembly import (
@@ -74,42 +84,74 @@ class AllocationConfig:
         self.memory_stride = memory_stride
 
 
+@functools.cache
+def _register_file(kind: OperandKind, count: int) -> tuple[Register, ...]:
+    """The operands of registers ``0..count-1`` of one class."""
+    return tuple(Register(kind, index) for index in range(count))
+
+
+@functools.cache
+def _memory_operands(base: int, count: int, stride: int) -> tuple[MemoryRef, ...]:
+    """The memory operands off base register ``base``, in rotation order."""
+    pointer = Register(OperandKind.GPR, base)
+    return tuple(MemoryRef(pointer, slot * stride) for slot in range(count))
+
+
+@functools.cache
+def _immediate(value: int) -> Immediate:
+    return Immediate(value)
+
+
 class _ClassState:
-    """Recency bookkeeping for one register class."""
+    """One register class in recency order.
+
+    ``order`` holds the register indices sorted by ``(last write, index)``,
+    where ``last_write`` is the tick of the instruction that last wrote
+    each register.  The initial ticks come before every instruction's and
+    ascend with the index, so the first picks spread over the file.
+    """
 
     def __init__(self, kind: OperandKind, count: int):
-        self.kind = kind
-        # Stagger initial recencies so the very first picks are spread over
-        # the register file instead of all hitting register 0.
-        self.last_read = {i: -2 * count + i for i in range(count)}
-        self.last_write = {i: -2 * count + i for i in range(count)}
+        self.registers = _register_file(kind, count)
+        self.last_write = list(range(-count, 0))
+        self.order = list(range(count))
 
-    def pick_for_read(self, banned: set[int]) -> int:
+    def pick_for_read(self, banned: list[int]) -> int:
         """Least recently *written* register (longest RAW distance)."""
-        candidates = [i for i in self.last_write if i not in banned]
-        if not candidates:
-            raise ISAError("register class exhausted during allocation")
-        return min(candidates, key=lambda i: (self.last_write[i], i))
+        for index in self.order:
+            if index not in banned:
+                return index
+        raise ISAError("register class exhausted during allocation")
 
-    def pick_for_write(self, banned: set[int]) -> int:
+    def pick_for_write(self, banned: list[int]) -> int:
         """Least recently written register, preferring high indices.
 
         Rotates destinations round-robin through the register file so both
         the destination's own read (for read-modify-write operands) and all
         future source reads see the longest possible distance to the
         previous write.  See the module docstring for why this deviates
-        from the paper's literal wording.
+        from the paper's literal wording.  Registers that share the oldest
+        write tick sit in index order, so the pick is the last of them.
         """
-        candidates = [i for i in self.last_read if i not in banned]
-        if not candidates:
+        last_write = self.last_write
+        pick = -1
+        for index in self.order:
+            if index in banned:
+                continue
+            if pick >= 0 and last_write[index] != last_write[pick]:
+                break
+            pick = index
+        if pick < 0:
             raise ISAError("register class exhausted during allocation")
-        return min(candidates, key=lambda i: (self.last_write[i], -i))
+        return pick
 
-    def note_read(self, index: int, tick: int) -> None:
-        self.last_read[index] = tick
-
-    def note_write(self, index: int, tick: int) -> None:
-        self.last_write[index] = tick
+    def note_writes(self, indices: list[int], tick: int) -> None:
+        """Move the registers one instruction wrote to the end, in index order."""
+        order = self.order
+        for index in sorted(indices):
+            order.remove(index)
+            order.append(index)
+            self.last_write[index] = tick
 
 
 class RegisterAllocator:
@@ -127,7 +169,10 @@ class RegisterAllocator:
         self._vec = _ClassState(OperandKind.VEC, self.config.num_vecs)
         self._tick = 0
         self._next_offset = 0
-        self.base_pointer = Register(OperandKind.GPR, self.config.num_gprs)
+        self._memory = _memory_operands(
+            self.config.num_gprs, self.config.num_memory_offsets, self.config.memory_stride
+        )
+        self.base_pointer = self._memory[0].base
 
     def _state(self, kind: OperandKind) -> _ClassState:
         if kind is OperandKind.GPR:
@@ -141,58 +186,44 @@ class RegisterAllocator:
         tick = self._tick
         self._tick += 1
 
-        operands: list[Operand | None] = [None] * len(form.operands)
-        # Registers already chosen for this instruction: an instruction must
-        # not read and write the same register through different operands,
-        # or it would create an intra-instruction dependency the experiment
-        # design wants to avoid.
-        used: dict[OperandKind, set[int]] = {
-            OperandKind.GPR: set(),
-            OperandKind.VEC: set(),
-        }
+        specs = form.operands
+        operands: list[Operand | None] = [None] * len(specs)
+        # Registers already chosen for this instruction, per class: an
+        # instruction must not read and write the same register through
+        # different operands, or it would create an intra-instruction
+        # dependency the experiment design wants to avoid.
+        taken: dict[_ClassState, list[int]] = {self._gpr: [], self._vec: []}
 
         # Pass 1: reads (they constrain which registers a write may clobber
-        # only via the `used` set, matching the paper's policies).
-        for pos, spec in enumerate(form.operands):
-            if spec.kind is OperandKind.IMM:
-                operands[pos] = Immediate(value=(tick % 251) + 1)
-            elif spec.kind is OperandKind.MEM:
-                offset = (
-                    self._next_offset % self.config.num_memory_offsets
-                ) * self.config.memory_stride
+        # only via the taken lists, matching the paper's policies).
+        for pos, spec in enumerate(specs):
+            kind = spec.kind
+            if kind is OperandKind.IMM:
+                operands[pos] = _immediate((tick % 251) + 1)
+            elif kind is OperandKind.MEM:
+                operands[pos] = self._memory[self._next_offset % len(self._memory)]
                 self._next_offset += 1
-                operands[pos] = MemoryRef(self.base_pointer, offset)
-            elif spec.is_read and not spec.is_written:
-                state = self._state(spec.kind)
-                index = state.pick_for_read(used[spec.kind])
-                used[spec.kind].add(index)
-                operands[pos] = Register(spec.kind, index)
+            elif not spec.is_written:
+                state = self._state(kind)
+                index = state.pick_for_read(taken[state])
+                taken[state].append(index)
+                operands[pos] = state.registers[index]
 
         # Pass 2: writes (including read-write operands, which the paper
         # treats with the written-operand policy).
-        for pos, spec in enumerate(form.operands):
-            if operands[pos] is not None or spec.kind in (
-                OperandKind.IMM,
-                OperandKind.MEM,
-            ):
-                continue
-            state = self._state(spec.kind)
-            index = state.pick_for_write(used[spec.kind])
-            used[spec.kind].add(index)
-            operands[pos] = Register(spec.kind, index)
+        written: dict[_ClassState, list[int]] = {}
+        for pos, spec in enumerate(specs):
+            if operands[pos] is None:
+                state = self._state(spec.kind)
+                index = state.pick_for_write(taken[state])
+                taken[state].append(index)
+                written.setdefault(state, []).append(index)
+                operands[pos] = state.registers[index]
 
         # Commit recency updates only after all picks, so one operand's
         # choice does not skew a sibling operand's recency view.
-        for pos, spec in enumerate(form.operands):
-            operand = operands[pos]
-            if isinstance(operand, Register):
-                state = self._state(spec.kind)
-                if spec.is_read:
-                    state.note_read(operand.index, tick)
-                if spec.is_written:
-                    state.note_write(operand.index, tick)
-            elif isinstance(operand, MemoryRef):
-                pass  # base pointer is immutable; no recency update needed
+        for state, indices in written.items():
+            state.note_writes(indices, tick)
 
         return InstructionInstance(form, tuple(operands))  # type: ignore[arg-type]
 

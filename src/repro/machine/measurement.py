@@ -8,9 +8,13 @@ for this experiment".  The measurement procedure follows the paper:
    dependency-avoiding register allocator,
 2. unroll to ~50 instructions so the loop is µop-cache resident and loop
    overhead is negligible,
-3. run until steady state — implemented by simulating a short and a long
-   run and differencing the cycle counts, which cancels warm-up and drain
-   exactly,
+3. run until steady state — implemented by differencing the cycle counts
+   of a short and a long run, which cancels warm-up and drain exactly.
+   Both come from one :meth:`~repro.machine.processor.Processor.run` call:
+   the two runs are one run until the short one has dispatched its last
+   instruction, so the simulator steps that prefix once and finishes the
+   short run from a copy of its state, with the cycle counts of two
+   separate runs,
 4. convert to wall time at the configured clock, apply measurement noise
    (clock jitter plus occasional interference spikes), convert back via
    ``t* = time × frequency / #instances`` and report the **median** over
@@ -123,9 +127,9 @@ class Machine:
             allocation=self.allocation,
         )
         warm = self.measurement.warmup_iterations
-        long = warm + self.measurement.measure_iterations
-        short_run = self.processor.run(body, iterations=warm)
-        long_run = self.processor.run(body, iterations=long)
+        short_run, long_run = self.processor.run(
+            body, (warm, warm + self.measurement.measure_iterations)
+        )
         self.simulated_instructions += short_run.instructions + long_run.instructions
         delta_cycles = long_run.cycles - short_run.cycles
         if delta_cycles <= 0:

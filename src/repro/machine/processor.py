@@ -43,11 +43,30 @@ rejects latencies below 1.  A cycle that retires, dispatches and issues
 nothing is followed directly by the next cycle at which anything can
 change.  ``tests/test_simulator_golden.py`` pins the results, and
 ``tests/test_processor.py`` checks them against the original window scan.
+
+Shared runs
+-----------
+A measurement runs one body for a short and a long stretch (Section 4.2),
+and the two runs are the same run until the short one dispatches its last
+instruction.  So :meth:`Processor.run` takes several run lengths, decodes
+the body once and simulates the longest run from the start.  Inside the
+dispatch stage of the cycle in which it has dispatched all of a shorter
+run's instructions, it copies its state: the ready queues, the
+per-instruction lists cut to the shorter run, the waiting heap and the
+dependents' lists, the busy ports and issue counts, the counters and that
+cycle's start.  The shorter run finishes from the copy, beginning at that
+cycle's issue stage, with nothing left to dispatch.  The copy is taken
+inside the dispatch stage and not at a cycle boundary because an
+instruction without µops costs no dispatch bandwidth, so no bound on how
+many instructions one cycle dispatches tells in advance in which cycle a
+run diverges.  Every result and every error equals that of a separate run
+of each length.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -79,7 +98,8 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class _DecodedBody:
-    """A loop body decoded once per :meth:`Processor.run` call.
+    """A loop body, decoded once per :meth:`Processor.run` call and shared
+    by every run length the call simulates.
 
     Port classes are the distinct ``(port mask, block)`` pairs of the
     body's µops.  Everything else is indexed by body position.
@@ -91,6 +111,72 @@ class _DecodedBody:
     #: Ascending read-after-write distances: dynamic instruction ``i`` reads
     #: the results of instructions ``i - d`` (those that exist).
     distances: tuple[tuple[int, ...], ...]
+
+
+@dataclass
+class _Run:
+    """The dynamic state of a run, as of some point in one of its cycles.
+
+    The per-instruction lists are indexed by dynamic instruction id, and
+    the ROB is the id range ``[retired, dispatched)``, since dispatch and
+    retirement are in order.  Until it issues, a dispatched µop is waiting
+    on producers (``unresolved``, ``ready_at`` and the producers'
+    ``dependents``), in the ``waiting`` heap of ``(ready cycle, instr)``,
+    or in the ready queue of its port class.  ``start`` is the current
+    cycle's ``(retired, dispatched, window)`` at its beginning.
+    """
+
+    queues: list[list[int]]
+    completion: list[int]  # cycle of the last µop's result, or _PENDING
+    unissued: list[int]  # µops not yet issued
+    unresolved: list[int]  # producers with unknown completion
+    ready_at: list[int]  # latest known producer completion
+    dependents: dict[int, list[int]]  # producer -> waiting consumers
+    waiting: list[tuple[int, int]]
+    busy_until: dict[int, int]  # port -> cycle its blocking µop frees it
+    port_issue_count: list[int]
+    dispatched: int = 0
+    retired: int = 0
+    window: int = 0  # µops dispatched but not issued
+    cycle: int = 0
+    start: tuple[int, int, int] = (0, 0, 0)
+
+    @classmethod
+    def empty(cls, num_classes: int, num_ports: int, total_instrs: int) -> _Run:
+        """A run of ``total_instrs`` instructions before its first cycle."""
+        return cls(
+            [[] for _ in range(num_classes)],
+            [_PENDING] * total_instrs,
+            [0] * total_instrs,
+            [0] * total_instrs,
+            [0] * total_instrs,
+            {},
+            [],
+            {},
+            [0] * num_ports,
+        )
+
+    def fork(
+        self, total_instrs: int, retired: int, window: int, cycle: int, start: tuple[int, int, int]
+    ) -> _Run:
+        """A copy of this state, with the given counters, for a run of
+        ``total_instrs`` instructions that has just dispatched its last."""
+        return _Run(
+            [list(queue) for queue in self.queues],
+            self.completion[:total_instrs],
+            self.unissued[:total_instrs],
+            self.unresolved[:total_instrs],
+            self.ready_at[:total_instrs],
+            {producer: list(consumers) for producer, consumers in self.dependents.items()},
+            list(self.waiting),
+            dict(self.busy_until),
+            list(self.port_issue_count),
+            total_instrs,
+            retired,
+            window,
+            cycle,
+            start,
+        )
 
 
 def _regkey(kind: OperandKind, index: int) -> int:
@@ -141,15 +227,21 @@ class Processor:
     def run(
         self,
         body: list[InstructionInstance],
-        iterations: int = 1,
+        iterations: Sequence[int],
         max_cycles: int = 2_000_000,
-    ) -> SimulationResult:
-        """Simulate ``iterations`` back-to-back executions of ``body``.
+    ) -> list[SimulationResult]:
+        """Simulate back-to-back executions of ``body``, once per run length.
 
-        Returns the total cycle count from first dispatch to last
-        retirement.  Raises :class:`MeasurementError` if the stream does not
-        finish within ``max_cycles`` (a safety net against configuration
-        bugs, not an expected outcome).
+        ``iterations`` lists run lengths in loop iterations, in any order and
+        with repeats.  Returns one result per length, in the order asked,
+        each equal to a separate run of that length: the total cycle count
+        from first dispatch to last retirement.  The body is decoded once,
+        and only the longest run is simulated from the start; every shorter
+        run forks off it where it stops dispatching (see the module
+        docstring).  Raises the :class:`MeasurementError` that separate runs
+        in the given order would raise first: a non-positive length, or a
+        run that does not finish within ``max_cycles`` (a safety net against
+        configuration bugs, not an expected outcome).
 
         Each cycle retires in order, dispatches in order, then issues.  The
         issue stage never scans the scheduler window: an instruction whose
@@ -167,18 +259,72 @@ class Processor:
         """
         if not body:
             raise MeasurementError("cannot simulate an empty loop body")
-        if iterations <= 0:
-            raise MeasurementError(f"iterations must be positive, got {iterations}")
+        lengths = list(iterations)
+        # Separate runs would stop at the first non-positive length, so the
+        # lengths before it are simulated, and their errors come first.
+        valid = next((i for i, n in enumerate(lengths) if n <= 0), len(lengths))
+        outcomes = self._simulate(body, sorted(set(lengths[:valid])), max_cycles) if valid else {}
+        for count in lengths[:valid]:
+            if isinstance(outcomes[count], str):
+                raise MeasurementError(outcomes[count])
+        if valid < len(lengths):
+            raise MeasurementError(f"iterations must be positive, got {lengths[valid]}")
+        return [outcomes[count] for count in lengths]
 
+    def _simulate(
+        self, body: list[InstructionInstance], lengths: list[int], max_cycles: int
+    ) -> dict[int, SimulationResult | str]:
+        """A separate run's result, or its error message, per ascending length."""
         decoded = self._decode(body)
         body_len = len(body)
-        total_instrs = body_len * iterations
+        *shorter, longest = lengths
+        main = _Run.empty(len(decoded.classes), self._num_ports, longest * body_len)
+        cycle, retired, forked = self._advance(
+            decoded, main, longest * body_len, max_cycles, [n * body_len for n in shorter]
+        )
+        ends = {longest: (cycle, retired)}
+        for count, run in zip(shorter, forked):
+            ends[count] = self._advance(decoded, run, count * body_len, max_cycles)[:2]
+        # The longest run stopped at the guard before these forked off, and
+        # up to there they are the same run.
+        for count in shorter[len(forked) :]:
+            ends[count] = (cycle, retired)
+
+        uops_per_body = sum(map(len, decoded.uop_classes))
+        outcomes: dict[int, SimulationResult | str] = {}
+        for count, (cycle, retired) in ends.items():
+            total = count * body_len
+            if retired < total:
+                outcomes[count] = (
+                    f"simulation exceeded {max_cycles} cycles ({retired}/{total} retired)"
+                )
+            else:
+                outcomes[count] = SimulationResult(cycle, total, uops_per_body * count)
+        return outcomes
+
+    def _advance(
+        self,
+        decoded: _DecodedBody,
+        run: _Run,
+        total_instrs: int,
+        max_cycles: int,
+        forks: Sequence[int] = (),
+    ) -> tuple[int, int, list[_Run]]:
+        """Step ``run`` until it retires ``total_instrs`` instructions or
+        passes ``max_cycles``.
+
+        Returns the final cycle, the retired count and one copy of the
+        state per entry of ``forks`` (ascending instruction counts below
+        ``total_instrs``), taken when ``dispatched`` reaches it.  A run that
+        enters with all of its instructions dispatched is such a copy: it
+        resumes at the issue stage of the cycle it was taken in.
+        """
+        body_len = len(decoded.latencies)
         num_uops = [len(classes) for classes in decoded.uop_classes]
-        uops_per_body = sum(num_uops)
 
         frontend = self.config.frontend
         backend = self.config.backend
-        if uops_per_body <= frontend.uop_cache_size:
+        if sum(num_uops) <= frontend.uop_cache_size:
             dispatch_width = frontend.dispatch_width
         else:
             dispatch_width = frontend.decode_width
@@ -190,7 +336,7 @@ class Processor:
         # Ready queues hold window keys ``instr << shift | uop index``, so
         # integer order is window order.
         shift = max(num_uops).bit_length()
-        queues: list[list[int]] = [[] for _ in decoded.classes]
+        queues = run.queues
         classes = [
             (queue, mask, block, indices_from_mask(mask))
             for queue, (mask, block) in zip(queues, decoded.classes)
@@ -206,75 +352,81 @@ class Processor:
                 heappush(queue, key)
                 key += 1
 
-        # Per dynamic instruction, indexed by id.  The ROB is the id range
-        # [retired, dispatched), since dispatch and retirement are in order.
-        completion = [_PENDING] * total_instrs
-        unissued = [0] * total_instrs  # µops not yet issued
-        unresolved = [0] * total_instrs  # producers with unknown completion
-        ready_at = [0] * total_instrs  # latest known producer completion
-        dependents: dict[int, list[int]] = {}  # producer -> waiting consumers
-        waiting: list[tuple[int, int]] = []  # (ready cycle, instr) heap
-
+        completion = run.completion
+        unissued = run.unissued
+        unresolved = run.unresolved
+        ready_at = run.ready_at
+        dependents = run.dependents
+        waiting = run.waiting
         all_ports = (1 << self._num_ports) - 1
-        busy_until: dict[int, int] = {}  # port -> cycle its blocking µop frees it
-        port_issue_count = [0] * self._num_ports
+        busy_until = run.busy_until
+        port_issue_count = run.port_issue_count
 
-        dispatched = 0
-        retired = 0
-        window = 0  # µops dispatched but not issued
-        cycle = 0
+        dispatched = run.dispatched
+        retired = run.retired
+        window = run.window
+        cycle = run.cycle
+        start = run.start
+        resume = dispatched == total_instrs
+        fork_points = iter(forks)
+        fork_at = next(fork_points, -1)
+        forked: list[_Run] = []
 
         while retired < total_instrs:
-            if cycle > max_cycles:
-                raise MeasurementError(
-                    f"simulation exceeded {max_cycles} cycles "
-                    f"({retired}/{total_instrs} retired)"
-                )
-            start = (retired, dispatched, window)
-
-            # 1) Retire in order.
-            retire_budget = retire_width
-            while retire_budget and retired < dispatched and completion[retired] <= cycle:
-                retired += 1
-                retire_budget -= 1
-
-            # 2) Dispatch up to the frontend width.
-            dispatch_budget = dispatch_width
-            while (
-                dispatch_budget > 0
-                and dispatched < total_instrs
-                and dispatched - retired < rob_capacity
-            ):
-                pos = dispatched % body_len
-                uops = num_uops[pos]
-                if window + uops > window_capacity:
+            if resume:
+                resume = False
+            else:
+                if cycle > max_cycles:
                     break
-                if uops > dispatch_budget and dispatch_budget < dispatch_width:
-                    break  # µops of one instruction dispatch together
-                instr = dispatched
-                dispatched += 1
-                dispatch_budget -= uops
-                window += uops
-                unissued[instr] = uops
+                start = (retired, dispatched, window)
 
-                ready = 0
-                unknown = 0
-                for distance in distances[pos]:
-                    if distance > instr:
+                # 1) Retire in order.
+                retire_budget = retire_width
+                while retire_budget and retired < dispatched and completion[retired] <= cycle:
+                    retired += 1
+                    retire_budget -= 1
+
+                # 2) Dispatch up to the frontend width.
+                dispatch_budget = dispatch_width
+                while (
+                    dispatch_budget > 0
+                    and dispatched < total_instrs
+                    and dispatched - retired < rob_capacity
+                ):
+                    pos = dispatched % body_len
+                    uops = num_uops[pos]
+                    if window + uops > window_capacity:
                         break
-                    done = completion[instr - distance]
-                    if done == _PENDING:
-                        dependents.setdefault(instr - distance, []).append(instr)
-                        unknown += 1
-                    elif done > ready:
-                        ready = done
-                if unknown:
-                    unresolved[instr] = unknown
-                    ready_at[instr] = ready
-                elif ready > cycle:
-                    heappush(waiting, (ready, instr))
-                else:
-                    release(instr)
+                    if uops > dispatch_budget and dispatch_budget < dispatch_width:
+                        break  # µops of one instruction dispatch together
+                    instr = dispatched
+                    dispatched += 1
+                    dispatch_budget -= uops
+                    window += uops
+                    unissued[instr] = uops
+
+                    ready = 0
+                    unknown = 0
+                    for distance in distances[pos]:
+                        if distance > instr:
+                            break
+                        done = completion[instr - distance]
+                        if done == _PENDING:
+                            dependents.setdefault(instr - distance, []).append(instr)
+                            unknown += 1
+                        elif done > ready:
+                            ready = done
+                    if unknown:
+                        unresolved[instr] = unknown
+                        ready_at[instr] = ready
+                    elif ready > cycle:
+                        heappush(waiting, (ready, instr))
+                    else:
+                        release(instr)
+                    if dispatched == fork_at:
+                        # A shorter run stops dispatching here.
+                        forked.append(run.fork(dispatched, retired, window, cycle, start))
+                        fork_at = next(fork_points, -1)
 
             # 3) Issue ready µops, oldest first, greedy port choice.
             free = all_ports
@@ -341,6 +493,4 @@ class Processor:
                 if until < cycle:
                     cycle = until
 
-        return SimulationResult(
-            cycles=cycle, instructions=total_instrs, uops=uops_per_body * iterations
-        )
+        return cycle, retired, forked

@@ -20,6 +20,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.core.errors import InferenceError
 from repro.core.experiment import Experiment, ExperimentSet
 from repro.core.mapping import ThreeLevelMapping
 from repro.core.ports import PortSpace
@@ -46,6 +47,12 @@ class PMEvoConfig:
     epsilon: float = 0.05
     num_ports: int | None = None
     evolution: EvolutionConfig = EvolutionConfig()
+
+    def __post_init__(self) -> None:
+        # Checked here, not when congruence filtering runs, so a bad value
+        # fails before the measurement stage instead of after it.
+        if not self.epsilon > 0:
+            raise InferenceError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -364,7 +365,7 @@ class TestSubprocessDrills:
                 "--population",
                 "16",
                 "--generations",
-                "6",
+                "30",
                 "--islands",
                 "2",
                 "--migration-interval",
@@ -392,6 +393,19 @@ class TestSubprocessDrills:
         assert "byte-identical" in proc.stdout
 
     def test_coordinator_sigkill_and_resume(self, tmp_path):
+        # 15 epochs: the kill lands a few epochs in, while islands are
+        # active, so the restarted coordinator has work to recover.
         proc = self._run_drill(["--kill", "coordinator", "--at-epoch", "1"], tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "byte-identical" in proc.stdout
+        killed_at, total = map(int, re.search(r"epoch (\d+) of (\d+)", proc.stdout).groups())
+        assert 1 <= killed_at < total
+
+    def test_coordinator_drill_fails_when_the_kill_lands_after_the_run(self, tmp_path):
+        # Two generations are one epoch: the first snapshot is the last, so
+        # the restarted coordinator would have nothing to recover.
+        proc = self._run_drill(
+            ["--generations", "2", "--kill", "coordinator", "--at-epoch", "1"], tmp_path
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "landed after the last epoch" in proc.stdout

@@ -236,3 +236,15 @@ class TestUserMistakes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--forms", "-3"], ["--forms", "0"], ["--epsilon", "-1"]],
+        ids=["forms-negative", "forms-zero", "epsilon-negative"],
+    )
+    def test_bad_forms_or_epsilon_fail_before_measuring(self, option, tmp_path, capsys):
+        assert main(["infer", "SKL", "-o", str(tmp_path / "m.json"), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "inferring port mapping" not in captured.out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Experiment
+from repro.core import Experiment, InferenceError
 from repro.machine import MeasurementConfig, toy_machine
 from repro.pmevo import EvolutionConfig, PMEvoConfig, infer_port_mapping
 from repro.throughput import MappingPredictor
@@ -69,6 +69,13 @@ class TestPipelineOnToyMachine:
         )
         result = infer_port_mapping(machine, names=names, config=config)
         assert set(result.mapping.instructions) == set(names)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_config_rejects_a_non_positive_epsilon(epsilon):
+    # Rejected when the config is built, before anything is measured.
+    with pytest.raises(InferenceError, match="epsilon must be positive"):
+        PMEvoConfig(epsilon=epsilon)
 
 
 class TestPipelineWithNoise:

@@ -46,8 +46,7 @@ def _tiny_machine(
 def _run_throughput(config: MachineConfig, count: int = 120) -> float:
     processor = Processor(config)
     body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=40)
-    short = processor.run(body, iterations=4)
-    long = processor.run(body, iterations=12)
+    short, long = processor.run(body, (4, 12))
     return (long.cycles - short.cycles) / (8 * len(body))
 
 
@@ -101,8 +100,7 @@ class TestDependencyChains:
         allocator = RegisterAllocator(AllocationConfig(num_gprs=2))
         body = allocator.allocate_sequence([config.isa["op"]] * 40)
         assert all(instance.render() == "op r1, r0" for instance in body)
-        short = processor.run(body, iterations=2)
-        long = processor.run(body, iterations=6)
+        short, long = processor.run(body, (2, 6))
         per_op = (long.cycles - short.cycles) / (4 * len(body))
         assert per_op == pytest.approx(4.0, rel=0.1)
 
@@ -111,27 +109,39 @@ class TestSimulatorEdgeCases:
     def test_empty_body_rejected(self):
         processor = Processor(_tiny_machine())
         with pytest.raises(MeasurementError):
-            processor.run([], iterations=1)
+            processor.run([], (1,))
 
     def test_nonpositive_iterations_rejected(self):
         config = _tiny_machine()
         processor = Processor(config)
         body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=4)
         with pytest.raises(MeasurementError):
-            processor.run(body, iterations=0)
+            processor.run(body, (0,))
 
     def test_max_cycles_guard(self):
         config = _tiny_machine()
         processor = Processor(config)
         body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=40)
         with pytest.raises(MeasurementError):
-            processor.run(body, iterations=100, max_cycles=10)
+            processor.run(body, (100,), max_cycles=10)
+
+    def test_first_error_in_the_order_asked_wins(self):
+        # Separate runs of 100 then 0 iterations would stop at the guard
+        # before they reach the non-positive length.
+        config = _tiny_machine()
+        processor = Processor(config)
+        body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=40)
+        with pytest.raises(MeasurementError, match="exceeded 10 cycles"):
+            processor.run(body, (100, 0), max_cycles=10)
+        with pytest.raises(MeasurementError, match="must be positive"):
+            processor.run(body, (0, 100), max_cycles=10)
+        assert processor.run(body, ()) == []
 
     def test_result_counters(self):
         config = _tiny_machine()
         processor = Processor(config)
         body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=10)
-        result = processor.run(body, iterations=3)
+        (result,) = processor.run(body, (3,))
         assert result.instructions == 30
         assert result.uops == 30  # one µop per instruction
         assert result.cycles > 0
@@ -177,7 +187,7 @@ def _up_to(limit: int):
 
 @st.composite
 def _random_runs(draw):
-    """A random machine, loop body and run length for the oracle property."""
+    """A random machine, loop body and cycle guard for the oracle properties."""
     ports = [f"P{i}" for i in range(draw(st.integers(1, 6)))]
     port_sets = st.lists(st.sampled_from(ports), min_size=1, max_size=len(ports), unique=True)
     blocks = st.sampled_from((1, 2, 4))
@@ -221,31 +231,93 @@ def _random_runs(draw):
     # test_deadlock_spins_into_the_guard covers the long one.
     widest = max(len(config.decode(form)) for form in sequence)
     assume(max_cycles == 50 or widest <= config.backend.scheduler_window)
-    return config, body, draw(_up_to(8)), max_cycles
+    return config, body, max_cycles
 
 
-def _outcome(processor, body, iterations, max_cycles):
+def _outcome(config, body, lengths, max_cycles):
+    """The results of one call with every length, or the error it raises."""
     try:
-        return processor.run(body, iterations=iterations, max_cycles=max_cycles)
+        return Processor(config).run(body, lengths, max_cycles=max_cycles)
+    except MeasurementError as error:
+        return str(error)
+
+
+def _reference_outcome(config, body, lengths, max_cycles):
+    """The results of separate window-scan runs, one per length in order,
+    or the first error they raise."""
+    processor = ReferenceProcessor(config)
+    try:
+        return [processor.run(body, iterations=n, max_cycles=max_cycles) for n in lengths]
     except MeasurementError as error:
         return str(error)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_runs())
-def test_event_driven_issue_matches_the_window_scan(case):
+@given(_random_runs(), _up_to(8))
+def test_event_driven_issue_matches_the_window_scan(case, iterations):
     """The event-driven simulator returns exactly what the original
     oldest-first window scan returns, or raises the same error."""
-    config, body, iterations, max_cycles = case
-    expected = _outcome(ReferenceProcessor(config), body, iterations, max_cycles)
-    assert _outcome(Processor(config), body, iterations, max_cycles) == expected
+    config, body, max_cycles = case
+    expected = _reference_outcome(config, body, [iterations], max_cycles)
+    assert _outcome(config, body, [iterations], max_cycles) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_runs(), st.lists(_up_to(8), min_size=1, max_size=3))
+def test_shared_run_matches_separate_runs(case, lengths):
+    """One call with 1–3 run lengths, repeated and in any order, returns
+    what separate window-scan runs return, or raises the error the first
+    failing one raises: a shorter run forked off the longest is exact."""
+    config, body, max_cycles = case
+    expected = _reference_outcome(config, body, lengths, max_cycles)
+    assert _outcome(config, body, lengths, max_cycles) == expected
+
+
+def test_shorter_run_keeps_its_own_completion_cycles():
+    """A younger µop can let the long run finish an older instruction
+    earlier than the short run does (here through ports that blocking µops
+    hold under the lowest-index policy), so the short run needs its own copy
+    of the completion cycles: read through the long run's, it ends at cycle
+    52 instead of 55."""
+    all_ports = ("P0", "P1", "P2", "P3")
+    op0 = make_form("op0", [gpr(64)], "op0", name="op0")
+    op1 = make_form("op1", [gpr(64, read=True, write=True), gpr(64)], "op1", name="op1")
+    op2 = make_form("op2", [gpr(64, read=False, write=True), gpr(64)], "op2", name="op2")
+    config = MachineConfig(
+        name="FORK",
+        ports=PortSpace(list(all_ports)),
+        isa=ISA("fork", [op0, op1, op2]),
+        classes={
+            "op0": ExecutionClass(
+                "op0", (UopSpec(all_ports, 1, 4), UopSpec(("P1", "P3"), 2, 3)), 6
+            ),
+            "op1": ExecutionClass(
+                "op1", (UopSpec(("P0", "P3"), 1, 4), UopSpec(("P2", "P3"), 2, 3)), 2
+            ),
+            "op2": ExecutionClass("op2", (UopSpec(all_ports, 2, 2),), 7),
+        },
+        frontend=FrontendConfig(dispatch_width=3, decode_width=3, uop_cache_size=1536),
+        backend=BackendConfig(
+            scheduler_window=32, rob_size=32, retire_width=1, port_policy="lowest_index"
+        ),
+    )
+    allocator = RegisterAllocator(AllocationConfig(num_gprs=2))
+    body = allocator.allocate_sequence([op2, op1, op0, op1, op1])
+    expected = _reference_outcome(config, body, [4, 5], 2_000_000)
+    assert [result.cycles for result in expected] == [55, 67]
+    assert _outcome(config, body, [4, 5], 2_000_000) == expected
 
 
 def test_deadlock_spins_into_the_guard():
     """A µop pair never fits a one-entry window: both simulators give up at
-    the default guard with the same message, the new one without spinning."""
+    the default guard with the same message, the new one without spinning.
+    A shared call raises the message of the first length asked."""
     config = _tiny_machine(window=1, count=2)
     body, _ = build_loop_body(config.isa, Experiment({"op": 1}), target_length=4)
-    expected = _outcome(ReferenceProcessor(config), body, 2, 2_000_000)
+    expected = _reference_outcome(config, body, [2], 2_000_000)
     assert expected == "simulation exceeded 2000000 cycles (0/8 retired)"
-    assert _outcome(Processor(config), body, 2, 2_000_000) == expected
+    assert _outcome(config, body, [2], 2_000_000) == expected
+    assert _outcome(config, body, [2, 1], 2_000_000) == expected
+    assert _outcome(config, body, [1, 2], 2_000_000) == (
+        "simulation exceeded 2000000 cycles (0/4 retired)"
+    )

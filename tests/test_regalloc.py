@@ -1,11 +1,14 @@
 """Tests for the dependency-avoiding register allocator (Section 4.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_regalloc import ReferenceRegisterAllocator
 from repro.codegen import AllocationConfig, RegisterAllocator
 from repro.codegen.assembly import MemoryRef, Register
 from repro.core import ISAError
-from repro.core.isa import gpr, make_form, mem, vec
+from repro.core.isa import gpr, imm, make_form, mem, vec
 
 
 ADD = make_form("add", [gpr(64, read=True, write=True), gpr(64)], "alu")
@@ -92,3 +95,60 @@ class TestRegisterAllocator:
             dest, src_a, src_b = instance.operands
             assert src_a != src_b
             assert dest not in (src_a, src_b)
+
+
+#: Register operands of either class: read, written, or both.
+_REGISTER_OPERANDS = st.builds(
+    lambda spec, access: spec(access[0], access[1]),
+    st.sampled_from(
+        (
+            lambda read, write: gpr(64, read=read, write=write),
+            lambda read, write: vec(256, read=read, write=write),
+        )
+    ),
+    st.sampled_from(((True, False), (False, True), (True, True))),
+)
+_OPERANDS = st.one_of(_REGISTER_OPERANDS, st.just(mem(64)), st.just(imm()))
+
+
+@st.composite
+def _allocations(draw):
+    """A register file and a sequence over a few random forms; some forms
+    write two registers of one class, and a small file can run out."""
+    forms = [
+        make_form(f"f{index}", draw(st.lists(_OPERANDS, max_size=4)), "cls", name=f"f{index}")
+        for index in range(draw(st.integers(1, 4)))
+    ]
+    forms.append(
+        make_form("wide", [gpr(64, read=False, write=True), gpr(64, write=True)], "cls")
+    )
+    config = AllocationConfig(
+        num_gprs=draw(st.integers(2, 16)),
+        num_vecs=draw(st.integers(2, 16)),
+        num_memory_offsets=draw(st.integers(1, 8)),
+    )
+    return config, draw(st.lists(st.sampled_from(forms), min_size=1, max_size=60))
+
+
+def _allocated(allocator, form):
+    try:
+        return allocator.allocate(form).operands
+    except ISAError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_allocations())
+def test_recency_order_matches_the_original_allocator(case):
+    """Picking from registers kept in (last write, index) order gives the
+    operands that the original per-pick sort gives, instruction by
+    instruction, or the same error when a class runs out."""
+    config, sequence = case
+    allocator = RegisterAllocator(config)
+    reference = ReferenceRegisterAllocator(config)
+    assert allocator.base_pointer == reference.base_pointer
+    for form in sequence:
+        expected = _allocated(reference, form)
+        assert _allocated(allocator, form) == expected
+        if isinstance(expected, str):
+            break

@@ -2,7 +2,9 @@
 
 ``tests/golden/simulator.json`` records, for a few hundred seeded
 experiments, what :meth:`Processor.run` returns at 6 and 16 iterations and
-what noise-free :meth:`Machine.measure` reports (as ``float.hex``).  The
+what noise-free :meth:`Machine.measure` reports (as ``float.hex``).  Every
+case is checked through the shared ``(6, 16)`` call that the measurement
+makes and through a single-length call per run.  The
 cases cover the SKL, ZEN and A72 presets with the default register file,
 each preset with a two-register file (read-after-write chains stall issue,
 the bodies the Ithemal baseline trains on), and the IACA-style replica of
@@ -80,8 +82,17 @@ def _allocatable(machine: Machine) -> list[str]:
     return names
 
 
-def generate_cases() -> list[dict]:
-    """Every golden case, recomputed from the simulator as it is now."""
+def _shared_runs(machine: Machine, body) -> list:
+    return machine.processor.run(body, ITERATIONS)
+
+
+def _single_runs(machine: Machine, body) -> list:
+    return [machine.processor.run(body, (iterations,))[0] for iterations in ITERATIONS]
+
+
+def generate_cases(simulate=_shared_runs) -> list[dict]:
+    """Every golden case, recomputed from the simulator as it is now, with
+    the runs of each body from ``simulate``."""
     cases = []
     for index, (family, preset, registers, replica) in enumerate(FAMILIES):
         machine = _machine(preset, registers, replica)
@@ -92,10 +103,10 @@ def generate_cases() -> list[dict]:
             experiments = _experiments(names, seed=index, subsample=7, multisets=40)
         for experiment in experiments:
             body, _ = build_loop_body(machine.isa, experiment, allocation=machine.allocation)
-            runs = {}
-            for iterations in ITERATIONS:
-                result = machine.processor.run(body, iterations=iterations)
-                runs[str(iterations)] = [result.cycles, result.instructions, result.uops]
+            runs = {
+                str(iterations): [result.cycles, result.instructions, result.uops]
+                for iterations, result in zip(ITERATIONS, simulate(machine, body))
+            }
             cases.append(
                 {
                     "family": family,
@@ -107,9 +118,8 @@ def generate_cases() -> list[dict]:
     return cases
 
 
-def test_simulator_matches_golden_cycle_counts():
+def _assert_matches_golden(actual: list[dict]) -> None:
     expected = json.loads(GOLDEN.read_text())
-    actual = generate_cases()
     assert len(actual) == len(expected)
     mismatches = [
         (want["family"], want["experiment"])
@@ -117,6 +127,14 @@ def test_simulator_matches_golden_cycle_counts():
         if want != got
     ]
     assert not mismatches, f"{len(mismatches)} golden cases changed, first: {mismatches[:3]}"
+
+
+def test_simulator_matches_golden_cycle_counts():
+    _assert_matches_golden(generate_cases(_shared_runs))
+
+
+def test_single_length_runs_match_golden_cycle_counts():
+    _assert_matches_golden(generate_cases(_single_runs))
 
 
 def test_golden_file_covers_every_family():

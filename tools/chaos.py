@@ -16,8 +16,15 @@ half is :mod:`repro.pmevo.faults`).  It drives a real ``repro-pmevo infer
    dead worker's leases),
 5. compare the final mapping bytes against the baseline.
 
-Exit status 0 means the interrupted run produced byte-identical output;
-anything else is a recovery bug.  Used manually by operators rehearsing
+A coordinator drill fails when the snapshot the restarted coordinator
+resumes from has no active island (every island stopped or at
+``max_generations``): the kill then landed after the last epoch, and the
+drill would pass without exercising any recovery.  The closing line reports
+the epoch the kill landed at against the run's total.
+
+Exit status 0 means the interrupted run produced byte-identical output
+after a mid-run kill; anything else is a recovery bug or a drill too short
+to interrupt.  Used manually by operators rehearsing
 failure drills and by ``tests/test_chaos.py`` (the ``chaos`` marker).
 
 Usage::
@@ -90,6 +97,19 @@ def _poll_epochs(checkpoint: Path, target: int, deadline: float) -> None:
             pass  # not written yet, or caught mid-replace
         time.sleep(0.05)
     raise TimeoutError(f"checkpoint never reached epoch {target}")
+
+
+def _snapshot_progress(checkpoint: Path) -> tuple[int, bool]:
+    """The snapshot's epoch count, and whether any of its islands is still
+    active: not stopped, and below ``max_generations``."""
+    data = json.loads(checkpoint.read_text())
+    budget = data["config"]["max_generations"]
+    active = any(
+        not (state["converged"] or state["stale_exhausted"] or state["target_reached"])
+        and state["generation"] < budget
+        for state in data["states"]
+    )
+    return data["epochs"], active
 
 
 def _spawn_workers(args: argparse.Namespace, address: str, count: int) -> list:
@@ -166,10 +186,19 @@ def run_drill(args: argparse.Namespace, scratch: Path) -> int:
             print(f"chaos: SIGKILL worker pid {victim.pid}", flush=True)
             victim.send_signal(signal.SIGKILL)
             victim.wait()
+            killed_at, _ = _snapshot_progress(checkpoint)
         else:
             print(f"chaos: SIGKILL coordinator pid {coordinator.pid}", flush=True)
             coordinator.send_signal(signal.SIGKILL)
             coordinator.wait()
+            killed_at, active = _snapshot_progress(checkpoint)
+            if not active:
+                print(
+                    f"chaos: FAIL — the kill landed after the last epoch "
+                    f"({killed_at}); size the run so that it lands mid-run",
+                    flush=True,
+                )
+                return 1
             # Restart at the SAME address with --resume: the surviving
             # workers' reconnect loops re-attach to the new process.
             print("chaos: restarting coordinator with --resume", flush=True)
@@ -201,8 +230,9 @@ def run_drill(args: argparse.Namespace, scratch: Path) -> int:
     if cluster_out.read_bytes() != baseline.read_bytes():
         print("chaos: FAIL — interrupted run diverged from the baseline", flush=True)
         return 1
+    total, _ = _snapshot_progress(checkpoint)
     print(
-        f"chaos: OK — {args.kill} killed at epoch {args.at_epoch}, "
+        f"chaos: OK — {args.kill} killed at epoch {killed_at} of {total}, "
         "mapping byte-identical to the serial baseline",
         flush=True,
     )
