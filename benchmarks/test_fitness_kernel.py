@@ -26,6 +26,10 @@ problem shapes:
   wall, and packing removes it wholesale; the best of the two shapes must
   reach >= 3x.
 
+The packed side calls the kernel as the evolver does, so it runs at the
+kernel's own block of genomes, and the record names that block; the legacy
+side stacks ``CHUNK`` genomes per dense product.
+
 A third record is the whole evolver on the a72 shape at population 256:
 generations per CPU second, and a generation's CPU time over the CPU time
 spent inside ``throughputs_from_packed``.  That ratio must stay <= 2.5, so
@@ -60,6 +64,7 @@ from repro.pmevo import (
 from repro.pmevo.expgen import pair_experiments, singleton_experiments
 from repro.pmevo.population import genome_volume
 from repro.throughput import BatchedThroughputEvaluator, bottleneck_rows
+from repro.throughput.batched import _PACKED_BLOCK
 
 POPULATION = 256
 CHUNK = 64
@@ -119,10 +124,10 @@ def _legacy_fitness(evaluator, genomes, chunk):
     return davgs, volumes
 
 
-def _packed_fitness(evaluator, genomes, names, workspace):
-    """The PR 6 ``_evaluate``: pack once, evaluate population-wide."""
+def _packed_fitness(evaluator, genomes, names):
+    """The evolver's ``_evaluate``: pack once, evaluate population-wide."""
     packed = PackedPopulation.from_genomes(genomes, names)
-    predicted = evaluator.throughputs_from_packed(packed, workspace=workspace)
+    predicted = evaluator.throughputs_from_packed(packed)
     davgs = evaluator.davg_from_throughputs(predicted)
     volumes = packed.volumes().astype(np.float64)
     return davgs, volumes
@@ -161,13 +166,12 @@ def _time_shape(label, num_ports, measured, singles, names=None):
     population_size = scaled(POPULATION, minimum=CHUNK)
     rng = np.random.default_rng(0)
     genomes = random_population(rng, population_size, names, num_ports, singles)
-    workspace = evaluator.packed_workspace(CHUNK)
 
     # Kernel proper: dense scatter + evaluation, population already packed.
     packed = PackedPopulation.from_genomes(genomes, names)
     kernel_legacy, kernel_packed = _best_seconds(
         lambda: _legacy_kernel(evaluator, genomes, CHUNK),
-        lambda: evaluator.throughputs_from_packed(packed, workspace=workspace),
+        lambda: evaluator.throughputs_from_packed(packed),
     )
     kernel_legacy_cpu, kernel_legacy_wall, kernel_legacy_out = kernel_legacy
     kernel_packed_cpu, kernel_packed_wall, kernel_packed_out = kernel_packed
@@ -176,7 +180,7 @@ def _time_shape(label, num_ports, measured, singles, names=None):
     # End to end, as `_evaluate` runs it: pack + kernel + D_avg + volumes.
     (legacy_cpu, legacy_wall, legacy_out), (packed_cpu, packed_wall, packed_out) = _best_seconds(
         lambda: _legacy_fitness(evaluator, genomes, CHUNK),
-        lambda: _packed_fitness(evaluator, genomes, names, workspace),
+        lambda: _packed_fitness(evaluator, genomes, names),
     )
     assert np.array_equal(legacy_out[0], packed_out[0])
     assert np.array_equal(legacy_out[1], packed_out[1])
@@ -234,7 +238,10 @@ def _generation_cost(num_ports, measured, singles):
 
 
 def test_fitness_kernel_speedup():
-    report = ["fitness-kernel (legacy dict path -> packed kernel)"]
+    report = [
+        f"fitness-kernel (legacy dict path, {CHUNK} genomes per product -> "
+        f"packed kernel, blocks of {_PACKED_BLOCK} genomes)"
+    ]
 
     a72 = _a72_problem()
     a72_speedup, lines = _time_shape("a72", *a72)

@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 
-#: Experiments per evaluator call in :func:`throughput_distance`.
-_DISTANCE_CHUNK = 4096
-
-
 def _check_comparable(a: ThreeLevelMapping, b: ThreeLevelMapping) -> None:
     if a.ports.num_ports != b.ports.num_ports:
         raise MappingError(
@@ -85,7 +81,9 @@ def throughput_distance(
 
     Defaults to :func:`canonical_experiments` over the common instruction
     set.  Returns 0.0 iff the mappings are observationally identical on
-    the experiment family.
+    the experiment family.  Each mapping predicts the whole family in one
+    :meth:`~repro.throughput.batched.FixedMappingEvaluator.throughputs`
+    call, which bounds its own count matrix however large the family.
     """
     _check_comparable(first, second)
     if experiments is None:
@@ -93,25 +91,9 @@ def throughput_distance(
     experiments = list(experiments)
     if not experiments:
         raise MappingError("no experiments to compare on")
-    t1 = _predict_in_chunks(first, experiments)
-    t2 = _predict_in_chunks(second, experiments)
+    t1 = FixedMappingEvaluator(first).throughputs(experiments)
+    t2 = FixedMappingEvaluator(second).throughputs(experiments)
     return float(np.mean(np.abs(t1 - t2) / np.maximum(t1, t2)))
-
-
-def _predict_in_chunks(mapping: ThreeLevelMapping, experiments: list[Experiment]) -> np.ndarray:
-    """Every experiment's predicted throughput, ``_DISTANCE_CHUNK`` at a time.
-
-    A prediction does not depend on what shares its batch, so chunking
-    changes no value; it keeps the count matrix at 4,096 rows, where one
-    over SKL's 160,230 canonical experiments would take 400 MiB.
-    """
-    evaluator = FixedMappingEvaluator(mapping)
-    return np.concatenate(
-        [
-            evaluator.throughputs(experiments[start : start + _DISTANCE_CHUNK])
-            for start in range(0, len(experiments), _DISTANCE_CHUNK)
-        ]
-    )
 
 
 def _port_signature(mapping: ThreeLevelMapping, port: int) -> tuple:

@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=10,
         help="reconnect attempts (capped exponential backoff) after the "
-        "coordinator connection drops before concluding it is gone "
-        "(default 10; 0 disables reconnecting)",
+        "coordinator connection drops or a handshake fails, before concluding "
+        "it is gone (default 10; 0 disables reconnecting)",
     )
     worker.add_argument(
         "--reconnect-window",
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help="seconds after a connection drop during which reconnects are "
         "attempted; past this the coordinator is treated as gone and the "
-        "worker exits cleanly (default 60)",
+        "worker exits, cleanly if it had completed a handshake (default 60)",
     )
 
     serve = sub.add_parser(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,18 +210,14 @@ class Machine:
             probe = Experiment({self.config.isa.names[0]: 1})
 
         def cycles_at(measure_iterations: int) -> float:
-            trial = Machine(
-                self.config,
-                MeasurementConfig(
-                    warmup_iterations=self.measurement.warmup_iterations,
-                    measure_iterations=measure_iterations,
-                    repetitions=1,
-                    noisy=False,
-                    target_body_length=self.measurement.target_body_length,
-                ),
-                allocation=self.allocation,
+            # Noise-free, so the trial never reads the noise fields it keeps.
+            trial = replace(
+                self.measurement,
+                measure_iterations=measure_iterations,
+                repetitions=1,
+                noisy=False,
             )
-            return trial.measure(probe)
+            return Machine(self.config, trial, allocation=self.allocation).measure(probe)
 
         iterations = self.measurement.measure_iterations
         previous = cycles_at(iterations)
@@ -235,17 +231,7 @@ class Machine:
             raise MeasurementError(
                 f"measurements did not stabilize within {max_iterations} iterations"
             )
-        calibrated = MeasurementConfig(
-            warmup_iterations=self.measurement.warmup_iterations,
-            measure_iterations=iterations,
-            repetitions=self.measurement.repetitions,
-            jitter_sigma=self.measurement.jitter_sigma,
-            spike_probability=self.measurement.spike_probability,
-            spike_scale=self.measurement.spike_scale,
-            target_body_length=self.measurement.target_body_length,
-            noisy=self.measurement.noisy,
-            seed=self.measurement.seed,
-        )
+        calibrated = replace(self.measurement, measure_iterations=iterations)
         return Machine(self.config, calibrated, allocation=self.allocation)
 
     # -- convenience -------------------------------------------------------

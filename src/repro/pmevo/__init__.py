@@ -35,14 +35,13 @@ from repro.pmevo.expgen import (
     random_experiments,
     singleton_experiments,
 )
-from repro.pmevo.fitness import ObjectiveValues, normalize_objective, scalarized_fitness
+from repro.pmevo.fitness import normalize_objective, scalarized_fitness
 from repro.pmevo.localsearch import local_search
 from repro.pmevo.operators import mutate, recombine
 from repro.pmevo.packed import PackedPopulation
 from repro.pmevo.pipeline import PMEvoConfig, PMEvoResult, infer_port_mapping
 from repro.pmevo.population import (
     Genome,
-    genome_to_mapping,
     genome_volume,
     random_genome,
     random_population,
@@ -75,7 +74,6 @@ __all__ = [
     "previous_path",
     "FaultySocket",
     "FaultyTransport",
-    "ObjectiveValues",
     "normalize_objective",
     "scalarized_fitness",
     "local_search",
@@ -86,7 +84,6 @@ __all__ = [
     "random_genome",
     "random_population",
     "genome_volume",
-    "genome_to_mapping",
     "PMEvoConfig",
     "PMEvoResult",
     "infer_port_mapping",

@@ -88,7 +88,6 @@ from repro.pmevo.packed import PackedPopulation
 from repro.pmevo.population import (
     Genome,
     genome_to_jsonable,
-    genome_to_mapping,
     genome_volume,
     random_population,
 )
@@ -112,10 +111,6 @@ __all__ = [
     "history_to_jsonable",
     "history_from_jsonable",
 ]
-
-#: Genomes per fitness-kernel call.  The kernel is exact, so the chunk size
-#: changes speed and memory only, never a result.
-_FITNESS_CHUNK = 16
 
 #: A population whose D_avg values span at most this much (and whose volumes
 #: are all equal) has converged to one objective point.
@@ -526,10 +521,6 @@ class PortMappingEvolver:
         self.evaluator = BatchedThroughputEvaluator(
             measurements, self.names, ports.num_ports
         )
-        # One preallocated evaluation workspace per evolver, reused by every
-        # generation's fitness batch (population-sized batches stream through
-        # it in _FITNESS_CHUNK-sized chunks).
-        self._workspace = self.evaluator.packed_workspace(_FITNESS_CHUNK)
         self._rng = np.random.default_rng(self.config.seed)
 
     # -- evaluation --------------------------------------------------------
@@ -537,9 +528,7 @@ class PortMappingEvolver:
     def _evaluate(self, packed: PackedPopulation) -> tuple[np.ndarray, np.ndarray]:
         """(D_avg, volume) arrays for a packed population, from the
         population-wide kernel."""
-        predicted = self.evaluator.throughputs_from_packed(
-            packed, workspace=self._workspace
-        )
+        predicted = self.evaluator.throughputs_from_packed(packed)
         davgs = self.evaluator.davg_from_throughputs(predicted)
         volumes = packed.volumes().astype(np.float64)
         return davgs, volumes
@@ -675,15 +664,11 @@ class PortMappingEvolver:
     ) -> EvolutionResult:
         """Local-search the state's best individual and package the result."""
         best_genome = state.population.take([state.best_index()]).to_genomes()[0]
-        if self.config.local_search_rounds > 0:
-            best_genome, _ = local_search(
-                self.evaluator,
-                best_genome,
-                max_rounds=self.config.local_search_rounds,
-            )
-        final_davg = float(self.evaluator.davg(best_genome))
+        best_genome, final_davg = local_search(
+            self.evaluator, best_genome, max_rounds=self.config.local_search_rounds
+        )
         return EvolutionResult(
-            mapping=genome_to_mapping(self.ports, best_genome),
+            mapping=ThreeLevelMapping(self.ports, best_genome),
             genome=best_genome,
             davg=final_davg,
             volume=genome_volume(best_genome),

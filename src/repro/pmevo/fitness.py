@@ -15,24 +15,14 @@ to [0, 1000], and the fitness is the sum of the two normalized objectives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.errors import InferenceError
 
-__all__ = ["ObjectiveValues", "normalize_objective", "scalarized_fitness", "SCALE"]
+__all__ = ["normalize_objective", "scalarized_fitness", "SCALE"]
 
 #: Upper end of the normalization range Λ1/Λ2 map onto.
 SCALE = 1000.0
-
-
-@dataclass(frozen=True)
-class ObjectiveValues:
-    """The two raw objective values of one candidate."""
-
-    davg: float
-    volume: float
 
 
 def normalize_objective(values: np.ndarray) -> np.ndarray:

@@ -21,15 +21,13 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import InferenceError
-from repro.core.mapping import ThreeLevelMapping
-from repro.core.ports import PortSpace, mask_size
+from repro.core.ports import mask_size
 
 __all__ = [
     "Genome",
     "random_genome",
     "random_population",
     "genome_volume",
-    "genome_to_mapping",
     "genome_key",
     "copy_genome",
     "genome_to_jsonable",
@@ -70,11 +68,6 @@ def genome_volume(genome: Genome) -> int:
         for uops in genome.values()
         for mask, count in uops.items()
     )
-
-
-def genome_to_mapping(ports: PortSpace, genome: Genome) -> ThreeLevelMapping:
-    """Materialize a genome as a :class:`ThreeLevelMapping`."""
-    return ThreeLevelMapping(ports, genome)
 
 
 def multiplicity_bound(throughput: float, width: int) -> int:

@@ -105,7 +105,9 @@ pairs), ``result`` (worker → coordinator, one per completed island, echoing
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import multiprocessing
 import os
 import select
@@ -117,7 +119,7 @@ from collections import deque
 from collections.abc import Callable, Iterator, Mapping
 from typing import Protocol, runtime_checkable
 
-from repro.core.errors import CheckpointError, TransportError
+from repro.core.errors import CheckpointError, ReproError, TransportError
 from repro.core.experiment import Experiment, ExperimentSet
 from repro.core.ports import PortSpace
 from repro.pmevo.evolution import (
@@ -280,7 +282,13 @@ def problem_to_jsonable(evolver: PortMappingEvolver) -> dict:
 
 
 def evolver_from_jsonable(data: Mapping) -> PortMappingEvolver:
-    """Rebuild a :class:`PortMappingEvolver` from :func:`problem_to_jsonable`."""
+    """Rebuild a :class:`PortMappingEvolver` from :func:`problem_to_jsonable`.
+
+    Raises :class:`TransportError`, and nothing else, on a malformed
+    problem: missing keys, values of the wrong type or out of range, or a
+    problem the evolver refuses (no experiments, duplicate port names), so
+    a worker reads a bad setup frame as a failed handshake.
+    """
     try:
         ports = PortSpace(data["ports"])
         measurements = ExperimentSet()
@@ -288,12 +296,12 @@ def evolver_from_jsonable(data: Mapping) -> PortMappingEvolver:
             measurements.add(Experiment(entry["counts"]), float(entry["throughput"]))
         singles = {
             str(name): float(value)
-            for name, value in data["singleton_throughputs"].items()
+            for name, value in dict(data["singleton_throughputs"]).items()
         }
         config = config_from_jsonable(data["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return PortMappingEvolver(ports, measurements, singles, config)
+    except (ReproError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TransportError(f"malformed problem payload: {exc}") from exc
-    return PortMappingEvolver(ports, measurements, singles, config)
 
 
 # -- the protocol and the in-process transports -------------------------------
@@ -830,38 +838,18 @@ def backoff_delays(
         yield min(cap, base * (1 << attempt)) * jitter
 
 
-def _connect_with_backoff(
-    host: str,
-    port: int,
-    attempts: int,
-    deadline: float | None = None,
-    seed: int | None = None,
-) -> tuple[socket.socket | None, OSError | None]:
-    """Connect with backoff; ``(None, last_error)`` once attempts/deadline
-    are exhausted (the caller decides whether that is fatal)."""
-    last_error: OSError | None = None
-    for delay in backoff_delays(attempts, base=RETRY_DELAY, seed=seed):
-        try:
-            return socket.create_connection((host, port), timeout=30.0), None
-        except OSError as exc:
-            last_error = exc
-        if deadline is not None:
-            delay = min(delay, deadline - time.monotonic())
-            if delay < 0:
-                break
-        time.sleep(delay)
-    return None, last_error
-
-
 def _serve_connection(sock: socket.socket, heartbeat_interval: float) -> str:
     """Serve one coordinator connection until it ends.
 
     Returns ``"shutdown"`` on an orderly end of service (a ``shutdown``
-    frame) and ``"lost"`` when the connection died or the coordinator spoke
-    garbage — the caller decides whether to re-attach.  Closes ``sock``.
+    frame), ``"handshake"`` when the connection ended before a usable setup
+    frame arrived, and ``"lost"`` when it died after the handshake or the
+    coordinator spoke garbage — the caller decides whether to re-attach.
+    Closes ``sock``.
     """
     send_lock = threading.Lock()
     stop = threading.Event()
+    evolver = None
 
     def _heartbeat() -> None:
         while not stop.wait(heartbeat_interval):
@@ -876,7 +864,7 @@ def _serve_connection(sock: socket.socket, heartbeat_interval: float) -> str:
         )
         setup = recv_frame(sock)
         if setup is None or setup.get("type") != "setup":
-            return "lost"
+            return "handshake"
         evolver = evolver_from_jsonable(setup["problem"])
 
         beater = threading.Thread(target=_heartbeat, daemon=True)
@@ -912,7 +900,7 @@ def _serve_connection(sock: socket.socket, heartbeat_interval: float) -> str:
         # Connection died mid-frame, or this coordinator incarnation sent
         # something unusable: treat both as a lost connection and let the
         # caller's reconnect loop decide if the coordinator is really gone.
-        return "lost"
+        return "handshake" if evolver is None else "lost"
     finally:
         stop.set()
         sock.close()
@@ -937,51 +925,78 @@ def run_worker(
     from the setup frame, then loops: receive a leased island batch,
     advance each island, stream the results back.  A daemon thread emits
     heartbeats every ``heartbeat_interval`` seconds per connection, so the
-    coordinator can tell a slow epoch from a dead worker.
+    coordinator can tell a slow epoch from a dead worker.  The worker waits
+    for the setup frame as long as the coordinator takes to send it (a
+    coordinator measures its experiments after its listener opens).
 
-    A lost connection mid-service — coordinator crash, dropped lease after
-    a stall, network blip — starts a *reconnect loop*: up to
-    ``max_reconnect_attempts`` backoff attempts within
-    ``reconnect_window`` seconds, each re-performing the problem handshake
+    Once its first connection ends, the worker re-attaches within a
+    *reconnect budget*: up to ``max_reconnect_attempts`` backoff attempts
+    within ``reconnect_window`` seconds, each re-performing the handshake
     against whatever coordinator incarnation answers (a restarted
-    ``infer --resume`` on the same address included).  Any in-flight lease
-    is discarded — the new incarnation re-leases it, and duplicates are
-    dropped by lease generation.  The worker exits 0 only on an explicit
-    ``shutdown`` frame or once the coordinator is confirmed gone (the full
-    reconnect budget elapsed); failing the *initial* connect raises
-    :class:`TransportError` instead, because there was never a coordinator
-    to outlive.
+    ``infer --resume`` on the same address included).  A refused connect
+    and a connection that ends before its handshake completes each spend
+    one attempt and wait its backoff delay; a connection lost after its
+    handshake — coordinator crash, dropped lease after a stall, network
+    blip — starts a fresh budget.  Any in-flight lease is discarded — the
+    new incarnation re-leases it, and duplicates are dropped by lease
+    generation.
+
+    The worker exits 0 on an explicit ``shutdown`` frame, or once the
+    budget runs out after it has served (the coordinator is confirmed
+    gone).  It raises :class:`TransportError` when the initial connect
+    fails, or when the budget runs out before any handshake completed:
+    there was never a coordinator to outlive.
 
     ``jitter_seed`` pins the backoff schedule (tests); ``wrap_socket``
     lets the fault-injection harness interpose a
     :class:`~repro.pmevo.faults.FaultySocket` on each connection.
     """
-    sock, last_error = _connect_with_backoff(
-        host, port, CONNECT_ATTEMPTS, seed=jitter_seed
-    )
-    if sock is None:
-        raise TransportError(
-            f"could not connect to coordinator at {host}:{port}: {last_error}"
-        )
-    while True:
-        sock.settimeout(None)
-        if wrap_socket is not None:
-            sock = wrap_socket(sock)
-        if _serve_connection(sock, heartbeat_interval) == "shutdown":
-            return 0
-        deadline = time.monotonic() + reconnect_window
-        sock, _ = _connect_with_backoff(
-            host,
-            port,
-            max_reconnect_attempts,
-            deadline=deadline,
-            seed=jitter_seed,
-        )
-        if sock is None:
-            # The coordinator is confirmed gone (refused/unreachable for
-            # the whole reconnect budget): an orderly end of service, not
-            # a worker failure.
-            return 0
+
+    def budget() -> tuple[deque[float], float]:
+        delays = backoff_delays(max_reconnect_attempts, base=RETRY_DELAY, seed=jitter_seed)
+        return deque(delays), time.monotonic() + reconnect_window
+
+    # One delay per attempt, drawn when it starts and waited when it fails.
+    delays = deque(backoff_delays(CONNECT_ATTEMPTS, base=RETRY_DELAY, seed=jitter_seed))
+    deadline = math.inf
+    attached = served = False
+    failure: object = None
+    while delays:
+        delay = delays.popleft()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+        except OSError as exc:
+            failure = exc
+        else:
+            sock.settimeout(None)
+            if wrap_socket is not None:
+                sock = wrap_socket(sock)
+            outcome = _serve_connection(sock, heartbeat_interval)
+            if outcome == "shutdown":
+                return 0
+            if outcome == "lost" or not attached:
+                # The budget opens when the first connection ends, however
+                # long it waited for its setup, and again after each one
+                # that completed its handshake.
+                delays, deadline = budget()
+            attached = True
+            if outcome == "lost":
+                served = True
+                continue  # re-attach at once
+            failure = "it sent no usable setup frame"
+        if not delays:
+            break
+        pause = min(delay, deadline - time.monotonic())
+        if pause < 0:
+            break
+        time.sleep(pause)
+    if served:
+        # The coordinator is confirmed gone (unreachable for the whole
+        # reconnect budget): an orderly end of service, not a worker failure.
+        return 0
+    if not attached:
+        raise TransportError(f"could not connect to coordinator at {host}:{port}: {failure}")
+    raise TransportError(f"no handshake with a coordinator at {host}:{port}: {failure}")
 
 
 def _openblas_function(name: str, restype, argtypes: list):
@@ -1025,4 +1040,7 @@ def _local_worker(listener: socket.socket, host: str, port: int) -> None:
     )
     if set_threads is not None:
         set_threads(1)
-    run_worker(host, port, max_reconnect_attempts=0)
+    # A coordinator that went away before the handshake has no use for an
+    # error from this worker.
+    with contextlib.suppress(TransportError):
+        run_worker(host, port, max_reconnect_attempts=0)

@@ -1,10 +1,6 @@
 """Analytical throughput models: LP (Definition 3) and bottleneck (Eq. 1)."""
 
-from repro.throughput.batched import (
-    BatchedThroughputEvaluator,
-    FixedMappingEvaluator,
-    PackedWorkspace,
-)
+from repro.throughput.batched import BatchedThroughputEvaluator, FixedMappingEvaluator
 from repro.throughput.bottleneck import (
     EXACT_MASS_LIMIT,
     bottleneck_rows,
@@ -31,7 +27,6 @@ __all__ = [
     "LPProblem",
     "BatchedThroughputEvaluator",
     "FixedMappingEvaluator",
-    "PackedWorkspace",
     "MappingPredictor",
     "ThroughputPredictor",
     "predict_many",

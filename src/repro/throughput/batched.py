@@ -10,22 +10,23 @@ differ in what they hold fixed:
   built once) and streams candidate mappings through it.  The evolver
   hands it a whole :class:`repro.pmevo.packed.PackedPopulation` per
   generation (:meth:`~BatchedThroughputEvaluator.throughputs_from_packed`):
-  each block of genomes is scattered into a mask-major µop stack inside a
-  reusable :class:`PackedWorkspace`, zeta transformed there (per
-  instruction, not per experiment), and multiplied by ``X``; only each
-  port-set size's maximum is divided.  Local search and the final
-  ``D_avg`` pass one dict genome at a time
-  (:meth:`~BatchedThroughputEvaluator.throughputs`), a product of ``X``
-  with that genome's union-closure table.
+  each block of ``_PACKED_BLOCK`` genomes is scattered into a mask-major
+  µop stack, zeta transformed there (per instruction, not per experiment),
+  and multiplied by ``X``; only each port-set size's maximum is divided.
+  The block buffers are allocated on the first population and reused by
+  every later one.  Local search and the final ``D_avg`` pass one dict
+  genome at a time (:meth:`~BatchedThroughputEvaluator.throughputs`), a
+  product of ``X`` with that genome's union-closure table.
 * :class:`FixedMappingEvaluator` fixes the mapping, tabulated once over the
-  union closure of its masks, and streams batches of instruction sequences
-  through it — the hot path of the prediction serving layer and of every
-  :class:`~repro.throughput.predictor.MappingPredictor`.
+  union closure of its masks, and streams instruction sequences through it,
+  ``_FIXED_BLOCK`` at a time — the hot path of the prediction serving layer
+  and of every :class:`~repro.throughput.predictor.MappingPredictor`.
 
-Counts and multiplicities are integers, so every sum is exact: the packed,
-dict and fixed-mapping paths agree bit for bit with each other and with
-:func:`~repro.throughput.bottleneck.bottleneck_throughput_reference`,
-however the work is batched or chunked.
+This module alone decides how both evaluators split their work into
+blocks.  Counts and multiplicities are integers, so every sum is exact: the
+packed, dict and fixed-mapping paths agree bit for bit with each other and
+with :func:`~repro.throughput.bottleneck.bottleneck_throughput_reference`,
+however the work is blocked.
 """
 
 from __future__ import annotations
@@ -50,11 +51,15 @@ from repro.throughput.bottleneck import (
 if TYPE_CHECKING:  # import would cycle through repro.pmevo at runtime
     from repro.pmevo.packed import PackedPopulation
 
-__all__ = [
-    "BatchedThroughputEvaluator",
-    "FixedMappingEvaluator",
-    "PackedWorkspace",
-]
+__all__ = ["BatchedThroughputEvaluator", "FixedMappingEvaluator"]
+
+#: Genomes per block of the packed kernel.  The kernel is exact, so the
+#: block size changes speed and memory only, never a result.
+_PACKED_BLOCK = 16
+
+#: Experiments per count matrix of :meth:`FixedMappingEvaluator.throughputs`:
+#: one matrix over SKL's 160,230 canonical experiments would take 400 MiB.
+_FIXED_BLOCK = 4096
 
 
 def _count_matrix(experiments: Sequence[Experiment], index: Mapping[str, int]) -> np.ndarray:
@@ -80,38 +85,6 @@ def _sets_by_size(num_ports: int) -> tuple[np.ndarray, np.ndarray]:
     bounds = np.cumsum([0] + [math.comb(num_ports, k) for k in range(1, num_ports + 1)])
     order.flags.writeable = bounds.flags.writeable = False  # shared by every call
     return order, bounds
-
-
-class PackedWorkspace:
-    """Preallocated buffers for packed-population evaluation.
-
-    A block of up to ``capacity`` genomes passes through four flat buffers,
-    each viewed at the block's size from its start:
-
-    * ``stack`` — the block's µops, mask-major ``[2^|P|, block·U]`` over the
-      ``U`` instruction columns some experiment uses (column ``g·U + i``),
-      zeta transformed in place;
-    * ``sets`` — the stack's nonempty rows in order of port-set size;
-    * ``masses`` — those rows times ``X``, ``[2^|P| - 1, block, experiment]``:
-      one matmul per block;
-    * ``best`` — each size's largest mass, ``[|P|, block, experiment]``.
-
-    One workspace is allocated per evolver and reused for every generation;
-    populations larger than ``capacity`` are evaluated in capacity-sized
-    blocks through the same buffers.
-    """
-
-    __slots__ = ("capacity", "stack", "sets", "masses", "best")
-
-    def __init__(self, capacity: int, num_instructions: int, num_experiments: int, num_ports: int):
-        if capacity < 1:
-            raise MappingError("workspace capacity must be positive")
-        sets, columns = (1 << num_ports) - 1, capacity * num_instructions
-        self.capacity = capacity
-        self.stack = np.empty((sets + 1) * columns, dtype=np.float64)
-        self.sets = np.empty(sets * columns, dtype=np.float64)
-        self.masses = np.empty(sets * capacity * num_experiments, dtype=np.float64)
-        self.best = np.empty(num_ports * capacity * num_experiments, dtype=np.float64)
 
 
 class BatchedThroughputEvaluator:
@@ -163,6 +136,7 @@ class BatchedThroughputEvaluator:
         # stacks µops for these only.
         self._used = np.flatnonzero(self.counts.any(axis=0))
         self._used_counts = self.counts[:, self._used]
+        self._buffers: tuple[np.ndarray, ...] | None = None  # see _block_buffers
 
     @property
     def num_experiments(self) -> int:
@@ -170,11 +144,32 @@ class BatchedThroughputEvaluator:
 
     # -- the packed population path (the EA hot loop) ------------------------
 
-    def packed_workspace(self, capacity: int) -> PackedWorkspace:
-        """Allocate reusable evaluation buffers for ``capacity`` genomes."""
-        return PackedWorkspace(
-            capacity, len(self._used), self.num_experiments, self.num_ports
-        )
+    def _block_buffers(self) -> tuple[np.ndarray, ...]:
+        """The four flat buffers a block of up to ``_PACKED_BLOCK`` genomes
+        passes through, each viewed at the block's size from its start:
+
+        * the block's µops, mask-major ``[2^|P|, block·U]`` over the ``U``
+          instruction columns some experiment uses (column ``g·U + i``),
+          zeta transformed in place;
+        * the stack's nonempty rows in order of port-set size;
+        * those rows times ``X``, ``[2^|P| - 1, block, experiment]``: one
+          matmul per block;
+        * each size's largest mass, ``[|P|, block, experiment]``.
+
+        Allocated on the first population and reused by every later one; an
+        evaluator that never sees a population allocates none.
+        """
+        if self._buffers is None:
+            sets = (1 << self.num_ports) - 1
+            columns = _PACKED_BLOCK * len(self._used)
+            rows = _PACKED_BLOCK * self.num_experiments
+            self._buffers = (
+                np.empty((sets + 1) * columns),
+                np.empty(sets * columns),
+                np.empty(sets * rows),
+                np.empty(self.num_ports * rows),
+            )
+        return self._buffers
 
     def _check_packed(self, packed: "PackedPopulation") -> None:
         if packed.names != self.instruction_names:
@@ -187,58 +182,50 @@ class BatchedThroughputEvaluator:
                 f"packed population holds masks invalid for {self.num_ports} ports"
             )
 
-    def throughputs_from_packed(
-        self, packed: "PackedPopulation", workspace: PackedWorkspace | None = None
-    ) -> np.ndarray:
+    def throughputs_from_packed(self, packed: "PackedPopulation") -> np.ndarray:
         """Predicted throughputs for a whole packed population.
 
         Returns a ``[population, experiment]`` array equal, bit for bit, to
         calling :meth:`throughputs` on each unpacked genome.
 
-        Per block of genomes, :meth:`_zeta_stack` gives ``stack[Q, g·U +
-        i]``, genome ``g``'s µops of instruction ``i`` inside ``Q``: the
-        zeta transform runs once per instruction, however many experiments
-        use it.  It is linear and every entry is an integer, so the masses
-        of the sets of ``k`` ports are exactly their stack rows times
-        ``X``, and their max divided by ``k`` is the max of the quotients,
-        because ``x ↦ fl(x / k)`` is monotone.
+        Per block of ``_PACKED_BLOCK`` genomes, :meth:`_zeta_stack` gives
+        ``stack[Q, g·U + i]``, genome ``g``'s µops of instruction ``i``
+        inside ``Q``: the zeta transform runs once per instruction, however
+        many experiments use it.  It is linear and every entry is an
+        integer, so the masses of the sets of ``k`` ports are exactly their
+        stack rows times ``X``, and their max divided by ``k`` is the max of
+        the quotients, because ``x ↦ fl(x / k)`` is monotone.
         :func:`~repro.throughput.bottleneck.bottleneck_max` divides the
         ``|P|`` maxima, keeps the largest and guards the last, the full port
-        set's mass (the row total), against ``2^53``.
-
-        ``workspace`` holds the preallocated buffers (created on the fly
-        when omitted); populations beyond its capacity are processed in
-        blocks.
+        set's mass (the row total), against ``2^53``.  Every block runs
+        through the same buffers (:meth:`_block_buffers`).
         """
         self._check_packed(packed)
         population = len(packed)
-        if workspace is None:
-            workspace = self.packed_workspace(min(population, 64))
         num_ports, num_experiments = self.num_ports, self.num_experiments
         _, bounds = _sets_by_size(num_ports)
         sizes = np.arange(1, num_ports + 1, dtype=np.float64)
         counts_t = self._used_counts.T
+        _, _, masses_buffer, best_buffer = self._block_buffers()
         out = np.empty((population, num_experiments), dtype=np.float64)
-        for start in range(0, population, workspace.capacity):
-            stop = min(start + workspace.capacity, population)
-            sets = self._zeta_stack(workspace, packed.masks[start:stop], packed.mults[start:stop])
+        for start in range(0, population, _PACKED_BLOCK):
+            stop = min(start + _PACKED_BLOCK, population)
+            sets = self._zeta_stack(packed.masks[start:stop], packed.mults[start:stop])
             block = stop - start
             # One product per block, so a threaded BLAS hands off work once
             # per block rather than once per set size.
             rows = len(sets) * block  # (set, genome) pairs
-            masses = workspace.masses[: rows * num_experiments].reshape(rows, num_experiments)
+            masses = masses_buffer[: rows * num_experiments].reshape(rows, num_experiments)
             np.matmul(sets.reshape(rows, -1), counts_t, out=masses)
             masses = masses.reshape(len(sets), block, num_experiments)
-            best = workspace.best[: num_ports * block * num_experiments]
+            best = best_buffer[: num_ports * block * num_experiments]
             best = best.reshape(num_ports, block, num_experiments)
             for k in range(num_ports):  # the sets of k + 1 ports
                 masses[bounds[k] : bounds[k + 1]].max(axis=0, out=best[k])
             bottleneck_max(best.transpose(1, 2, 0), sizes, out=out[start:stop])
         return out
 
-    def _zeta_stack(
-        self, workspace: PackedWorkspace, masks: np.ndarray, mults: np.ndarray
-    ) -> np.ndarray:
+    def _zeta_stack(self, masks: np.ndarray, mults: np.ndarray) -> np.ndarray:
         """Scatter one block's packed µops into the mask-major stack, zeta
         transform it, and return its nonempty rows in order of port-set
         size, ``[2^|P| - 1, block·U]``.
@@ -247,12 +234,13 @@ class BatchedThroughputEvaluator:
         once, so the buffered fancy-index ``+=`` is exact, and unused slots
         (mask 0, multiplicity 0) add zero to the empty set's row.
         """
+        stack_buffer, sets_buffer, _, _ = self._block_buffers()
         size = 1 << self.num_ports
         # Slot-major over the used columns: one slot is a contiguous [block, U].
         masks = np.ascontiguousarray(masks[:, self._used].transpose(2, 0, 1), np.intp)
         mults = np.ascontiguousarray(mults[:, self._used].transpose(2, 0, 1))
         columns = masks[0].size
-        flat = workspace.stack[: size * columns]
+        flat = stack_buffer[: size * columns]
         flat.fill(0.0)
         column = np.arange(columns)
         for slot_masks, slot_mults in zip(masks, mults):
@@ -260,7 +248,7 @@ class BatchedThroughputEvaluator:
         stack = flat.reshape(size, columns)
         zeta_transform(stack.T, self.num_ports)
         order, _ = _sets_by_size(self.num_ports)
-        sets = workspace.sets[: (size - 1) * columns].reshape(size - 1, columns)
+        sets = sets_buffer[: (size - 1) * columns].reshape(size - 1, columns)
         return np.take(stack, order, axis=0, out=sets, mode="clip")  # "clip": unbuffered
 
     def throughputs(
@@ -316,8 +304,9 @@ class FixedMappingEvaluator:
     Construction builds the mapping's
     :func:`~repro.throughput.bottleneck.closure_table` (``table[i, j]``
     counts instruction ``i``'s µops inside the ``j``-th union of the
-    mapping's masks); a batch is one product ``counts[:, used] @
-    table[used]`` over the instructions it uses, a divide and a max.
+    mapping's masks); each block of up to ``_FIXED_BLOCK`` experiments is
+    one product ``counts[:, used] @ table[used]`` over the instructions it
+    uses, a divide and a max.
 
     The sums are exact integers below ``2^53``, so a prediction is one
     specific float, the same as a direct single-experiment
@@ -384,10 +373,15 @@ class FixedMappingEvaluator:
         return sum(count * self._uop_totals.get(name, 0) for name, count in experiment)
 
     def throughputs(self, experiments: Sequence[Experiment]) -> np.ndarray:
-        """Predicted throughput for each experiment, as a ``[batch]`` array."""
-        counts = _count_matrix(experiments, self._index)
-        used = np.flatnonzero(counts.any(axis=0))
-        return bottleneck_max(counts[:, used] @ self._table[used], self._sizes)
+        """Predicted throughput for each experiment, as a ``[batch]`` array,
+        counted ``_FIXED_BLOCK`` experiments at a time."""
+        out = np.empty(len(experiments), dtype=np.float64)
+        for start in range(0, len(experiments), _FIXED_BLOCK):
+            stop = start + _FIXED_BLOCK
+            counts = _count_matrix(experiments[start:stop], self._index)
+            used = np.flatnonzero(counts.any(axis=0))
+            bottleneck_max(counts[:, used] @ self._table[used], self._sizes, out=out[start:stop])
+        return out
 
     def throughput(self, experiment: Experiment) -> float:
         """Predicted throughput of a single experiment."""

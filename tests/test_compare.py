@@ -12,10 +12,10 @@ from repro.analysis import (
     permutation_equivalent,
     throughput_distance,
 )
-from repro.analysis.compare import _DISTANCE_CHUNK
 from repro.core import MappingError, PortSpace, ThreeLevelMapping
 from repro.core.ports import indices_from_mask, mask_from_indices
 from repro.throughput import MappingPredictor, predict_many
+from repro.throughput.batched import _FIXED_BLOCK
 
 
 def _permute(mapping: ThreeLevelMapping, permutation) -> ThreeLevelMapping:
@@ -81,7 +81,7 @@ class TestThroughputDistance:
 
         first, second = random_mapping(), random_mapping()
         family = canonical_experiments(names)
-        assert len(family) > _DISTANCE_CHUNK
+        assert len(family) > _FIXED_BLOCK
         t1 = predict_many(MappingPredictor(first), family)
         t2 = predict_many(MappingPredictor(second), family)
         expected = float(np.mean(np.abs(t1 - t2) / np.maximum(t1, t2)))

@@ -38,6 +38,7 @@ from repro.pmevo import PackedPopulation, genome_volume, random_genome
 from repro.pmevo.evolution import EvolutionConfig, PortMappingEvolver
 from repro.pmevo.testing import measurements_from_truth
 from repro.throughput import BatchedThroughputEvaluator, bottleneck_throughput_reference
+from repro.throughput.batched import _PACKED_BLOCK
 
 
 def _random_setup(seed: int, population: int = 8):
@@ -149,16 +150,19 @@ class TestKernelEquivalence:
             evaluator.davg_from_throughputs(legacy),
         )
 
-    @pytest.mark.parametrize("capacity", [1, 3, 64])
-    def test_chunked_workspace_reuse_is_exact(self, capacity):
-        num_ports, names, genomes, experiments = _random_setup(11, population=10)
+    def test_block_boundaries_are_exact(self):
+        """Populations on both sides of a block boundary equal the per-genome
+        path bit for bit, and the reused block buffers leak nothing."""
+        block = _PACKED_BLOCK
+        num_ports, names, genomes, experiments = _random_setup(11, population=2 * block + 3)
         evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
-        packed = PackedPopulation.from_genomes(genomes, names)
-        reference = evaluator.throughputs_from_packed(packed)
-        workspace = evaluator.packed_workspace(capacity)
-        for _ in range(2):  # reuse must not leak state between calls
-            again = evaluator.throughputs_from_packed(packed, workspace=workspace)
-            assert np.array_equal(again, reference)
+        expected = np.stack([evaluator.throughputs(genome) for genome in genomes])
+        # Largest first: each smaller population then runs through buffers
+        # that a larger one filled with other genomes.
+        for population in (2 * block + 3, 1, block - 1, block):
+            rows = slice(len(genomes) - population, None)
+            packed = PackedPopulation.from_genomes(genomes[rows], names)
+            assert np.array_equal(evaluator.throughputs_from_packed(packed), expected[rows])
 
     def test_packed_names_must_match_evaluator(self):
         num_ports, names, genomes, experiments = _random_setup(5)
@@ -216,8 +220,8 @@ class TestPropertyAgainstLegacyPath:
     @settings(max_examples=60, deadline=None)
     def test_packed_kernel_pins_to_dict_path(self, setup):
         """The 1e-9 pin of the packed kernel against the dict-genome path,
-        plus exact equality with the reference at every workspace capacity
-        (the kernel's integer-exactness contract)."""
+        plus exact equality with the reference (the kernel's
+        integer-exactness contract)."""
         num_ports, names, genomes, experiments = setup
         evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
         packed = PackedPopulation.from_genomes(genomes, names)
@@ -238,11 +242,7 @@ class TestPropertyAgainstLegacyPath:
             single = evaluator.throughputs(genome)
             assert row == pytest.approx(single, abs=1e-9)
             assert np.array_equal(single, exact)
-        for capacity in (1, 3, 64):
-            chunked = evaluator.throughputs_from_packed(
-                packed, workspace=evaluator.packed_workspace(capacity)
-            )
-            assert np.array_equal(chunked, reference)
+        assert np.array_equal(fused, reference)
         assert packed.to_genomes() == genomes
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import InferenceError, PortSpace
+from repro.core import InferenceError, PortSpace, ThreeLevelMapping
 from repro.core.ports import mask_size
-from repro.pmevo import genome_to_mapping, genome_volume, random_genome, random_population
+from repro.pmevo import genome_volume, random_genome, random_population
 from repro.pmevo.population import copy_genome, genome_key, multiplicity_bound
 
 
@@ -31,8 +31,9 @@ class TestGenomeHelpers:
         assert genome_key(g1) == genome_key(g2)
 
     def test_to_mapping(self):
+        # A genome is a three-level mapping's assignment as it stands.
         genome = {"a": {0b011: 2}}
-        mapping = genome_to_mapping(PortSpace.numbered(2), genome)
+        mapping = ThreeLevelMapping(PortSpace.numbered(2), genome)
         assert mapping.uops_of("a") == {0b011: 2}
 
     def test_multiplicity_bound(self):

@@ -85,7 +85,7 @@ def serial_result():
 
 
 class TestTransportEquivalence:
-    def test_pool_matches_serial(self, serial_result):
+    def test_forked_workers_match_serial(self, serial_result):
         # workers > 1 without a transport forks local socket workers.
         forked = _evolver(workers=2).run()
         assert _normalized(forked) == _normalized(serial_result)
