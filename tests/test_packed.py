@@ -164,6 +164,20 @@ class TestKernelEquivalence:
             packed = PackedPopulation.from_genomes(genomes[rows], names)
             assert np.array_equal(evaluator.throughputs_from_packed(packed), expected[rows])
 
+    @pytest.mark.parametrize("population", [1, 3, 64])
+    def test_chunked_workspace_reuse_is_exact(self, population):
+        """A population split into blocks runs through the evaluator's reused
+        block buffers; evaluating it again, after another population filled
+        those buffers, must leak nothing."""
+        num_ports, names, genomes, experiments = _random_setup(11, population=population + 10)
+        evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
+        packed = PackedPopulation.from_genomes(genomes[:population], names)
+        other = PackedPopulation.from_genomes(genomes[population:], names)
+        reference = np.stack([evaluator.throughputs(genome) for genome in genomes[:population]])
+        for _ in range(2):
+            assert np.array_equal(evaluator.throughputs_from_packed(packed), reference)
+            evaluator.throughputs_from_packed(other)
+
     def test_packed_names_must_match_evaluator(self):
         num_ports, names, genomes, experiments = _random_setup(5)
         evaluator = BatchedThroughputEvaluator(experiments, names, num_ports)
