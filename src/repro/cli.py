@@ -148,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--bind",
         default="127.0.0.1:0",
-        help="HOST:PORT the socket coordinator listens on (port 0 picks an "
-        "ephemeral port, printed at startup; only with --transport socket)",
+        help="HOST:PORT the socket coordinator listens on (':PORT' means "
+        "loopback; port 0 picks an ephemeral port, printed at startup; only "
+        "with --transport socket)",
     )
     infer.add_argument(
         "--min-workers",
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="address the coordinator printed at startup",
+        help="address the coordinator printed at startup (':PORT' means loopback)",
     )
     worker.add_argument(
         "--heartbeat-interval",
@@ -446,10 +447,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serving import MappingRegistry, PredictionServer, parse_bind, parse_mapping_spec
+    from repro.pmevo.transport import parse_address
+    from repro.serving import MappingRegistry, PredictionServer, parse_mapping_spec
 
     specs = [parse_mapping_spec(spec) for spec in args.mapping]
-    host, port = parse_bind(args.bind)
+    host, port = parse_address(args.bind)
     registry = MappingRegistry(specs)
     for mapping_id in registry.ids:
         entry = registry.get(mapping_id)
@@ -560,23 +562,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             f"worker heartbeat interval (default {DEFAULT_HEARTBEAT_INTERVAL:g}s); "
             "a timeout shorter than one heartbeat period drops healthy workers"
         )
-    if args.command == "serve":
-        from repro.core.errors import ServingError
-        from repro.serving import parse_bind, parse_mapping_spec
-
-        try:
-            specs = [parse_mapping_spec(spec) for spec in args.mapping]
-            parse_bind(args.bind)
-        except ServingError as exc:
-            parser.error(str(exc))
-        seen: set[str] = set()
-        for mapping_id, _ in specs:
-            if mapping_id in seen:
-                parser.error(
-                    f"duplicate mapping id {mapping_id!r}; disambiguate with "
-                    "--mapping ID=PATH"
-                )
-            seen.add(mapping_id)
 
 
 def main(argv: list[str] | None = None) -> int:

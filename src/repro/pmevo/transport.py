@@ -246,17 +246,22 @@ def recv_frame(sock: socket.socket) -> dict | None:
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """Parse a ``HOST:PORT`` string (used by ``--bind`` / ``--connect``)."""
+    """Parse a ``HOST:PORT`` or ``:PORT`` string (every ``--bind`` and
+    ``--connect``).
+
+    An empty host means loopback; port 0 binds an ephemeral port, whose
+    address the binding command prints for clients to parse.
+    """
     host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise TransportError(f"expected HOST:PORT, got {text!r}")
+    if not sep:
+        raise TransportError(f"expected HOST:PORT or :PORT, got {text!r}")
     try:
         port = int(port_text)
     except ValueError as exc:
         raise TransportError(f"invalid port in {text!r}") from exc
     if not 0 <= port <= 65535:
         raise TransportError(f"port out of range in {text!r}")
-    return host, port
+    return host or "127.0.0.1", port
 
 
 # -- problem serialization ----------------------------------------------------
@@ -896,10 +901,11 @@ def _serve_connection(sock: socket.socket, heartbeat_interval: float) -> str:
                     },
                     lock=send_lock,
                 )
-    except (OSError, TransportError, CheckpointError, KeyError, TypeError, ValueError):
+    except (OSError, ReproError, KeyError, TypeError, ValueError):
         # Connection died mid-frame, or this coordinator incarnation sent
-        # something unusable: treat both as a lost connection and let the
-        # caller's reconnect loop decide if the coordinator is really gone.
+        # something unusable (a job the evolver refuses included): treat both
+        # as a lost connection and let the caller's reconnect loop decide if
+        # the coordinator is really gone.
         return "handshake" if evolver is None else "lost"
     finally:
         stop.set()

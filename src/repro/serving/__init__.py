@@ -25,7 +25,7 @@ from repro.serving.registry import (
     load_mapping_artifact,
     parse_mapping_spec,
 )
-from repro.serving.server import PredictionServer, parse_bind
+from repro.serving.server import PredictionServer
 
 __all__ = [
     "MappingRegistry",
@@ -35,7 +35,6 @@ __all__ = [
     "ServedMapping",
     "canonical_sequence",
     "load_mapping_artifact",
-    "parse_bind",
     "parse_mapping_spec",
     "parse_predict_request",
 ]

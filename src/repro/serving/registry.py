@@ -109,7 +109,10 @@ class MappingRegistry:
         seen: set[str] = set()
         for mapping_id, _ in specs:
             if mapping_id in seen:
-                raise ServingError(f"duplicate mapping id {mapping_id!r}")
+                raise ServingError(
+                    f"duplicate mapping id {mapping_id!r}; disambiguate with "
+                    "--mapping ID=PATH"
+                )
             seen.add(mapping_id)
         self._specs = list(specs)
         self._entries: dict[str, ServedMapping] = {}

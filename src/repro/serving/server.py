@@ -25,8 +25,11 @@ runs on the same loop — cannot land in between, so a fill is never stale.
 
 Evaluation is exact for integer masses below 2^53, so a prediction does not
 depend on batch composition: cold and warm answers are the same floats
-(``tests/test_serving_equivalence.py``).  A sequence whose total µop mass
-reaches 2^53 is rejected up front with a structured 400.
+(``tests/test_serving_equivalence.py``).  The evaluator call is also the
+only check a sequence passes, once per distinct (mapping, sequence): a miss
+that names an instruction the mapping does not cover, or whose total µop
+mass reaches 2^53, makes the request a structured 400 before anything is
+cached.  A hit is not checked again; it passed when it was first answered.
 
 Error and shutdown discipline
 -----------------------------
@@ -47,7 +50,7 @@ import sys
 import time
 from collections import deque
 
-from repro.core.errors import ReproError, ServingError
+from repro.core.errors import ExperimentError, ReproError
 from repro.core.experiment import Experiment
 from repro.serving.cache import PredictionCache
 from repro.serving.protocol import (
@@ -58,9 +61,8 @@ from repro.serving.protocol import (
     parse_predict_request,
 )
 from repro.serving.registry import MappingRegistry
-from repro.throughput.bottleneck import EXACT_MASS_LIMIT
 
-__all__ = ["PredictionServer", "parse_bind"]
+__all__ = ["PredictionServer"]
 
 _REASONS = {
     200: "OK",
@@ -75,24 +77,6 @@ _REASONS = {
 #: Bounds on HTTP framing, beyond which a connection is summarily rejected.
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
-
-
-def parse_bind(text: str) -> tuple[str, int]:
-    """Parse a ``--bind`` address: ``HOST:PORT`` or ``:PORT``.
-
-    An empty host means loopback; port 0 asks the kernel for an ephemeral
-    port (the bound address is printed at startup for clients to parse).
-    """
-    host, sep, port_text = text.rpartition(":")
-    if not sep:
-        raise ServingError(f"bind address must be HOST:PORT or :PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ServingError(f"invalid port in bind address {text!r}") from None
-    if not 0 <= port <= 65535:
-        raise ServingError(f"port out of range in bind address {text!r}")
-    return host or "127.0.0.1", port
 
 
 class _Stats:
@@ -199,10 +183,13 @@ class PredictionServer:
     async def handle_predict(self, payload: object) -> tuple[int, dict]:
         """Answer a decoded ``/v1/predict`` payload.
 
-        Returns ``(status, response body)``.  Validates the whole request
-        first, then answers cache hits and evaluates the distinct misses in
-        one call, without yielding to the loop.  Public and socket-free so
-        the property-test wall can drive cold and warm paths directly.
+        Returns ``(status, response body)``.  Parses the request, answers
+        its cache hits and evaluates its distinct misses in one call,
+        without yielding to the loop.  That call is the only check a
+        sequence passes (a hit passed it when first answered): when it
+        refuses a miss, the request is a 400 and nothing is cached.  Public
+        and socket-free so the property-test wall can drive cold and warm
+        paths directly.
         """
         # Still async though nothing awaits: tracers and tests call it as a coroutine.
         request = parse_predict_request(
@@ -225,24 +212,6 @@ class PredictionServer:
                 f"unknown mapping id {mapping_id!r}; serving {sorted(self.registry.ids)}",
             )
         entry = self.registry.get(mapping_id)
-        for sequence in request.sequences:
-            missing = entry.evaluator.missing_instructions(sequence)
-            if missing:
-                raise ProtocolError(
-                    400,
-                    "unknown_instruction",
-                    f"mapping {mapping_id!r} does not cover instruction "
-                    f"{missing[0]!r}",
-                )
-            mass = entry.evaluator.total_mass(sequence)
-            if mass >= EXACT_MASS_LIMIT:
-                raise ProtocolError(
-                    400,
-                    "mass_too_large",
-                    f"a sequence's total µop mass under mapping {mapping_id!r} is "
-                    f"{mass}, at least 2^53: its throughput is not exact in float64",
-                )
-
         results: list[float | None] = [None] * len(request.sequences)
         cached = [False] * len(request.sequences)
         fresh: dict[Experiment, list[int]] = {}
@@ -255,8 +224,29 @@ class PredictionServer:
                 fresh.setdefault(sequence, []).append(i)
 
         if fresh:
+            try:
+                values = entry.evaluator.throughputs(list(fresh))
+            except ExperimentError:
+                # A miss names an instruction outside the mapping (the first
+                # such name in request order is reported), or its mass
+                # reaches 2^53: nothing is cached or counted as a batch.
+                missing = next(
+                    (name for seq in fresh for name, _ in seq if name not in entry.mapping),
+                    None,
+                )
+                if missing is not None:
+                    raise ProtocolError(
+                        400,
+                        "unknown_instruction",
+                        f"mapping {mapping_id!r} does not cover instruction {missing!r}",
+                    ) from None
+                raise ProtocolError(
+                    400,
+                    "mass_too_large",
+                    f"a sequence's total µop mass under mapping {mapping_id!r} "
+                    "reaches 2^53: its throughput is not exact in float64",
+                ) from None
             self.stats.record_batch(len(fresh))
-            values = entry.evaluator.throughputs(list(fresh))
             for (sequence, indices), value in zip(fresh.items(), values):
                 value = float(value)
                 for i in indices:

@@ -312,65 +312,28 @@ class FixedMappingEvaluator:
     specific float, the same as a direct single-experiment
     :meth:`BatchedThroughputEvaluator.throughputs` call, whatever shares
     its batch; ``tests/test_serving_equivalence.py`` pins this.
-    :meth:`total_mass` lets callers reject up front a sequence whose mass
-    would break the contract.
+    :meth:`throughputs` is also the check an experiment passes: it raises
+    :class:`ExperimentError` for a name outside ``mapping.instructions``
+    and for a row whose total µop mass reaches ``2^53``.
 
     Parameters
     ----------
     mapping:
-        The three-level mapping to predict with.
-    instruction_names:
-        The instruction universe in a fixed order (defaults to the mapping's
-        own sorted instruction tuple).  Every name must be covered by the
-        mapping, and every experiment must be supported on these names.
+        The three-level mapping to predict with; its sorted instruction
+        tuple is the evaluator's instruction universe.
     """
 
-    def __init__(
-        self,
-        mapping: ThreeLevelMapping,
-        instruction_names: Sequence[str] | None = None,
-    ):
+    def __init__(self, mapping: ThreeLevelMapping):
         self.mapping = mapping
         self.num_ports = mapping.ports.num_ports
-        if instruction_names is None:
-            instruction_names = mapping.instructions
-        self.instruction_names = tuple(instruction_names)
+        self.instruction_names = mapping.instructions
         self._index = {name: i for i, name in enumerate(self.instruction_names)}
-        if len(self._index) != len(self.instruction_names):
-            raise MappingError("duplicate instruction names")
-        missing = [name for name in self.instruction_names if name not in mapping]
-        if missing:
-            raise MappingError(f"instructions not covered by the mapping: {missing}")
         uops = [mapping.uops_of(name) for name in self.instruction_names]
         self._table, self._sizes = closure_table(uops)
-        # Exact integer µop counts, for total_mass.
-        self._uop_totals = {
-            name: sum(row.values()) for name, row in zip(self.instruction_names, uops)
-        }
 
     @property
     def num_instructions(self) -> int:
         return len(self.instruction_names)
-
-    def missing_instructions(self, experiment: Experiment) -> list[str]:
-        """Names the experiment uses that this evaluator does not cover.
-
-        Lets callers (the serving protocol layer) reject an unsupported
-        sequence up front with a precise error instead of failing an entire
-        evaluation batch.
-        """
-        return [name for name, _ in experiment if name not in self._index]
-
-    def total_mass(self, experiment: Experiment) -> int:
-        """The experiment's total µop mass under this mapping, exactly.
-
-        The kernel refuses a row whose total reaches
-        :data:`~repro.throughput.bottleneck.EXACT_MASS_LIMIT`; comparing
-        against it lets callers reject such a sequence before evaluating a
-        batch.  Uncovered names count zero (see
-        :meth:`missing_instructions`).
-        """
-        return sum(count * self._uop_totals.get(name, 0) for name, count in experiment)
 
     def throughputs(self, experiments: Sequence[Experiment]) -> np.ndarray:
         """Predicted throughput for each experiment, as a ``[batch]`` array,

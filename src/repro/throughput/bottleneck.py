@@ -194,14 +194,20 @@ def closure_table(rows: Sequence[Mapping[int, float]]) -> tuple[np.ndarray, np.n
     ``C[k, j] = [K_k ⊆ L[j]]`` over the distinct masks ``K``, so for integer
     counts ``counts @ table`` is exactly the table of the combined rows.
     An optimal bottleneck set lies in ``L`` (module docstring), so the max
-    over ``L`` is the same float as the max over all ``2^|P|`` sets.
+    over ``L`` is the same float as the max over all ``2^|P|`` sets.  A µop
+    count past float64's range raises :class:`MappingError`.
     """
     masks = sorted({mask for row in rows for mask in row})
     unions = {0}
     for mask in masks:
         unions |= {union | mask for union in unions}
     closure = sorted(unions - {0})  # ascending: the last is every mask's union
-    weights = np.array([[row.get(mask, 0) for mask in masks] for row in rows], dtype=np.float64)
+    try:
+        weights = np.array(
+            [[row.get(mask, 0) for mask in masks] for row in rows], dtype=np.float64
+        )
+    except OverflowError:
+        raise MappingError("a µop count does not fit in float64") from None
     dtype = np.int64 if closure[-1] < 1 << 63 else object  # Python ints past 63 ports
     contained = (np.array(masks, dtype)[:, None] & ~np.array(closure, dtype)) == 0
     sizes = np.array([q.bit_count() for q in closure], dtype=np.float64)

@@ -186,6 +186,9 @@ class TestCommands:
 
 BAD_MAPPING = '{"ports": ["P0"], "instructions": {"a": [{"ports": ["P0"], "count": "z"}]}}'
 
+# A valid mapping whose µop count (10^400) does not fit in float64.
+HUGE_COUNT_MAPPING = BAD_MAPPING.replace('"z"', "1" + "0" * 400)
+
 # A checkpoint whose epoch count overflows int(): JSON reads 1e400 as inf.
 OVERFLOW_CHECKPOINT = (
     '{"format": "repro-pmevo/checkpoint-v1", "config": {}, "instructions": [], '
@@ -214,6 +217,10 @@ class TestUserMistakes:
             ["predict", "{mapping}", "x=z"],
             ["predict", "{mapping}", "y=1"],
             ["serve", "--mapping", "{tmp}/bad.json", "--bind", "127.0.0.1:0"],
+            ["serve", "--mapping", "{mapping}", "--mapping", "{mapping}", "--bind", ":0"],
+            ["serve", "--mapping", "{mapping}", "--bind", "nohost"],
+            ["serve", "--mapping", "{tmp}/huge.json", "--bind", ":0"],
+            ["predict", "{tmp}/huge.json", "a=1"],
         ],
         ids=[
             "population-1",
@@ -224,11 +231,16 @@ class TestUserMistakes:
             "count-not-integer",
             "unknown-instruction",
             "serve-malformed-mapping",
+            "serve-duplicate-ids",
+            "serve-bad-bind",
+            "serve-huge-count",
+            "predict-huge-count",
         ],
     )
     def test_one_error_line_and_exit_2(self, argv, tmp_path, mapping_file, capsys):
         (tmp_path / "corrupt.json").write_text("{not json")
         (tmp_path / "bad.json").write_text(BAD_MAPPING)
+        (tmp_path / "huge.json").write_text(HUGE_COUNT_MAPPING)
         (tmp_path / "overflow.json").write_text(OVERFLOW_CHECKPOINT)
         argv = [a.format(tmp=tmp_path, mapping=mapping_file) for a in argv]
         assert main(argv) == 2

@@ -22,7 +22,6 @@ from repro.serving import (
     ProtocolError,
     canonical_sequence,
     load_mapping_artifact,
-    parse_bind,
     parse_mapping_spec,
     parse_predict_request,
 )
@@ -133,12 +132,45 @@ class TestPredictErrorPaths:
 
     def test_unknown_instruction_never_reaches_backend(self, server):
         # A bad sequence must not poison the valid ones sharing its request:
-        # the request fails up front, before anything is evaluated or cached.
+        # the request fails before anything is cached or counted as a batch.
         _expect_protocol_error(
             server, {"sequences": [["add"], ["fdiv"]]}, 400, "unknown_instruction"
         )
         assert server.stats.batches == 0
         assert len(server.cache) == 0
+
+    def test_uncovered_cached_mix_is_400_and_changes_nothing(self, server):
+        _predict(server, {"sequences": [["add"]]})
+        batches, size = server.stats.batches, len(server.cache)
+        _expect_protocol_error(
+            server, {"sequences": [["add"], ["fdiv"]]}, 400, "unknown_instruction"
+        )
+        assert (server.stats.batches, len(server.cache)) == (batches, size)
+
+    def test_fully_cached_request_never_calls_the_evaluator(self, server):
+        # The cache is filled only after the evaluator answered under the
+        # same mapping, so a hit is not checked again.
+        sequences = [["add"], {"mul": 2, "st": 1}]
+        _, cold = _predict(server, {"sequences": sequences})
+
+        class _Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"evaluator.{name} called on a fully cached request")
+
+        server.registry.get("toy").evaluator = _Untouchable()
+        status, warm = _predict(server, {"sequences": sequences})
+        assert status == 200
+        assert warm["cached"] == [True, True]
+        assert warm["throughputs"] == cold["throughputs"]
+
+    def test_uncovered_name_wins_over_an_earlier_mass_at_2_to_53(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(_heavy_mapping().to_json())
+        server = PredictionServer(MappingRegistry([("heavy", path)]))
+        with pytest.raises(ProtocolError) as excinfo:
+            _predict(server, {"sequences": [{"a": 3, "b": 1}, {"b": 1, "c": 1}]})
+        assert excinfo.value.code == "unknown_instruction"
+        assert excinfo.value.message == "mapping 'heavy' does not cover instruction 'c'"
 
     def test_mass_at_2_to_53_is_400_and_never_reaches_backend(self, tmp_path):
         # µop multiplicity 2^52 + 1: {a: 3, b: 1} weighs 3 * (2^52 + 1) + 1.

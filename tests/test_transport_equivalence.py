@@ -273,6 +273,7 @@ class TestSocketFaultTolerance:
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:8080") == ("127.0.0.1", 8080)
+        assert parse_address(":8123") == ("127.0.0.1", 8123)
         with pytest.raises(TransportError):
             parse_address("no-port")
         with pytest.raises(TransportError):

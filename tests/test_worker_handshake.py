@@ -29,14 +29,17 @@ from repro.pmevo.testing import measurements_from_truth
 from repro.pmevo.transport import evolver_from_jsonable, problem_to_jsonable, recv_frame
 
 
-def _problem() -> dict:
-    truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
-    names = ("ad", "mu", "st")
+def _evolver(names=("ad", "mu", "st")) -> PortMappingEvolver:
+    uops = ({0b011: 1}, {0b100: 2}, {0b011: 1, 0b100: 1})
+    truth = dict(zip(names, uops))
     measured, singles = measurements_from_truth(truth, names, 3)
-    evolver = PortMappingEvolver(
+    return PortMappingEvolver(
         PortSpace.numbered(3), measured, singles, EvolutionConfig(population_size=8)
     )
-    return json.loads(json.dumps(problem_to_jsonable(evolver)))
+
+
+def _problem() -> dict:
+    return json.loads(json.dumps(problem_to_jsonable(_evolver())))
 
 
 def _paths(node, prefix=()):
@@ -174,3 +177,16 @@ def test_failed_handshakes_spend_the_reconnect_budget(reply):
         elapsed = time.monotonic() - start
     assert 1 <= coordinator.attaches <= 4
     assert elapsed < 3.5
+
+
+def test_a_job_the_evolver_refuses_reads_as_a_lost_connection():
+    # A valid setup, then a job whose island population is over other
+    # instruction names: the evolver raises MappingError, which must end
+    # the connection, not the worker.  With no reconnect budget a worker
+    # that has served exits 0.
+    state = _evolver(("xa", "xb", "xc")).init_state().to_jsonable()
+    job = {"type": "job", "job_id": 1, "generations": 1, "islands": [[0, state]]}
+    reply = _frame({"type": "setup", "problem": PROBLEM}) + _frame(job)
+    with _FakeCoordinator(reply) as coordinator:
+        assert run_worker(*coordinator.address, max_reconnect_attempts=0, jitter_seed=1) == 0
+    assert coordinator.attaches == 1
