@@ -121,11 +121,15 @@ class MappingRegistry:
 
     def _load_entry(self, mapping_id: str, path: Path, generation: int = 1) -> ServedMapping:
         mapping = load_mapping_artifact(path)
+        try:
+            evaluator = FixedMappingEvaluator(mapping)
+        except MappingError as exc:  # a µop count past float64
+            raise ServingError(f"mapping artifact {path} is malformed: {exc}") from exc
         return ServedMapping(
             mapping_id=mapping_id,
             path=path,
             mapping=mapping,
-            evaluator=FixedMappingEvaluator(mapping),
+            evaluator=evaluator,
             fingerprint=mapping.fingerprint(),
             generation=generation,
         )

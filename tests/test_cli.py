@@ -249,6 +249,13 @@ class TestUserMistakes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_serve_huge_count_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_COUNT_MAPPING)
+        assert main(["serve", "--mapping", str(path), "--bind", ":0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "huge.json" in err
+
     @pytest.mark.parametrize(
         "option",
         [["--forms", "-3"], ["--forms", "0"], ["--epsilon", "-1"]],

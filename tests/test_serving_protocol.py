@@ -295,6 +295,15 @@ class TestRegistryAndReload:
         status, report = server.handle_reload()
         assert report["reloaded"] == [] and report["unchanged"] == ["toy"]
 
+    def test_reload_of_a_count_past_float64_raises_serving_error(self, tmp_path, registry):
+        before = (registry.ids, registry.describe())
+        huge = {"ports": ["P0"], "instructions": {"add": [{"ports": ["P0"], "count": 0}]}}
+        text = json.dumps(huge).replace('"count": 0', '"count": 1' + "0" * 400)
+        (tmp_path / "toy.json").write_text(text)
+        with pytest.raises(ServingError, match="toy.json"):
+            registry.reload()
+        assert (registry.ids, registry.describe()) == before
+
     def test_failed_reload_keeps_serving_old_mapping(self, tmp_path, registry):
         server = PredictionServer(registry)
         _, before = _predict(server, {"sequences": [["mul"]]})
