@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import MappingError
-from repro.machine import Machine
+from repro.core import ExperimentSet, MappingError
+from repro.machine import Machine, MeasurementConfig, a72_machine
+from repro.pmevo.expgen import pair_experiments, singleton_experiments
 from repro.throughput import BatchedThroughputEvaluator
+from repro.throughput.bottleneck import bottleneck_max, popcounts, zeta_transform
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -65,13 +67,30 @@ def stratified_forms(machine: Machine, per_class: int = 1, limit: int = 24) -> l
     return names[:limit]
 
 
+def a72_problem() -> tuple[int, ExperimentSet, dict[str, float]]:
+    """The kernel benches' real-machine shape: A72's 7 ports, one form per
+    semantic class (16 forms), and their singleton and pair experiments
+    measured noise-free.  Returns ``(ports, measurements, singletons)``."""
+    machine = a72_machine(measurement=MeasurementConfig(noisy=False))
+    names = stratified_forms(machine, per_class=1, limit=16)
+    measured = ExperimentSet()
+    singles: dict[str, float] = {}
+    for experiment in singleton_experiments(names):
+        throughput = machine.measure(experiment)
+        measured.add(experiment, throughput)
+        singles[experiment.support[0]] = throughput
+    for experiment in pair_experiments(names, singles):
+        measured.add(experiment, machine.measure(experiment))
+    return machine.config.ports.num_ports, measured, singles
+
+
 def uop_matrix(
     evaluator: BatchedThroughputEvaluator, genome: Mapping[str, Mapping[int, int]]
 ) -> np.ndarray:
     """Scatter a genome (``name -> {mask -> multiplicity}``) into a dense
     ``[instruction, 2^|P|]`` multiplicity matrix over ``evaluator``'s
     instruction universe: the dense reference the kernel benches time
-    against ``bottleneck_rows``.
+    against ``bottleneck_rows`` and :func:`stacked_bottleneck_rows`.
 
     Instructions outside the universe are skipped (genomes may cover
     more instructions than the experiments use).
@@ -87,3 +106,20 @@ def uop_matrix(
                 raise MappingError(f"mask {mask:#x} invalid for {evaluator.num_ports} ports")
             matrix[row, mask] += float(mult)
     return matrix
+
+
+def stacked_bottleneck_rows(counts: np.ndarray, uops: np.ndarray) -> np.ndarray:
+    """``bottleneck_rows`` for a stack of mappings at once: ``uops[population,
+    instruction, 2^|P|]`` against ``counts[experiment, instruction]`` gives
+    the throughputs as ``[population, experiment]``.
+
+    The legacy fitness path the kernel bench times: one dense mass product
+    over the stack, then the zeta transform, the divide by ``|Q|`` and the
+    max over all ``2^|P|`` sets of every experiment row.
+    """
+    num_ports = uops.shape[-1].bit_length() - 1
+    masses = np.einsum("ei,piu->peu", counts, uops, optimize=True)
+    zeta_transform(masses, num_ports)
+    divisors = popcounts(num_ports).copy()
+    divisors[0] = np.inf  # the empty set's zero mass never wins the max
+    return bottleneck_max(masses, divisors)

@@ -52,18 +52,22 @@ import time
 
 import numpy as np
 
-from bench_lib import append_result, scaled, stratified_forms, uop_matrix
+from bench_lib import (
+    a72_problem,
+    append_result,
+    scaled,
+    stacked_bottleneck_rows,
+    uop_matrix,
+)
 from repro.core import Experiment, ExperimentSet
-from repro.machine import MeasurementConfig, a72_machine
 from repro.pmevo import (
     EvolutionConfig,
     PackedPopulation,
     PortMappingEvolver,
     random_population,
 )
-from repro.pmevo.expgen import pair_experiments, singleton_experiments
 from repro.pmevo.population import genome_volume
-from repro.throughput import BatchedThroughputEvaluator, bottleneck_rows
+from repro.throughput import BatchedThroughputEvaluator
 from repro.throughput.batched import _PACKED_BLOCK
 
 POPULATION = 256
@@ -73,21 +77,6 @@ EVOLVER_GENERATIONS = 20
 MIN_SPEEDUP = 3.0
 MIN_A72_SPEEDUP = 2.0
 MAX_GENERATION_OVER_KERNEL = 2.5
-
-
-def _a72_problem():
-    """A real-machine shape: 7 ports, subsampled forms, pair experiments."""
-    machine = a72_machine(measurement=MeasurementConfig(noisy=False))
-    names = stratified_forms(machine, per_class=1, limit=16)
-    measured = ExperimentSet()
-    singles: dict[str, float] = {}
-    for experiment in singleton_experiments(names):
-        throughput = machine.measure(experiment)
-        measured.add(experiment, throughput)
-        singles[experiment.support[0]] = throughput
-    for experiment in pair_experiments(names, singles):
-        measured.add(experiment, machine.measure(experiment))
-    return machine.config.ports.num_ports, measured, singles
 
 
 def _wide_isa_problem(num_instructions=160, num_experiments=48, num_ports=4):
@@ -116,7 +105,7 @@ def _legacy_fitness(evaluator, genomes, chunk):
     for start in range(0, len(genomes), chunk):
         part = genomes[start : start + chunk]
         matrices = np.stack([uop_matrix(evaluator, genome) for genome in part])
-        predicted[start : start + len(part)] = bottleneck_rows(evaluator.counts, matrices)
+        predicted[start : start + len(part)] = stacked_bottleneck_rows(evaluator.counts, matrices)
     davgs = evaluator.davg_from_throughputs(predicted)
     volumes = np.empty(len(genomes), dtype=np.float64)
     for i, genome in enumerate(genomes):
@@ -155,7 +144,7 @@ def _legacy_kernel(evaluator, genomes, chunk):
     for start in range(0, len(genomes), chunk):
         part = genomes[start : start + chunk]
         matrices = np.stack([uop_matrix(evaluator, genome) for genome in part])
-        predicted[start : start + len(part)] = bottleneck_rows(evaluator.counts, matrices)
+        predicted[start : start + len(part)] = stacked_bottleneck_rows(evaluator.counts, matrices)
     return predicted
 
 
@@ -165,10 +154,10 @@ def _time_shape(label, num_ports, measured, singles, names=None):
     evaluator = BatchedThroughputEvaluator(measured, names, num_ports)
     population_size = scaled(POPULATION, minimum=CHUNK)
     rng = np.random.default_rng(0)
-    genomes = random_population(rng, population_size, names, num_ports, singles)
+    packed = random_population(rng, population_size, names, num_ports, singles)
+    genomes = packed.to_genomes()
 
     # Kernel proper: dense scatter + evaluation, population already packed.
-    packed = PackedPopulation.from_genomes(genomes, names)
     kernel_legacy, kernel_packed = _best_seconds(
         lambda: _legacy_kernel(evaluator, genomes, CHUNK),
         lambda: evaluator.throughputs_from_packed(packed),
@@ -243,7 +232,7 @@ def test_fitness_kernel_speedup():
         f"packed kernel, blocks of {_PACKED_BLOCK} genomes)"
     ]
 
-    a72 = _a72_problem()
+    a72 = a72_problem()
     a72_speedup, lines = _time_shape("a72", *a72)
     report.extend(lines)
     num_ports, measured, singles = _wide_isa_problem()

@@ -37,15 +37,10 @@ from repro.pmevo.expgen import (
 )
 from repro.pmevo.fitness import normalize_objective, scalarized_fitness
 from repro.pmevo.localsearch import local_search
-from repro.pmevo.operators import mutate, recombine
+from repro.pmevo.operators import mutate, random_population, recombine
 from repro.pmevo.packed import PackedPopulation
 from repro.pmevo.pipeline import PMEvoConfig, PMEvoResult, infer_port_mapping
-from repro.pmevo.population import (
-    Genome,
-    genome_volume,
-    random_genome,
-    random_population,
-)
+from repro.pmevo.population import Genome, genome_volume
 
 __all__ = [
     "singleton_experiments",
@@ -81,7 +76,6 @@ __all__ = [
     "mutate",
     "Genome",
     "PackedPopulation",
-    "random_genome",
     "random_population",
     "genome_volume",
     "PMEvoConfig",

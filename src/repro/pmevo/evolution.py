@@ -83,14 +83,9 @@ from repro.core.mapping import ThreeLevelMapping
 from repro.core.ports import PortSpace
 from repro.pmevo.fitness import scalarized_fitness
 from repro.pmevo.localsearch import local_search
-from repro.pmevo.operators import mutate, recombine
+from repro.pmevo.operators import mutate, random_population, recombine
 from repro.pmevo.packed import PackedPopulation
-from repro.pmevo.population import (
-    Genome,
-    genome_to_jsonable,
-    genome_volume,
-    random_population,
-)
+from repro.pmevo.population import Genome, genome_to_jsonable, genome_volume
 from repro.pmevo.population import genome_key  # noqa: F401  (perfbench traces this lookup)
 from repro.throughput.batched import BatchedThroughputEvaluator
 
@@ -543,15 +538,12 @@ class PortMappingEvolver:
         root seed instead.
         """
         rng = rng if rng is not None else self._rng
-        population = PackedPopulation.from_genomes(
-            random_population(
-                rng,
-                self.config.population_size,
-                self.names,
-                self.ports.num_ports,
-                self.singleton_throughputs,
-            ),
+        population = random_population(
+            rng,
+            self.config.population_size,
             self.names,
+            self.ports.num_ports,
+            self.singleton_throughputs,
         )
         davgs, volumes = self._evaluate(population)
         return EvolutionState(

@@ -1,4 +1,4 @@
-"""Evolutionary operators (Section 4.4).
+"""Initialization and evolutionary operators (Section 4.4).
 
 The paper's final design uses a single binary **recombination** operator:
 for each instruction, the multiset of (µop, multiplicity) edges of the two
@@ -8,17 +8,18 @@ without a mutation operator while contributing substantial numbers of
 fitness computations" — so mutation here exists only for the ablation bench
 and is off by default.
 
-:func:`recombine` is a population operator on packed arrays
-(:class:`~repro.pmevo.packed.PackedPopulation`): one call draws every
-parent pair of a generation and splits every pair's pooled edges.  Its
-random draws are exactly those of the per-pair dict loop it replaced, which
-``tests/reference_operators.py`` keeps as the test oracle.  numpy's
-``Generator.integers(0, n)`` with ``1 < n < 2**32`` takes one 32-bit word
+:func:`random_population` and :func:`recombine` work on packed arrays
+(:class:`~repro.pmevo.packed.PackedPopulation`): one call samples a whole
+initial population, or draws every parent pair of a generation and splits
+every pair's pooled edges.  Their random draws are exactly those of the dict
+loops they replaced, the per-genome sampler and the per-pair recombination,
+which ``tests/reference_operators.py`` keeps as test oracles.  numpy's
+``Generator.integers(0, n)`` with ``1 < n <= 2**32`` takes one 32-bit word
 ``w`` per draw and returns ``(w·n) >> 32``, drawing again only while the low
 half of ``w·n`` is below ``2**32 mod n`` (Lemire's method); and that word
-stream continues across calls.  So the operator draws a buffer of words,
+stream continues across calls.  So each operator draws a buffer of words,
 replays the loop's draws on it in plain integer arithmetic, and advances the
-generator by exactly the words used: children, their slot orders and the
+generator by exactly the words used: genomes, their slot orders and the
 generator state afterwards all equal the loop's, bit for bit.
 
 Invariant kept by all operators: every instruction has at least one µop in
@@ -29,18 +30,23 @@ multiplicity, to the empty side.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.errors import InferenceError, MappingError
 from repro.core.ports import mask_size
 from repro.pmevo.packed import PackedPopulation, _mult_dtype
 from repro.pmevo.population import Genome, multiplicity_bound
 
-__all__ = ["recombine", "mutate"]
+__all__ = ["random_population", "recombine", "mutate"]
 
 _WORD = 1 << 32
 _LOW_HALF = _WORD - 1
+
+#: Genomes sampled per word buffer by :func:`random_population`, so that a
+#: large population never holds all of its words at once.
+_INIT_CHUNK = 1024
 
 
 def _merge_edges(target: dict[int, int], mask: int, count: int) -> None:
@@ -101,6 +107,84 @@ class _Words:
         """Rewind the generator, then advance it by exactly the words used."""
         self.rng.bit_generator.state = self.saved
         self.rng.integers(0, _WORD, size=self.pos, dtype=np.uint32)
+
+
+def random_population(
+    rng: np.random.Generator,
+    size: int,
+    names: Sequence[str],
+    num_ports: int,
+    singleton_throughputs: Mapping[str, float],
+) -> PackedPopulation:
+    """Sample the initial population of ``size`` genomes (Section 4.4).
+
+    For each genome and instruction ``i``, in order: a µop count ``k`` in
+    ``[1, |P|]``, then ``k`` distinct masks from the ``n = 2^|P| - 1``
+    nonempty port sets, then one multiplicity per mask in ``[1,
+    multiplicity_bound(t*(i), |mask|)]``.  These are the draws of
+    ``rng.integers(1, |P| + 1)``, ``rng.choice(n, k, replace=False) + 1`` and
+    ``rng.integers(1, bound + 1)``, replayed on the generator's words:
+    ``choice`` is Floyd's sampling, one draw in ``[0, j]`` for each ``j`` in
+    ``[n - k, n)`` that takes ``j`` itself on a repeat, followed by a
+    Fisher–Yates shuffle of the ``k`` picks (numpy samples by a tail shuffle
+    only past 10,000 sets and ``k`` above 2% of them, which ``k <= |P|``
+    never reaches).  A multiplicity whose bound is 1 draws nothing.  The
+    result is in :meth:`~repro.pmevo.packed.PackedPopulation.from_genomes`
+    normal form.
+    """
+    if size <= 0:
+        raise InferenceError(f"population size must be positive, got {size}")
+    if num_ports <= 0:
+        raise InferenceError(f"number of ports must be positive, got {num_ports}")
+    if num_ports > 32:
+        raise MappingError(f"masks over {num_ports} ports do not fit in uint32")
+    names = tuple(names)
+    # bounds[i][w]: instruction i's multiplicity bound for a mask of w ports.
+    bounds = []
+    for name in names:
+        throughput = singleton_throughputs.get(name)
+        if throughput is None:
+            raise InferenceError(f"missing singleton throughput for {name!r}")
+        row = [multiplicity_bound(throughput, w) for w in range(num_ports + 1)]
+        if row[-1] > _WORD:
+            raise InferenceError(
+                f"singleton throughput {throughput!r} of {name!r} bounds µop "
+                "multiplicities past 2^32"
+            )
+        bounds.append(row)
+    num_masks = (1 << num_ports) - 1
+    reserve = 3 * num_ports * len(names)  # one genome's words, sans redraws
+    counts: list[int] = []
+    flat_masks: list[int] = []
+    flat_mults: list[int] = []
+    for start in range(0, size, _INIT_CHUNK):
+        genomes = min(_INIT_CHUNK, size - start)
+        stream = _Words(rng, genomes * reserve, reserve)
+        draw = stream.bounded
+        for _ in range(genomes):
+            stream.ensure(reserve)
+            for bound in bounds:
+                k = draw(num_ports) + 1
+                picks: list[int] = []
+                for j in range(num_masks - k, num_masks):
+                    pick = draw(j + 1)
+                    picks.append(j if pick in picks else pick)
+                for i in range(k - 1, 0, -1):
+                    j = draw(i + 1)
+                    picks[i], picks[j] = picks[j], picks[i]
+                for pick in picks:
+                    mask = pick + 1
+                    flat_masks.append(mask)
+                    flat_mults.append(draw(bound[mask.bit_count()]) + 1)
+                counts.append(k)
+        stream.finish()
+    return PackedPopulation._from_rows(
+        names,
+        size,
+        np.array(counts, dtype=np.intp),
+        np.array(flat_masks, dtype=np.int64),
+        np.array(flat_mults, dtype=np.int64),
+    )
 
 
 def _replay(stream: _Words, lengths: list[list[int]], pairs: int):

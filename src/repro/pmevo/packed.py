@@ -17,14 +17,15 @@ population lives in two rectangular arrays,
 
 plus the shared instruction-name tuple that gives rows their meaning.  An
 evolver's population stays in this form from initialization to the final
-local search: :func:`repro.pmevo.operators.recombine` maps a packed
-population to packed children, selection deduplicates by
-:meth:`PackedPopulation.row_keys` and keeps rows with :meth:`take`, and
-migration copies rows.  Dict genomes appear only at the boundaries
-(the random initial population, local search and export of the winner,
-and the mutation ablation), through :meth:`from_genomes` and
-:meth:`to_genomes`, which are lossless inverses: slot order is µop dict
-insertion order, which the recombination RNG stream observes.
+local search: :func:`repro.pmevo.operators.random_population` samples the
+initial population into the arrays,
+:func:`repro.pmevo.operators.recombine` maps a packed population to packed
+children, selection deduplicates by :meth:`PackedPopulation.row_keys` and
+keeps rows with :meth:`take`, and migration copies rows.  Dict genomes
+appear only at local search and export of the winner, and in the mutation
+ablation, through :meth:`from_genomes` and :meth:`to_genomes`, which are
+lossless inverses: slot order is µop dict insertion order, which the
+recombination RNG stream observes.
 
 A population is kept in the *normal form* :meth:`from_genomes` produces:
 the slot axis is as wide as the widest row and ``mults`` has the narrowest
@@ -266,18 +267,31 @@ class PackedPopulation:
                 raise MappingError("µop mask does not fit in uint32")
             if int(flat_mults.min()) <= 0:
                 raise MappingError("µop multiplicities must be positive")
-        max_slots = max(1, int(counts.max())) if len(rows) else 1
-        max_mult = int(flat_mults.max()) if total else 1
+        return cls._from_rows(expected, len(genomes), counts, flat_masks, flat_mults)
 
-        shape = (len(genomes), len(expected), max_slots)
+    @classmethod
+    def _from_rows(
+        cls,
+        names: tuple[str, ...],
+        population: int,
+        counts: np.ndarray,
+        flat_masks: np.ndarray,
+        flat_mults: np.ndarray,
+    ) -> "PackedPopulation":
+        """Fill normal-form arrays from flat µop streams: each
+        ``[genome, instruction]`` row, in C order, takes the next
+        ``counts[row]`` masks and multiplicities as its slots."""
+        max_slots = max(1, int(counts.max())) if len(counts) else 1
+        max_mult = int(flat_mults.max()) if len(flat_mults) else 1
+        shape = (population, len(names), max_slots)
         masks = np.zeros(shape, dtype=np.uint32)
         mults = np.zeros(shape, dtype=_mult_dtype(max_mult))
         # Boolean assignment walks True positions in C order — row-major,
         # slot prefix first — which is exactly the flattened stream order.
         used = np.arange(max_slots, dtype=np.intp) < counts[:, None]
-        masks.reshape(len(rows), max_slots)[used] = flat_masks
-        mults.reshape(len(rows), max_slots)[used] = flat_mults
-        return cls(expected, masks, mults)
+        masks.reshape(len(counts), max_slots)[used] = flat_masks
+        mults.reshape(len(counts), max_slots)[used] = flat_mults
+        return cls(names, masks, mults)
 
     def to_genomes(self) -> list[Genome]:
         """Unpack back to dict genomes — the exact inverse of

@@ -13,10 +13,12 @@ differ in what they hold fixed:
   each block of ``_PACKED_BLOCK`` genomes is scattered into a mask-major
   µop stack, zeta transformed there (per instruction, not per experiment),
   and multiplied by ``X``; only each port-set size's maximum is divided.
-  The block buffers are allocated on the first population and reused by
-  every later one.  Local search and the final ``D_avg`` pass one dict
-  genome at a time (:meth:`~BatchedThroughputEvaluator.throughputs`), a
-  product of ``X`` with that genome's union-closure table.
+  The blocks run in float32 while every row total stays below ``2^24`` and
+  in float64 otherwise.  The block buffers are allocated on the first
+  population and reused by every later one.  Local search and the final
+  ``D_avg`` pass one dict genome at a time
+  (:meth:`~BatchedThroughputEvaluator.throughputs`), a product of ``X``
+  with that genome's union-closure table.
 * :class:`FixedMappingEvaluator` fixes the mapping, tabulated once over the
   union closure of its masks, and streams instruction sequences through it,
   ``_FIXED_BLOCK`` at a time — the hot path of the prediction serving layer
@@ -56,6 +58,10 @@ __all__ = ["BatchedThroughputEvaluator", "FixedMappingEvaluator"]
 #: Genomes per block of the packed kernel.  The kernel is exact, so the
 #: block size changes speed and memory only, never a result.
 _PACKED_BLOCK = 16
+
+#: Integers below this are exact in float32: the packed kernel runs in
+#: float32 while every row total of a population stays below it.
+_FLOAT32_EXACT = 2**24
 
 #: Experiments per count matrix of :meth:`FixedMappingEvaluator.throughputs`:
 #: one matrix over SKL's 160,230 canonical experiments would take 400 MiB.
@@ -145,7 +151,7 @@ class BatchedThroughputEvaluator:
     # -- the packed population path (the EA hot loop) ------------------------
 
     def _block_buffers(self) -> tuple[np.ndarray, ...]:
-        """The four flat buffers a block of up to ``_PACKED_BLOCK`` genomes
+        """The five flat buffers a block of up to ``_PACKED_BLOCK`` genomes
         passes through, each viewed at the block's size from its start:
 
         * the block's µops, mask-major ``[2^|P|, block·U]`` over the ``U``
@@ -154,10 +160,13 @@ class BatchedThroughputEvaluator:
         * the stack's nonempty rows in order of port-set size;
         * those rows times ``X``, ``[2^|P| - 1, block, experiment]``: one
           matmul per block;
-        * each size's largest mass, ``[|P|, block, experiment]``.
+        * each size's largest mass, ``[|P|, block, experiment]``;
+        * those maxima widened to float64, divided in place.
 
-        Allocated on the first population and reused by every later one; an
-        evaluator that never sees a population allocates none.
+        All are float64 buffers; the first four are viewed at the dtype the
+        kernel runs in.  Allocated on the first population and reused by
+        every later one; an evaluator that never sees a population allocates
+        none.
         """
         if self._buffers is None:
             sets = (1 << self.num_ports) - 1
@@ -167,6 +176,7 @@ class BatchedThroughputEvaluator:
                 np.empty((sets + 1) * columns),
                 np.empty(sets * columns),
                 np.empty(sets * rows),
+                np.empty(self.num_ports * rows),
                 np.empty(self.num_ports * rows),
             )
         return self._buffers
@@ -199,56 +209,76 @@ class BatchedThroughputEvaluator:
         ``|P|`` maxima, keeps the largest and guards the last, the full port
         set's mass (the row total), against ``2^53``.  Every block runs
         through the same buffers (:meth:`_block_buffers`).
+
+        Every sum above is a non-negative integer no larger than its row
+        total, the genome's multiplicities summed per instruction times
+        ``X``.  Those totals are formed first, in float64: while all of them
+        stay below ``2^24``, float32 holds every sum exactly in any order,
+        so the blocks run in float32 and only the maxima are widened to
+        float64 before the division.  A population with a larger total runs
+        in float64, where the ``2^53`` guard applies.
         """
         self._check_packed(packed)
         population = len(packed)
         num_ports, num_experiments = self.num_ports, self.num_experiments
         _, bounds = _sets_by_size(num_ports)
         sizes = np.arange(1, num_ports + 1, dtype=np.float64)
-        counts_t = self._used_counts.T
-        _, _, masses_buffer, best_buffer = self._block_buffers()
         out = np.empty((population, num_experiments), dtype=np.float64)
+        totals = packed.mults[:, self._used].sum(axis=2, dtype=np.float64)
+        np.matmul(totals, self._used_counts.T, out=out)  # every row total
+        exact32 = out.max(initial=0.0) < _FLOAT32_EXACT
+        dtype = np.dtype(np.float32 if exact32 else np.float64)
+        counts_t = self._used_counts.T.astype(dtype)
+        _, _, masses_buffer, peaks_buffer, best_buffer = self._block_buffers()
         for start in range(0, population, _PACKED_BLOCK):
             stop = min(start + _PACKED_BLOCK, population)
-            sets = self._zeta_stack(packed.masks[start:stop], packed.mults[start:stop])
+            sets = self._zeta_stack(
+                packed.masks[start:stop], packed.mults[start:stop], dtype
+            )
             block = stop - start
             # One product per block, so a threaded BLAS hands off work once
             # per block rather than once per set size.
             rows = len(sets) * block  # (set, genome) pairs
-            masses = masses_buffer[: rows * num_experiments].reshape(rows, num_experiments)
+            masses = masses_buffer.view(dtype)[: rows * num_experiments]
+            masses = masses.reshape(rows, num_experiments)
             np.matmul(sets.reshape(rows, -1), counts_t, out=masses)
             masses = masses.reshape(len(sets), block, num_experiments)
-            best = best_buffer[: num_ports * block * num_experiments]
-            best = best.reshape(num_ports, block, num_experiments)
+            shape = (num_ports, block, num_experiments)
+            peaks = peaks_buffer.view(dtype)[: math.prod(shape)].reshape(shape)
             for k in range(num_ports):  # the sets of k + 1 ports
-                masses[bounds[k] : bounds[k + 1]].max(axis=0, out=best[k])
+                masses[bounds[k] : bounds[k + 1]].max(axis=0, out=peaks[k])
+            best = best_buffer[: peaks.size].reshape(shape)
+            best[...] = peaks
             bottleneck_max(best.transpose(1, 2, 0), sizes, out=out[start:stop])
         return out
 
-    def _zeta_stack(self, masks: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    def _zeta_stack(
+        self, masks: np.ndarray, mults: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
         """Scatter one block's packed µops into the mask-major stack, zeta
         transform it, and return its nonempty rows in order of port-set
-        size, ``[2^|P| - 1, block·U]``.
+        size, ``[2^|P| - 1, block·U]``, all viewed at ``dtype``.
 
         One vectorized add per µop slot: within a slot every column appears
         once, so the buffered fancy-index ``+=`` is exact, and unused slots
         (mask 0, multiplicity 0) add zero to the empty set's row.
         """
-        stack_buffer, sets_buffer, _, _ = self._block_buffers()
+        stack_buffer, sets_buffer, _, _, _ = self._block_buffers()
         size = 1 << self.num_ports
         # Slot-major over the used columns: one slot is a contiguous [block, U].
         masks = np.ascontiguousarray(masks[:, self._used].transpose(2, 0, 1), np.intp)
         mults = np.ascontiguousarray(mults[:, self._used].transpose(2, 0, 1))
         columns = masks[0].size
-        flat = stack_buffer[: size * columns]
-        flat.fill(0.0)
+        flat = stack_buffer.view(dtype)[: size * columns]
+        flat.fill(0)
         column = np.arange(columns)
         for slot_masks, slot_mults in zip(masks, mults):
             flat[slot_masks.ravel() * columns + column] += slot_mults.ravel()
         stack = flat.reshape(size, columns)
         zeta_transform(stack.T, self.num_ports)
         order, _ = _sets_by_size(self.num_ports)
-        sets = sets_buffer[: (size - 1) * columns].reshape(size - 1, columns)
+        sets = sets_buffer.view(dtype)[: (size - 1) * columns]
+        sets = sets.reshape(size - 1, columns)
         return np.take(stack, order, axis=0, out=sets, mode="clip")  # "clip": unbuffered
 
     def throughputs(

@@ -137,10 +137,8 @@ def bottleneck_rows(counts: np.ndarray, uops: np.ndarray) -> np.ndarray:
 
     ``counts[e, i]`` is how often instruction ``i`` occurs in experiment
     ``e``; ``uops[i, Q]`` is how many µops with port mask ``Q`` instruction
-    ``i`` decomposes into (its last axis has length ``2^|P|``).  A
-    ``[population, instruction, 2^|P|]`` stack evaluates many mappings at
-    once.  Returns the throughputs as ``[experiment]``, or ``[population,
-    experiment]`` for a stack.
+    ``i`` decomposes into (its last axis has length ``2^|P|``).  Returns the
+    throughputs as ``[experiment]``.
 
     The chain is: mass product ``W = counts @ uops``, zeta transform of
     ``W`` over the mask axis, division by ``|Q|``, max over ``Q``.
@@ -158,10 +156,7 @@ def bottleneck_rows(counts: np.ndarray, uops: np.ndarray) -> np.ndarray:
     feeds the dense variant, are accepted with ordinary float rounding.)
     """
     num_ports = uops.shape[-1].bit_length() - 1
-    if uops.ndim == 3:
-        masses = np.einsum("ei,piu->peu", counts, uops, optimize=True)
-    else:
-        masses = counts @ uops
+    masses = counts @ uops
     zeta_transform(masses, num_ports)
     return bottleneck_max(masses, _divisors(num_ports))
 

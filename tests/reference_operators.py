@@ -1,20 +1,69 @@
-"""The evolver's original per-pair recombination, kept as a test oracle.
+"""The evolver's original dict-genome sampler and recombination, kept as
+test oracles.
 
-This is recombination as it was before the population operator: one
-parent pair at a time, over dict genomes, drawing from the generator as it
-goes.  ``tests/test_operators.py`` requires
+These are initialization and recombination as they were before the
+population operators: one genome, or one parent pair, at a time, over dict
+genomes, drawing from the generator as they go.  ``tests/test_operators.py``
+requires :func:`repro.pmevo.operators.random_population` to equal packing
+:func:`random_population`'s genomes, and
 :func:`repro.pmevo.operators.recombine` to return exactly the children
-:func:`recombine_population` builds from the same generator, in the same
-dict insertion orders, and to leave the generator in the same state.
+:func:`recombine_population` builds, both from the same generator, in the
+same dict insertion orders, and leaving the generator in the same state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
 import numpy as np
 
-from repro.pmevo.population import Genome
+from repro.core.errors import InferenceError
+from repro.core.ports import mask_size
+from repro.pmevo.population import Genome, multiplicity_bound
 
-__all__ = ["recombine_pair", "recombine_population"]
+__all__ = ["random_genome", "random_population", "recombine_pair", "recombine_population"]
+
+
+def random_genome(
+    rng: np.random.Generator,
+    names: Sequence[str],
+    num_ports: int,
+    singleton_throughputs: Mapping[str, float],
+) -> Genome:
+    """Sample one genome per the paper's initialization scheme."""
+    if num_ports <= 0:
+        raise InferenceError(f"number of ports must be positive, got {num_ports}")
+    num_masks = (1 << num_ports) - 1
+    genome: Genome = {}
+    for name in names:
+        throughput = singleton_throughputs.get(name)
+        if throughput is None:
+            raise InferenceError(f"missing singleton throughput for {name!r}")
+        uop_count = int(rng.integers(1, num_ports + 1))
+        uop_count = min(uop_count, num_masks)
+        masks = rng.choice(num_masks, size=uop_count, replace=False) + 1
+        uops: dict[int, int] = {}
+        for mask in masks.tolist():
+            bound = multiplicity_bound(throughput, mask_size(mask))
+            uops[mask] = int(rng.integers(1, bound + 1))
+        genome[name] = uops
+    return genome
+
+
+def random_population(
+    rng: np.random.Generator,
+    size: int,
+    names: Sequence[str],
+    num_ports: int,
+    singleton_throughputs: Mapping[str, float],
+) -> list[Genome]:
+    """Sample the initial population of ``size`` genomes."""
+    if size <= 0:
+        raise InferenceError(f"population size must be positive, got {size}")
+    return [
+        random_genome(rng, names, num_ports, singleton_throughputs)
+        for _ in range(size)
+    ]
 
 
 def _merge_edges(target: dict[int, int], mask: int, count: int) -> None:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_operators import random_genome
 from repro.core import Experiment, PortSpace, ThreeLevelMapping
 from repro.machine import preset_machine
-from repro.pmevo import PackedPopulation, random_experiments, random_genome
+from repro.pmevo import PackedPopulation, random_experiments
 from repro.throughput import BatchedThroughputEvaluator, FixedMappingEvaluator
 from repro.throughput.bottleneck import (
     bottleneck_throughput,

@@ -22,6 +22,7 @@ from repro.throughput import (
     bottleneck_throughput_reference,
     lp_throughput_masses,
 )
+from repro.throughput.batched import _PACKED_BLOCK
 
 
 @pytest.fixture
@@ -162,7 +163,42 @@ def _packed(mapping):
 
 class TestExactnessGuard:
     """Masses are exact float64 integers only below 2^53; past it the
-    kernel refuses instead of answering a rounded value."""
+    kernel refuses instead of answering a rounded value.  The packed kernel
+    runs in float32 while every row total stays below 2^24, and in float64
+    from 2^24 on."""
+
+    @pytest.mark.parametrize("total", [2**24 - 1, 2**24, 2**24 + 1])
+    def test_row_totals_around_2_to_24_are_exact(self, total):
+        # Every µop may issue on both ports, so the bottleneck is the full
+        # set: total / 2, which float32 would round at the odd 2^24 + 1.
+        mapping = ThreeLevelMapping(
+            PortSpace.numbered(2), {"a": {0b11: total - 3}, "b": {0b11: 1}}
+        )
+        sequence = Experiment({"a": 1, "b": 3})
+        expected = bottleneck_throughput_reference(mapping.uop_masses(sequence), 2)
+        assert expected == total / 2
+        batched = BatchedThroughputEvaluator([sequence], mapping.instructions, 2)
+        assert batched.throughputs_from_packed(_packed(mapping)).tolist() == [[expected]]
+
+    @pytest.mark.parametrize("heavy", [_PACKED_BLOCK - 1, _PACKED_BLOCK])
+    def test_one_heavy_genome_among_light_ones_is_exact(self, heavy):
+        names = ("a", "b")
+        experiments = [
+            Experiment({"a": 1, "b": 3}),
+            Experiment({"a": 2}),
+            Experiment({"b": 1}),
+            Experiment({"a": 1, "b": 1}),
+        ]
+        genomes = [
+            {"a": {0b01: 1 + g % 3, 0b11: 1 + g % 2}, "b": {0b10: 2, 0b11: 1 + g % 5}}
+            for g in range(2 * _PACKED_BLOCK + 1)
+        ]
+        # Its first row total is 2^24 + 1, odd, so float32 would round it.
+        genomes[heavy] = {"a": {0b11: 2**24 - 2}, "b": {0b01: 1}}
+        evaluator = BatchedThroughputEvaluator(experiments, names, 2)
+        expected = np.stack([evaluator.throughputs(genome) for genome in genomes])
+        packed = PackedPopulation.from_genomes(genomes, names)
+        assert np.array_equal(evaluator.throughputs_from_packed(packed), expected)
 
     def test_mass_at_2_to_53_raises_in_both_evaluators(self):
         mapping = _heavy_mapping(2**52 + 1)

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_operators import random_genome
 from repro.core import (
     CheckpointError,
     Experiment,
@@ -34,7 +35,7 @@ from repro.core import (
     PortSpace,
     ThreeLevelMapping,
 )
-from repro.pmevo import PackedPopulation, genome_volume, random_genome
+from repro.pmevo import PackedPopulation, genome_volume
 from repro.pmevo.evolution import EvolutionConfig, PortMappingEvolver
 from repro.pmevo.testing import measurements_from_truth
 from repro.throughput import BatchedThroughputEvaluator, bottleneck_throughput_reference

@@ -1,4 +1,4 @@
-"""Tests for genome representation and population initialization."""
+"""Tests for genome representation and the packed initial population."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import InferenceError, PortSpace, ThreeLevelMapping
+from repro.core import InferenceError, MappingError, PortSpace, ThreeLevelMapping
 from repro.core.ports import mask_size
-from repro.pmevo import genome_volume, random_genome, random_population
+from repro.pmevo import genome_volume, random_population
 from repro.pmevo.population import copy_genome, genome_key, multiplicity_bound
 
 
@@ -49,27 +49,34 @@ class TestRandomGenome:
         rng = np.random.default_rng(seed)
         names = ["x", "y", "z"]
         throughputs = {"x": 0.5, "y": 1.0, "z": 3.0}
-        genome = random_genome(rng, names, num_ports, throughputs)
+        population = random_population(rng, 4, names, num_ports, throughputs)
+        population._check_invariants()
         full = (1 << num_ports) - 1
-        for name in names:
-            uops = genome[name]
-            assert uops, "every instruction needs at least one µop"
-            assert len(uops) <= num_ports
-            for mask, count in uops.items():
-                assert 1 <= mask <= full
-                assert count >= 1
-                bound = max(1, math.ceil(throughputs[name] * mask_size(mask) - 1e-12))
-                assert count <= bound
+        for genome in population.to_genomes():
+            for name in names:
+                uops = genome[name]
+                assert uops, "every instruction needs at least one µop"
+                assert len(uops) <= num_ports
+                for mask, count in uops.items():
+                    assert 1 <= mask <= full
+                    assert count >= 1
+                    bound = max(1, math.ceil(throughputs[name] * mask_size(mask) - 1e-12))
+                    assert count <= bound
 
     def test_missing_throughput_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InferenceError):
-            random_genome(rng, ["x"], 2, {})
+            random_population(rng, 1, ["x"], 2, {})
 
     def test_invalid_ports_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InferenceError):
-            random_genome(rng, ["x"], 0, {"x": 1.0})
+            random_population(rng, 1, ["x"], 0, {"x": 1.0})
+
+    def test_masks_past_uint32_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(MappingError):
+            random_population(rng, 1, ["x"], 33, {"x": 1.0})
 
 
 class TestRandomPopulation:
@@ -77,7 +84,7 @@ class TestRandomPopulation:
         rng = np.random.default_rng(1)
         population = random_population(rng, 50, ["a", "b"], 3, {"a": 1.0, "b": 1.0})
         assert len(population) == 50
-        keys = {genome_key(g) for g in population}
+        keys = set(population.row_keys().tolist())
         assert len(keys) > 25  # random init should be diverse
 
     def test_invalid_size_rejected(self):
