@@ -212,11 +212,13 @@ class BatchedThroughputEvaluator:
 
         Every sum above is a non-negative integer no larger than its row
         total, the genome's multiplicities summed per instruction times
-        ``X``.  Those totals are formed first, in float64: while all of them
-        stay below ``2^24``, float32 holds every sum exactly in any order,
-        so the blocks run in float32 and only the maxima are widened to
-        float64 before the division.  A population with a larger total runs
-        in float64, where the ``2^53`` guard applies.
+        ``X``.  Those totals are formed first, in float64, which is exact
+        below ``2^53`` and cannot round a larger total below ``2^24``.
+        While all of them stay below ``2^24``, float32 holds every sum
+        exactly in any order, so the blocks run in float32 and only the
+        maxima are widened to float64 before the division.  A population
+        with a larger total runs in float64, where the ``2^53`` guard
+        applies.
         """
         self._check_packed(packed)
         population = len(packed)
@@ -224,8 +226,8 @@ class BatchedThroughputEvaluator:
         _, bounds = _sets_by_size(num_ports)
         sizes = np.arange(1, num_ports + 1, dtype=np.float64)
         out = np.empty((population, num_experiments), dtype=np.float64)
-        totals = packed.mults[:, self._used].sum(axis=2, dtype=np.float64)
-        np.matmul(totals, self._used_counts.T, out=out)  # every row total
+        uops = packed.mults @ np.ones(packed.max_uops)  # [genome, instruction]
+        np.matmul(uops, self.counts.T, out=out)  # every row total
         exact32 = out.max(initial=0.0) < _FLOAT32_EXACT
         dtype = np.dtype(np.float32 if exact32 else np.float64)
         counts_t = self._used_counts.T.astype(dtype)

@@ -3,12 +3,13 @@ test oracles.
 
 These are initialization and recombination as they were before the
 population operators: one genome, or one parent pair, at a time, over dict
-genomes, drawing from the generator as they go.  ``tests/test_operators.py``
+genomes, drawing from the generator as they go.  ``tests/test_population.py``
 requires :func:`repro.pmevo.operators.random_population` to equal packing
-:func:`random_population`'s genomes, and
-:func:`repro.pmevo.operators.recombine` to return exactly the children
-:func:`recombine_population` builds, both from the same generator, in the
-same dict insertion orders, and leaving the generator in the same state.
+:func:`random_population`'s genomes, and ``tests/test_operators.py``
+requires :func:`repro.pmevo.operators.recombine` to return exactly the
+children :func:`recombine_population` builds, both from the same generator,
+in the same dict insertion orders, and leaving the generator in the same
+state.
 """
 
 from __future__ import annotations

@@ -1,21 +1,18 @@
-"""Tests for initialization and the evolutionary operators (Section 4.4).
+"""Tests for evolutionary operators (Section 4.4).
 
-The packed population operators are pinned to the dict loops they replaced
-(``tests/reference_operators.py``): :func:`repro.pmevo.operators.random_population`
-to the per-genome sampler, :func:`repro.pmevo.operators.recombine` to the
-per-pair loop.  Same genomes in the same dict insertion orders, same
-generator state after the call.
+The packed population operator :func:`repro.pmevo.operators.recombine` is
+pinned to the per-pair dict loop it replaced (``tests/reference_operators.py``):
+same children in the same dict insertion orders, same generator state after
+the call.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference_operators
 from reference_operators import recombine_population
 from repro.core.ports import mask_size
-from repro.pmevo import PackedPopulation, mutate, random_population, recombine
-from repro.pmevo import operators
+from repro.pmevo import PackedPopulation, mutate, recombine
 from repro.pmevo.operators import _Words
 from repro.pmevo.population import genome_volume
 
@@ -155,55 +152,6 @@ class TestAgainstPerPairLoop:
             )
             widened |= children.mults.dtype == np.uint16
         assert widened
-
-
-def _assert_sampler_matches_reference(make_rng, size, names, num_ports, singles):
-    rng, reference_rng = make_rng(), make_rng()
-    sampled = random_population(rng, size, names, num_ports, singles)
-    genomes = reference_operators.random_population(
-        reference_rng, size, names, num_ports, singles
-    )
-    expected = PackedPopulation.from_genomes(genomes, names)
-    assert sampled.names == expected.names
-    assert sampled.masks.dtype == expected.masks.dtype
-    assert sampled.mults.dtype == expected.mults.dtype
-    assert np.array_equal(sampled.masks, expected.masks)  # slot width and order too
-    assert np.array_equal(sampled.mults, expected.mults)
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
-@st.composite
-def _sampler_inputs(draw):
-    """1-12 ports or 32, 1-16 instructions with singleton throughputs in
-    [0.05, 20], 1-64 genomes."""
-    num_ports = draw(st.one_of(st.integers(1, 12), st.just(32)))
-    names = [f"i{k}" for k in range(draw(st.integers(1, 16)))]
-    singles = {name: draw(st.floats(0.05, 20.0)) for name in names}
-    return draw(st.integers(1, 64)), names, num_ports, singles
-
-
-class TestAgainstDictSampler:
-    @given(_sampler_inputs(), st.integers(0, 2**128 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_population_dtypes_and_generator_state_match(self, inputs, seed):
-        _assert_sampler_matches_reference(lambda: np.random.default_rng(seed), *inputs)
-
-    def test_draws_that_redraw_match(self):
-        # The pending zero word makes the first µop count draw, in [0, |P|)
-        # for a |P| that is no power of two, draw again.
-        for num_ports in (3, 5, 6, 7):
-            _assert_sampler_matches_reference(
-                lambda: _pending_zero_word(num_ports), 20, ["x", "y"], num_ports,
-                {"x": 0.5, "y": 2.5},
-            )
-
-    def test_word_buffers_split_anywhere(self, monkeypatch):
-        monkeypatch.setattr(operators, "_INIT_CHUNK", 3)
-        for size in (1, 3, 4, 10):
-            _assert_sampler_matches_reference(
-                lambda: np.random.default_rng(size), size, ["x", "y", "z"], 4,
-                {"x": 1.0, "y": 0.3, "z": 7.0},
-            )
 
 
 def _replay_first_pair(rng, size):
