@@ -11,7 +11,11 @@ about 100,000):
 * the peak RSS of the process.
 
 Each size runs in a child process of its own, so that ``ru_maxrss`` is that
-size's alone.  The bench asserts no timing.  It checks only that the best
+size's alone.  The child runs with glibc's mmap threshold fixed at its
+initial 128 KiB (``MALLOC_MMAP_THRESHOLD_``, unless the caller set it):
+under the dynamic threshold, a freed population-sized temporary raises it
+and later frees stay resident, so the peak follows the order of frees more
+than the program's memory.  The bench asserts no timing.  It checks only that the best
 genome's ``D_avg`` is Equation 1, recomputed by the literal
 ``bottleneck_throughput_reference``.  With ``REPRO_BENCH_RECORD=1`` the
 record is appended to ``benchmarks/results/population_scale.txt``.
@@ -40,6 +44,8 @@ from repro.throughput import bottleneck_throughput_reference
 
 GENERATIONS = 2
 SIZES = (scaled(4096),)
+#: glibc's initial mmap threshold; setting it turns the dynamic one off.
+MMAP_THRESHOLD = "131072"
 
 _HERE = Path(__file__).resolve().parent
 
@@ -72,9 +78,14 @@ def _child(size: int) -> dict:
     }
 
 
-def _run_child(size: int) -> dict:
+def _child_env() -> dict[str, str]:
     paths = [str(_HERE.parent / "src"), str(_HERE), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.setdefault("MALLOC_MMAP_THRESHOLD_", MMAP_THRESHOLD)
+    return env
+
+
+def _run_child(size: int, env: dict[str, str]) -> dict:
     process = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), str(size)],
         capture_output=True, text=True, env=env, timeout=3600,
@@ -95,12 +106,14 @@ def _equation_1_davg(genome, measured, num_ports: int) -> float:
 
 def test_population_scale_record():
     num_ports, measured, _ = a72_problem()
+    env = _child_env()
     lines = [
         f"population-scale (a72: {num_ports} ports, {len(measured)} experiments, "
-        f"{GENERATIONS} generations, one process per size)"
+        f"{GENERATIONS} generations, one process per size, "
+        f"MALLOC_MMAP_THRESHOLD_={env['MALLOC_MMAP_THRESHOLD_']})"
     ]
     for size in SIZES:
-        record = _run_child(size)
+        record = _run_child(size, env)
         genome = {
             name: {int(mask): mult for mask, mult in uops.items()}
             for name, uops in record["genome"].items()

@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--idle-timeout",
         type=_positive_float,
         default=30.0,
-        help="seconds a keep-alive connection may idle between requests "
+        help="seconds a keep-alive connection may idle between requests, "
+        "and seconds each request's whole head and body may take to arrive "
         "(default 30)",
     )
     serve.add_argument(

@@ -1,10 +1,11 @@
 """Bounded LRU cache of per-sequence throughput predictions.
 
 The cache is keyed by ``(mapping id, canonical sequence)`` — the canonical
-sequence being the :class:`repro.core.experiment.Experiment` multiset, so
-``["a", "b", "a"]`` and ``{"a": 2, "b": 1}`` share one line.  Values are the
-exact floats the fixed-mapping kernel produced; because that kernel is
-batch-independent bit for bit (see
+sequence being the name-sorted tuple of ``(name, count)`` pairs that
+:func:`repro.serving.protocol.canonical_sequence` returns, so ``["a", "b",
+"a"]`` and ``{"a": 2, "b": 1}`` share one line, and a lookup hashes plain
+tuples of strings and ints.  Values are the exact floats the fixed-mapping
+kernel produced; because that kernel is batch-independent bit for bit (see
 :class:`repro.throughput.batched.FixedMappingEvaluator`), serving a hit is
 indistinguishable from recomputing.
 
@@ -17,13 +18,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.core.experiment import Experiment
-
 __all__ = ["PredictionCache"]
 
 
 class PredictionCache:
-    """A bounded LRU of ``(mapping id, Experiment) -> float`` predictions.
+    """A bounded LRU of ``(mapping id, canonical sequence) -> float`` predictions.
 
     ``capacity`` 0 disables caching entirely (every lookup misses, nothing
     is stored) — useful for benchmarking the cold path and as an operator
@@ -36,7 +35,7 @@ class PredictionCache:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[str, Experiment], float] = OrderedDict()
+        self._entries: OrderedDict[tuple[str, tuple], float] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -45,7 +44,7 @@ class PredictionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, mapping_id: str, sequence: Experiment) -> float | None:
+    def get(self, mapping_id: str, sequence: tuple) -> float | None:
         """The cached prediction, refreshed to most-recently-used, or None."""
         key = (mapping_id, sequence)
         value = self._entries.get(key)
@@ -56,7 +55,7 @@ class PredictionCache:
         self.hits += 1
         return value
 
-    def put(self, mapping_id: str, sequence: Experiment, value: float) -> None:
+    def put(self, mapping_id: str, sequence: tuple, value: float) -> None:
         """Store a prediction, evicting the least recently used beyond capacity."""
         if self.capacity == 0:
             return

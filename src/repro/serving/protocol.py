@@ -15,10 +15,12 @@ Design rules:
   Nothing a client can send produces a 500 or a hung connection.
 * **Sequences canonicalize to multisets.**  A sequence may be spelled as a
   list of instruction names (with repeats) or as a ``name -> count`` object;
-  both canonicalize to the same :class:`repro.core.experiment.Experiment`
-  multiset, which is the cache key — ``["a", "b", "a"]`` and ``{"a": 2,
-  "b": 1}`` hit the same cache line.  (PMEvo's throughput model abstracts
-  from instruction order, so the multiset view loses nothing.)
+  both canonicalize to the same name-sorted tuple of ``(name, count)``
+  pairs — the items a :class:`repro.core.experiment.Experiment` of those
+  counts iterates — which is the cache key and the evaluator's input, so
+  no ``Experiment`` is built per sequence.  ``["a", "b", "a"]`` and ``{"a":
+  2, "b": 1}`` hit the same cache line.  (PMEvo's throughput model
+  abstracts from instruction order, so the multiset view loses nothing.)
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import ServingError
-from repro.core.experiment import Experiment
 
 __all__ = [
     "ProtocolError",
@@ -69,8 +70,11 @@ def error_body(code: str, message: str) -> dict:
     return {"error": {"code": code, "message": message}}
 
 
-def canonical_sequence(raw: Any, *, max_sequence: int = DEFAULT_MAX_SEQUENCE) -> Experiment:
-    """Canonicalize one request sequence into an :class:`Experiment`.
+def canonical_sequence(
+    raw: Any, *, max_sequence: int = DEFAULT_MAX_SEQUENCE
+) -> tuple[tuple[str, int], ...]:
+    """Canonicalize one request sequence into its name-sorted ``(name,
+    count)`` pairs, the items ``Experiment(counts)`` iterates.
 
     Accepts a list of instruction names (repeats allowed) or a ``name ->
     count`` object; rejects everything else with a :class:`ProtocolError`.
@@ -93,11 +97,10 @@ def canonical_sequence(raw: Any, *, max_sequence: int = DEFAULT_MAX_SEQUENCE) ->
                     f"sequence entries must be instruction names, got {name!r}",
                 )
             counts[name] = counts.get(name, 0) + 1
-        return Experiment(counts)
+        return tuple(sorted(counts.items()))
     if isinstance(raw, dict):
         if not raw:
             raise ProtocolError(400, "bad_sequence", "a sequence must not be empty")
-        counts = {}
         total = 0
         for name, count in raw.items():
             if not isinstance(name, str) or not name:
@@ -113,14 +116,13 @@ def canonical_sequence(raw: Any, *, max_sequence: int = DEFAULT_MAX_SEQUENCE) ->
                     f"count for {name!r} must be a positive integer, got {count!r}",
                 )
             total += count
-            counts[name] = count
         if total > max_sequence:
             raise ProtocolError(
                 413,
                 "sequence_too_long",
                 f"sequence has {total} instructions; the limit is {max_sequence}",
             )
-        return Experiment(counts)
+        return tuple(sorted(raw.items()))
     raise ProtocolError(
         400,
         "bad_sequence",
@@ -131,10 +133,11 @@ def canonical_sequence(raw: Any, *, max_sequence: int = DEFAULT_MAX_SEQUENCE) ->
 
 @dataclass
 class PredictRequest:
-    """A validated ``POST /v1/predict`` payload."""
+    """A validated ``POST /v1/predict`` payload: each sequence is its
+    :func:`canonical_sequence` tuple."""
 
     mapping_id: str | None
-    sequences: list[Experiment] = field(default_factory=list)
+    sequences: list[tuple[tuple[str, int], ...]] = field(default_factory=list)
 
 
 def parse_predict_request(

@@ -16,6 +16,10 @@ A ``POST /v1/predict`` batch is answered from two tiers:
    product of the batch's counts with the mapping's union-closure table,
    then a divide and a max), made directly on the event loop, then cached.
 
+A canonical sequence is the name-sorted tuple of ``(name, count)`` pairs
+(:func:`repro.serving.protocol.canonical_sequence`): the cache key and the
+evaluator's input alike, so no ``Experiment`` is built on the request path.
+
 A typical miss batch costs tens of microseconds, less than a hop to a
 worker thread would, so there is no worker thread and no coalescing of
 concurrent misses.  While a batch evaluates the loop serves nothing else;
@@ -34,8 +38,13 @@ cached.  A hit is not checked again; it passed when it was first answered.
 Error and shutdown discipline
 -----------------------------
 Every client error is a structured 4xx JSON body (never a 500, never a hung
-connection — malformed framing gets a 400 and a close; idle and read
-timeouts bound every await).  On SIGTERM/SIGINT the server stops accepting,
+connection — malformed framing gets a 400 and a close).  Each connection
+keeps one deadline, a ``loop.call_later`` that closes its transport: it
+bounds the wait for a request line by ``idle_timeout``, and the head and
+body that follow by another ``idle_timeout``; a read it cuts ends the
+connection without a response.  (One timer per connection rather than a
+timeout per read: before Python 3.12, ``asyncio``'s timed wait runs each
+read in a new Task.)  On SIGTERM/SIGINT the server stops accepting,
 drains requests already in flight — a request counts from its first byte on
 the wire, so one whose body is still arriving completes too (bounded by the
 grace period) — then closes remaining idle connections and exits.
@@ -51,7 +60,6 @@ import time
 from collections import deque
 
 from repro.core.errors import ExperimentError, ReproError
-from repro.core.experiment import Experiment
 from repro.serving.cache import PredictionCache
 from repro.serving.protocol import (
     DEFAULT_MAX_BATCH,
@@ -146,8 +154,9 @@ class PredictionServer:
     max_body_bytes:
         Request body ceiling (413 beyond it).
     idle_timeout:
-        Seconds a keep-alive connection may sit between requests (also the
-        per-read bound, so half-sent requests cannot hang the server).
+        Seconds a keep-alive connection may sit between requests, and
+        seconds a request's whole head and body may take to arrive, so
+        half-sent requests cannot hang the server.
     grace:
         Seconds the shutdown path waits for received requests to finish.
     """
@@ -214,7 +223,7 @@ class PredictionServer:
         entry = self.registry.get(mapping_id)
         results: list[float | None] = [None] * len(request.sequences)
         cached = [False] * len(request.sequences)
-        fresh: dict[Experiment, list[int]] = {}
+        fresh: dict[tuple, list[int]] = {}
         for i, sequence in enumerate(request.sequences):
             hit = self.cache.get(mapping_id, sequence)
             if hit is not None:
@@ -326,7 +335,10 @@ class PredictionServer:
     async def _read_request(
         self, line: bytes, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes]:
-        """Parse one framed request whose first line has already arrived."""
+        """Parse one framed request whose first line has already arrived.
+
+        The reads are bare: the connection's deadline bounds them.
+        """
         if len(line) > _MAX_REQUEST_LINE:
             raise ProtocolError(400, "bad_http", "request line too long")
         parts = line.decode("latin-1").strip().split()
@@ -336,7 +348,7 @@ class PredictionServer:
         headers: dict[str, str] = {}
         header_bytes = 0
         while True:
-            line = await asyncio.wait_for(reader.readline(), self.idle_timeout)
+            line = await reader.readline()
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
@@ -347,32 +359,46 @@ class PredictionServer:
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise ProtocolError(400, "bad_http", f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise ProtocolError(400, "bad_http", "conflicting Content-Length headers")
+            headers[name] = value
         length_text = headers.get("content-length", "0")
         try:
-            length = int(length_text)
+            # ASCII digits only: int() alone also takes "+23", "2_3" and "٢٣".
+            if not (length_text.isascii() and length_text.isdigit()):
+                raise ValueError(length_text)
+            length = int(length_text)  # which refuses more digits than it converts
         except ValueError:
             raise ProtocolError(
                 400, "bad_http", f"invalid Content-Length {length_text!r}"
             ) from None
-        if length < 0:
-            raise ProtocolError(400, "bad_http", "negative Content-Length")
         if length > self.max_body_bytes:
             raise ProtocolError(
                 413,
                 "body_too_large",
                 f"request body of {length} bytes exceeds the {self.max_body_bytes} limit",
             )
-        body = await asyncio.wait_for(reader.readexactly(length), self.idle_timeout)
+        body = await reader.readexactly(length)
         return method, target, headers, body
 
     async def _serve_one(
-        self, line: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        line: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        deadline: asyncio.TimerHandle,
     ) -> bool:
-        """Read the rest of one request and answer it; returns keep-alive."""
+        """Read the rest of one request under ``deadline``, cancel it once
+        the body is in, and answer; returns keep-alive."""
         try:
             method, target, headers, body = await self._read_request(line, reader)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
         except ProtocolError as exc:
+            if writer.transport.is_closing():
+                return False  # the deadline or shutdown cut the head: no response
+            deadline.cancel()
             # Malformed framing: answer once, then close — a parser this
             # confused cannot safely find the next request.
             self.stats.error_responses += 1
@@ -381,8 +407,7 @@ class PredictionServer:
             )
             await writer.drain()
             return False
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
-            return False
+        deadline.cancel()
         self.stats.requests += 1
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         try:
@@ -404,22 +429,26 @@ class PredictionServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # The connection's deadline closes its transport, which ends a
+        # pending read with what has arrived and then EOF.
+        loop = asyncio.get_running_loop()
+        transport = writer.transport
         self._writers.add(writer)
+        deadline = None
         try:
-            while True:
-                if self._draining:
+            while not self._draining:
+                deadline = loop.call_later(self.idle_timeout, transport.close)
+                line = await reader.readline()
+                deadline.cancel()
+                if not line or transport.is_closing():
                     break
-                try:
-                    line = await asyncio.wait_for(reader.readline(), self.idle_timeout)
-                except (asyncio.TimeoutError, ConnectionError):
-                    break
-                if not line:
-                    break
+                # The head and the body together get one more idle_timeout.
+                deadline = loop.call_later(self.idle_timeout, transport.close)
                 # A request is in flight from its first byte on the wire:
                 # shutdown drains it even if the body is still arriving.
                 self._busy += 1
                 try:
-                    keep_alive = await self._serve_one(line, reader, writer)
+                    keep_alive = await self._serve_one(line, reader, writer, deadline)
                 finally:
                     self._busy -= 1
                     if self._draining and self._busy == 0:
@@ -429,6 +458,8 @@ class PredictionServer:
         except ConnectionError:
             pass
         finally:
+            if deadline is not None:
+                deadline.cancel()
             self._writers.discard(writer)
             writer.close()
             try:

@@ -50,7 +50,10 @@ from repro.throughput.bottleneck import (
     zeta_transform,
 )
 
-if TYPE_CHECKING:  # import would cycle through repro.pmevo at runtime
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
+    # A runtime import would cycle through repro.pmevo.
     from repro.pmevo.packed import PackedPopulation
 
 __all__ = ["BatchedThroughputEvaluator", "FixedMappingEvaluator"]
@@ -68,8 +71,11 @@ _FLOAT32_EXACT = 2**24
 _FIXED_BLOCK = 4096
 
 
-def _count_matrix(experiments: Sequence[Experiment], index: Mapping[str, int]) -> np.ndarray:
-    """``X[experiment, instruction]``: each experiment's multiset counts."""
+def _count_matrix(
+    experiments: Sequence[Iterable[tuple[str, int]]], index: Mapping[str, int]
+) -> np.ndarray:
+    """``X[experiment, instruction]``: each experiment's multiset counts,
+    from anything that iterates its ``(name, count)`` pairs."""
     counts = np.zeros((len(experiments), len(index)), dtype=np.float64)
     for row, experiment in enumerate(experiments):
         for name, count in experiment:
@@ -367,9 +373,14 @@ class FixedMappingEvaluator:
     def num_instructions(self) -> int:
         return len(self.instruction_names)
 
-    def throughputs(self, experiments: Sequence[Experiment]) -> np.ndarray:
+    def throughputs(self, experiments: Sequence[Iterable[tuple[str, int]]]) -> np.ndarray:
         """Predicted throughput for each experiment, as a ``[batch]`` array,
-        counted ``_FIXED_BLOCK`` experiments at a time."""
+        counted ``_FIXED_BLOCK`` experiments at a time.
+
+        An experiment is anything that iterates its ``(name, count)``
+        pairs, each name once: an :class:`Experiment`, or the canonical
+        tuple the prediction server keys its cache by.
+        """
         out = np.empty(len(experiments), dtype=np.float64)
         for start in range(0, len(experiments), _FIXED_BLOCK):
             stop = start + _FIXED_BLOCK

@@ -11,8 +11,14 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Experiment, PortSpace, ServingError, ThreeLevelMapping
 from repro.serving import (
@@ -25,14 +31,18 @@ from repro.serving import (
     parse_mapping_spec,
     parse_predict_request,
 )
-from repro.throughput import bottleneck_throughput_reference
+from repro.throughput import FixedMappingEvaluator, bottleneck_throughput_reference
+
+
+def _toy_mapping():
+    return ThreeLevelMapping(
+        PortSpace.numbered(3), {"add": {0b001: 1}, "mul": {0b110: 2}, "st": {0b011: 1}}
+    )
 
 
 @pytest.fixture
 def mapping():
-    return ThreeLevelMapping(
-        PortSpace.numbered(3), {"add": {0b001: 1}, "mul": {0b110: 2}, "st": {0b011: 1}}
-    )
+    return _toy_mapping()
 
 
 @pytest.fixture
@@ -71,9 +81,43 @@ def _expect_protocol_error(server, payload, status, code):
     assert excinfo.value.code == code
 
 
+def _toy_server():
+    """A server over the toy mapping; the registry reads the artifact when
+    it is built, so the file need not outlive this call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toy.json"
+        path.write_text(_toy_mapping().to_json())
+        return PredictionServer(MappingRegistry([("toy", path)]))
+
+
 class TestSequenceCanonicalization:
     def test_list_and_counts_agree(self):
         assert canonical_sequence(["a", "b", "a"]) == canonical_sequence({"a": 2, "b": 1})
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_canonical_key_is_the_experiments_items(self, data):
+        # The key the cache stores and the evaluator reads: an Experiment's
+        # items, whichever spelling, and served cold or warm as the float
+        # the evaluator gives that Experiment.
+        counts = data.draw(
+            st.dictionaries(st.sampled_from(["add", "mul", "st"]), st.integers(1, 5), min_size=1)
+        )
+        names = data.draw(
+            st.permutations([name for name, count in counts.items() for _ in range(count)])
+        )
+        key = canonical_sequence(counts)
+        assert key == tuple(Experiment(counts))
+        assert canonical_sequence(names) == key
+
+        expected = FixedMappingEvaluator(_toy_mapping()).throughput(Experiment(counts))
+        server = _toy_server()
+        _, cold = _predict(server, {"sequences": [names]})
+        _, warm = _predict(server, {"sequences": [counts]})
+        assert (cold["cached"], warm["cached"]) == ([False], [True])
+        assert [value.hex() for value in cold["throughputs"] + warm["throughputs"]] == [
+            expected.hex()
+        ] * 2
 
     @pytest.mark.parametrize(
         "raw",
@@ -111,6 +155,11 @@ class TestPredictRequestValidation:
             parse_predict_request(payload)
         assert excinfo.value.code == code
         assert excinfo.value.status == 400
+
+    def test_sequences_are_canonical_tuples(self):
+        request = parse_predict_request({"sequences": [["b", "a", "b"], {"b": 2, "a": 1}]})
+        assert request.sequences == [(("a", 1), ("b", 2))] * 2
+        assert all(type(sequence) is tuple for sequence in request.sequences)
 
     def test_oversized_batch_is_413(self):
         with pytest.raises(ProtocolError) as excinfo:
@@ -207,9 +256,11 @@ class TestPredictErrorPaths:
 
 
 class TestPredictionCache:
+    """Keyed, as the server keys it, by canonical tuples."""
+
     def test_lru_eviction_order_and_bound(self):
         cache = PredictionCache(2)
-        a, b, c = Experiment({"a": 1}), Experiment({"b": 1}), Experiment({"c": 1})
+        a, b, c = (("a", 1),), (("b", 1),), (("c", 1),)
         cache.put("m", a, 1.0)
         cache.put("m", b, 2.0)
         assert cache.get("m", a) == 1.0  # refresh a; b is now LRU
@@ -221,13 +272,13 @@ class TestPredictionCache:
 
     def test_zero_capacity_disables_caching(self):
         cache = PredictionCache(0)
-        cache.put("m", Experiment({"a": 1}), 1.0)
+        cache.put("m", (("a", 1),), 1.0)
         assert len(cache) == 0
-        assert cache.get("m", Experiment({"a": 1})) is None
+        assert cache.get("m", (("a", 1),)) is None
 
     def test_invalidate_is_per_mapping(self):
         cache = PredictionCache(8)
-        seq = Experiment({"a": 1})
+        seq = (("a", 1),)
         cache.put("m1", seq, 1.0)
         cache.put("m2", seq, 2.0)
         assert cache.invalidate_mapping("m1") == 1
@@ -352,6 +403,45 @@ def _with_server(server, scenario):
     return asyncio.run(main())
 
 
+#: The servers of the read-deadline tests close a connection after this long.
+_IDLE = 0.3
+
+
+def _fresh_predict_status(host, port):
+    """A new connection's answer to a valid predict request."""
+    with _Client(host, port) as client:
+        return client.request("POST", "/v1/predict", body={"sequences": [["add"]]})[0]
+
+
+def _read_until_closed(sock):
+    """Everything the server sends until it closes the connection."""
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+def _dribble(sock, lines, pause):
+    """Send ``lines`` one per ``pause`` seconds until the server closes the
+    connection; returns the bytes the server sent and the seconds until it
+    closed, or None if it never did."""
+    start = time.monotonic()
+    sock.settimeout(pause)
+    received = b""
+    for line in lines:
+        try:
+            chunk = sock.recv(4096)
+        except TimeoutError:  # still open: send the next line
+            sock.sendall(line)
+            continue
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return received, time.monotonic() - start
+        received += chunk
+    return received, None
+
+
 class TestHttpErrorPaths:
     """The same contracts, end to end over a real socket: structured 4xx
     JSON, never a 500, never a hung connection."""
@@ -422,6 +512,85 @@ class TestHttpErrorPaths:
             return True
 
         assert _with_server(server, scenario)
+
+    def test_idle_keep_alive_connection_is_closed_without_bytes(self, registry):
+        server = PredictionServer(registry, idle_timeout=_IDLE)
+
+        def scenario(host, port):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                start = time.monotonic()
+                data = _read_until_closed(sock)
+                elapsed = time.monotonic() - start
+            return data, elapsed, _fresh_predict_status(host, port)
+
+        data, elapsed, status = _with_server(server, scenario)
+        # One keep-alive answer, then no byte until the close.
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200") and b"Connection: keep-alive" in head
+        assert json.loads(body)["status"] == "ok"
+        assert elapsed < 2 * _IDLE
+        assert status == 200
+
+    def test_half_sent_body_is_closed_without_a_response(self, registry):
+        server = PredictionServer(registry, idle_timeout=_IDLE)
+
+        def scenario(host, port):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(b'POST /v1/predict HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"seq')
+                data = _read_until_closed(sock)
+            return data, _fresh_predict_status(host, port)
+
+        assert _with_server(server, scenario) == (b"", 200)
+
+    def test_dribbled_head_is_closed_one_timeout_after_its_request_line(self, registry):
+        # Each header line arrives well within idle_timeout of the last, but
+        # the deadline bounds the whole head, not each read.
+        server = PredictionServer(registry, idle_timeout=_IDLE)
+        lines = [b"X-Dribble-%d: 1\r\n" % i for i in range(15)]
+
+        def scenario(host, port):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(b"POST /v1/predict HTTP/1.1\r\n")
+                received, closed_after = _dribble(sock, lines, 0.18)
+            return received, closed_after, _fresh_predict_status(host, port)
+
+        received, closed_after, status = _with_server(server, scenario)
+        assert received == b""
+        assert closed_after is not None, "the server kept reading the dribbled head"
+        assert closed_after <= 1.0
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "lengths, status",
+        [
+            ([b"23"], 200),
+            ([b"23", b"23"], 200),
+            ([b"+23"], 400),
+            ([b"2_3"], 400),
+            ([b"5", b"23"], 400),
+        ],
+        ids=["23", "23-twice", "plus-23", "2_3", "5-then-23"],
+    )
+    def test_content_length_is_one_plain_decimal(self, server, lengths, status):
+        body = b'{"sequences":[["add"]]}'
+        assert len(body) == 23
+        head = b"POST /v1/predict HTTP/1.1\r\nConnection: close\r\n"
+        head += b"".join(b"Content-Length: %s\r\n" % length for length in lengths)
+
+        def scenario(host, port):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(head + b"\r\n" + body)
+                return _read_until_closed(sock)
+
+        response_head, _, payload = _with_server(server, scenario).partition(b"\r\n\r\n")
+        assert response_head.startswith(b"HTTP/1.1 %d" % status)
+        assert b"Connection: close" in response_head
+        answer = json.loads(payload)
+        if status == 200:
+            assert answer["throughputs"] == [1.0]
+        else:
+            assert answer["error"]["code"] == "bad_http"
 
     def test_reload_over_http(self, tmp_path, other_mapping, server):
         def scenario(host, port):
