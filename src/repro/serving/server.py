@@ -368,7 +368,7 @@ class PredictionServer:
             # ASCII digits only: int() alone also takes "+23", "2_3" and "٢٣".
             if not (length_text.isascii() and length_text.isdigit()):
                 raise ValueError(length_text)
-            length = int(length_text)  # which refuses more digits than it converts
+            length = int(length_text)  # raises ValueError past int()'s digit limit
         except ValueError:
             raise ProtocolError(
                 400, "bad_http", f"invalid Content-Length {length_text!r}"
