@@ -62,6 +62,8 @@ finishes the epoch in-process — a run that started always completes, and
 because of the purity argument above the recovery path cannot change the
 result.  Startup is the exception: fewer than ``min_workers`` connections
 within ``start_timeout`` raises :class:`repro.core.errors.TransportError`.
+``close()`` sends each worker ``shutdown`` and waits up to :data:`CLOSE_GRACE`
+seconds for it to hang up, discarding any lost race's result meanwhile.
 
 Leases and work stealing
 ------------------------
@@ -70,9 +72,12 @@ Within an epoch the coordinator leases islands to workers in *batches*
 per batch) and workers stream one ``result`` frame back per island, so the
 coordinator observes per-island completions, not per-batch ones.  Once the
 pending queue drains, idle workers *steal*: the slowest outstanding island
-(fewest live leases, then oldest lease) is re-leased under a fresh lease
-generation (``job_id``), first result wins, and late duplicates are
-discarded by generation — harmless rather than wrong, because island
+(fewest live leases, then oldest lease) is re-leased under a fresh
+``job_id``, and the first result wins.  The epoch barrier ends every lease
+and job ids never repeat, so a result counts only if it answers a lease its
+worker holds for an island nobody has finished; any other (never issued,
+from before the barrier, or a lost race) is discarded into
+``stats["stale_results"]`` — harmless rather than wrong, because island
 advancement is a pure function of its state.  Stealing keeps heterogeneous
 or flaky workers from gating the epoch barrier at its tail.
 
@@ -173,9 +178,9 @@ STEAL_DELAY = 0.25
 #: lease plus one steal, bounding redundant compute.
 MAX_ISLAND_LEASES = 2
 
-#: Seconds :meth:`SocketTransport.close` spends draining workers still
-#: streaming a result for a lease that lost a race, so they read the
-#: shutdown frame instead of a connection reset.
+#: Seconds :meth:`SocketTransport.close` waits for its workers to hang up,
+#: so one still sending a lost race's result reads its shutdown frame
+#: instead of a connection reset.
 CLOSE_GRACE = 5.0
 
 #: Initial connection attempts of :func:`run_worker` while the coordinator's
@@ -352,31 +357,27 @@ class SerialTransport:
 
 
 class _Lease:
-    """One leased island: which generation (``job_id``), of which epoch."""
+    """One leased island: the job (``job_id``) that carried it, and when."""
 
-    __slots__ = ("job_id", "island", "epoch", "started")
+    __slots__ = ("job_id", "island", "started")
 
-    def __init__(self, job_id: int, island: int, epoch: int, started: float):
+    def __init__(self, job_id: int, island: int, started: float):
         self.job_id = job_id
         self.island = island
-        self.epoch = epoch
         self.started = started
 
 
 class _RemoteWorker:
     """Coordinator-side bookkeeping for one connected worker.
 
-    ``leases`` holds every island batch the worker has been sent and not yet
-    answered.  Entries from a previous epoch, or for islands another worker
-    already finished, are *stale*: the worker is still (or was) computing
-    them, but their results will be discarded on arrival.
+    ``leases`` holds the islands the worker was sent this epoch and has not
+    answered, lost races included; the epoch barrier clears them.
     """
 
-    __slots__ = ("sock", "address", "last_seen", "leases")
+    __slots__ = ("sock", "last_seen", "leases")
 
-    def __init__(self, sock: socket.socket, address):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.address = address
         self.last_seen = time.monotonic()
         self.leases: list[_Lease] = []
 
@@ -392,13 +393,11 @@ class SocketTransport:
     ``heartbeat_timeout`` seconds without a frame), and — once the pending
     queue is empty — re-leases the slowest outstanding islands to idle
     workers (*work stealing* after :data:`STEAL_DELAY`, at most
-    :data:`MAX_ISLAND_LEASES` live leases per island; first result wins,
-    late duplicates are discarded by lease generation).  Late joiners are
-    accepted mid-run and start receiving leases at the next assignment
-    opportunity.  If the last
-    worker dies, the remaining islands of the epoch run in the coordinator
-    process — see the module docstring for why no recovery path can change
-    results.
+    :data:`MAX_ISLAND_LEASES` live leases per island; first result wins).
+    Late joiners are accepted mid-run and start receiving leases at the
+    next assignment opportunity.  If the last worker dies, the remaining
+    islands of the epoch run in the coordinator process — see the module
+    docstring for why no recovery path can change results.
 
     Parameters
     ----------
@@ -416,9 +415,10 @@ class SocketTransport:
         (:func:`run_worker` against this coordinator) and :meth:`close`
         reaps; 0 leaves every worker to be started by hand.
 
-    ``stats`` counts scheduling/recovery events (leases, steals, stale
-    results, requeues, drops, local fallbacks, late joiners) for operator
-    visibility; it is telemetry only and never feeds back into scheduling.
+    ``stats`` counts scheduling/recovery events (leases, steals, every
+    discarded result as ``stale_results``, requeues, drops, local fallbacks,
+    late joiners) for operator visibility; it is telemetry only and never
+    feeds back into scheduling.
     """
 
     def __init__(
@@ -459,7 +459,6 @@ class SocketTransport:
         self._next_job_id = 0
         self._started = False
         # Per-advance() context (None between epochs).
-        self._epoch = 0
         self._pending: deque[int] | None = None
         self._payloads: dict[int, dict] | None = None
         self._results: dict[int, EvolutionState] | None = None
@@ -502,53 +501,27 @@ class SocketTransport:
                     f"({len(self._workers)} connected); start workers with "
                     f"`repro-pmevo worker --connect HOST:PORT`"
                 )
-            readable, _, _ = select.select([self._listener], [], [], min(remaining, 0.5))
-            if readable:
-                self._accept_one()
+            self._poll(min(remaining, 0.5))
         self._started = True
 
     def close(self) -> None:
         deadline = time.monotonic() + CLOSE_GRACE
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         for worker in list(self._workers.values()):
             try:
                 send_frame(worker.sock, {"type": "shutdown"})
             except OSError:
-                self._workers.pop(worker.sock, None)
-                worker.sock.close()
-        # Workers still streaming a result for a lease that lost a race must
-        # be drained (bounded by ``CLOSE_GRACE``) before their sockets go
-        # away: closing underneath the in-flight send would turn the
-        # buffered shutdown frame into a connection reset and push the
-        # worker into its reconnect loop for nothing.
-        while self._workers and time.monotonic() < deadline:
-            if not any(w.leases for w in self._workers.values()):
-                break
-            readable, _, _ = select.select(list(self._workers), [], [], 0.2)
-            for sock in readable:
-                worker = self._workers.get(sock)
-                if worker is None:
-                    continue
-                try:
-                    frame = recv_frame(sock)
-                except (OSError, TransportError):
-                    frame = None
-                if frame is None:
-                    self._workers.pop(sock, None)
-                    sock.close()
-                    continue
-                if frame.get("type") == "result":
-                    worker.leases = [
-                        lease
-                        for lease in worker.leases
-                        if (lease.job_id, lease.island)
-                        != (frame.get("job_id"), frame.get("island"))
-                    ]
+                self._drop(worker)
+        # Wait for every worker to hang up: one still sending a lost race's
+        # result has it read and discarded, then reads its shutdown frame
+        # (closing under that send would reset the connection instead).
+        while self._workers and (remaining := deadline - time.monotonic()) > 0:
+            self._poll(min(remaining, 0.2))
         for worker in list(self._workers.values()):
             worker.sock.close()
         self._workers.clear()
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         # Local workers exit on their shutdown frame or on the closed
         # connection; one still computing a lost race is cut short.
         for child in self._children:
@@ -585,48 +558,63 @@ class SocketTransport:
             sock.close()
             return
         sock.settimeout(self.heartbeat_timeout)
-        self._workers[sock] = _RemoteWorker(sock, address)
+        self._workers[sock] = _RemoteWorker(sock)
         if self._started:
             self.stats["late_joiners"] += 1
 
-    # A worker's leases are live when they belong to the current epoch and
-    # their island has not been finished by anyone; everything else is stale
-    # bookkeeping for results we will discard on arrival.
-    def _live_leases(self, worker: _RemoteWorker) -> list[_Lease]:
-        assert self._results is not None
-        return [
-            lease
-            for lease in worker.leases
-            if lease.epoch == self._epoch and lease.island not in self._results
-        ]
+    def _poll(self, timeout: float) -> None:
+        """Handle what arrives within ``timeout`` seconds (a connection, a
+        frame, a hang-up), then reap workers silent past ``heartbeat_timeout``."""
+        sockets = list(self._workers)
+        if self._listener is not None:
+            sockets.append(self._listener)
+        readable, _, _ = select.select(sockets, [], [], timeout)
+        now = time.monotonic()
+        for sock in readable:
+            if sock is self._listener:
+                self._accept_one()
+                continue
+            worker = self._workers.get(sock)
+            if worker is None:
+                continue
+            try:
+                frame = recv_frame(sock)
+            except (OSError, TransportError):
+                frame = None
+            if frame is None:
+                self._drop(worker)
+                continue
+            worker.last_seen = now
+            if frame.get("type") == "result":
+                self._take_result(worker, frame)
+            # Anything else is a heartbeat (or junk we tolerate).
+        for worker in list(self._workers.values()):
+            if now - worker.last_seen > self.heartbeat_timeout:
+                self._drop(worker)
 
     def _idle_workers(self) -> list[_RemoteWorker]:
-        return [w for w in self._workers.values() if not self._live_leases(w)]
+        """Workers whose every leased island is already finished."""
+        done = self._results
+        return [w for w in self._workers.values() if all(l.island in done for l in w.leases)]
 
     def _drop(self, worker: _RemoteWorker) -> None:
         """Forget a dead worker, requeueing islands only it was computing."""
         self._workers.pop(worker.sock, None)
         worker.sock.close()
-        self.stats["workers_dropped"] += 1
-        if self._pending is None:
-            worker.leases.clear()
-            return
+        # close() closes the listener first: a worker that hangs up after
+        # that is answering its shutdown frame, not dying.
+        if self._listener is not None:
+            self.stats["workers_dropped"] += 1
         # Newest-first so appendleft restores the original queue order.
+        # (Leases exist only inside advance(), where the queue does too.)
         for lease in reversed(worker.leases):
-            if lease.epoch != self._epoch:
-                continue
             island = lease.island
             if island in self._results or island in self._pending:
                 continue
-            if any(
-                l.island == island and l.epoch == self._epoch
-                for w in self._workers.values()
-                for l in w.leases
-            ):
+            if any(l.island == island for w in self._workers.values() for l in w.leases):
                 continue  # a live steal still covers this island
             self._pending.appendleft(island)
             self.stats["requeued"] += 1
-        worker.leases.clear()
 
     def _assign(
         self, worker: _RemoteWorker, islands: list[int], generations: int
@@ -642,9 +630,7 @@ class SocketTransport:
         self._next_job_id += 1
         job_id = self._next_job_id
         now = time.monotonic()
-        worker.leases.extend(
-            _Lease(job_id, island, self._epoch, now) for island in islands
-        )
+        worker.leases.extend(_Lease(job_id, island, now) for island in islands)
         self.stats["leases"] += len(islands)
         self.stats["batches"] += 1
         try:
@@ -684,13 +670,14 @@ class SocketTransport:
 
     def _steal(self, generations: int) -> None:
         """Re-lease the slowest outstanding islands to idle workers."""
-        assert self._results is not None
         idle = self._idle_workers()
         if not idle:
             return
         live: dict[int, tuple[int, float]] = {}  # island -> (leases, oldest)
         for worker in self._workers.values():
-            for lease in self._live_leases(worker):
+            for lease in worker.leases:
+                if lease.island in self._results:
+                    continue
                 count, oldest = live.get(lease.island, (0, lease.started))
                 live[lease.island] = (count + 1, min(oldest, lease.started))
         now = time.monotonic()
@@ -708,26 +695,21 @@ class SocketTransport:
                 live[island] = (count + 1, oldest)
 
     def _take_result(self, worker: _RemoteWorker, frame: dict) -> None:
-        """Accept or discard one ``result`` frame (first result wins)."""
-        assert self._results is not None
-        job_id = frame.get("job_id")
-        island = frame.get("island")
-        lease = next(
-            (
-                l
-                for l in worker.leases
-                if l.job_id == job_id and l.island == island
-            ),
-            None,
-        )
-        if lease is None:
-            return  # a lease this coordinator incarnation never issued
-        if lease.epoch != self._epoch or island in self._results:
-            # A previous epoch's laggard, or another worker won the race.
-            # Deterministic advancement makes the duplicate redundant, not
-            # wrong — but accepting it could smuggle an old epoch's state
-            # into the wrong barrier, so it is dropped by generation.
-            worker.leases.remove(lease)
+        """Accept one ``result`` frame, or discard it as stale.
+
+        It is accepted only when it answers a lease its worker holds and no
+        worker has finished that island yet.  Job ids never repeat within
+        one coordinator and the epoch barrier clears every lease, so a
+        result for a lease issued before the barrier matches none.
+        """
+        key = (frame.get("job_id"), frame.get("island"))
+        lease = next((l for l in worker.leases if (l.job_id, l.island) == key), None)
+        if lease is None or lease.island in self._results:
+            # Never issued, issued before the barrier, or it lost a race.
+            # Deterministic advancement makes a duplicate redundant, not
+            # wrong — but an old epoch's state must not reach this barrier.
+            if lease is not None:
+                worker.leases.remove(lease)
             self.stats["stale_results"] += 1
             return
         try:
@@ -737,7 +719,7 @@ class SocketTransport:
             self._drop(worker)
             return
         worker.leases.remove(lease)
-        self._results[island] = state
+        self._results[lease.island] = state
 
     # -- the epoch ---------------------------------------------------------
 
@@ -745,7 +727,6 @@ class SocketTransport:
         self, jobs: list[tuple[int, EvolutionState]], generations: int
     ) -> list[tuple[int, EvolutionState]]:
         assert self._evolver is not None, "start() was not called"
-        self._epoch += 1
         self.stats["epochs"] += 1
         # States are serialized once up front; the payloads double as the
         # requeue/re-lease tickets when workers die or islands are stolen.
@@ -763,11 +744,8 @@ class SocketTransport:
                 # again, so replacement workers are picked up between
                 # islands instead of idling until the run ends.
                 if not self._workers:
-                    joinable, _, _ = select.select([self._listener], [], [], 0)
-                    if joinable:
-                        self._accept_one()
-                        continue
-                    if self._pending:
+                    self._poll(0)
+                    if not self._workers and self._pending:
                         island = self._pending.popleft()
                         state = EvolutionState.from_jsonable(self._payloads[island])
                         self._results[island] = self._evolver.advance(
@@ -780,39 +758,14 @@ class SocketTransport:
                 # slowest outstanding islands onto idle workers.
                 if not self._pending:
                     self._steal(generations)
-
-                sockets = [self._listener] + list(self._workers)
-                readable, _, _ = select.select(sockets, [], [], 0.5)
-                now = time.monotonic()
-                for sock in readable:
-                    if sock is self._listener:
-                        self._accept_one()
-                        continue
-                    worker = self._workers.get(sock)
-                    if worker is None:
-                        continue
-                    try:
-                        frame = recv_frame(sock)
-                    except (OSError, TransportError):
-                        frame = None
-                    if frame is None:
-                        self._drop(worker)
-                        continue
-                    worker.last_seen = now
-                    if frame.get("type") != "result":
-                        continue  # heartbeat (or junk we tolerate)
-                    self._take_result(worker, frame)
-
-                # Reap workers that went silent mid-lease.
-                for worker in list(self._workers.values()):
-                    if now - worker.last_seen > self.heartbeat_timeout:
-                        self._drop(worker)
+                self._poll(0.5)
 
             return [(island, self._results[island]) for island, _ in jobs]
         finally:
-            # Leases that lost a race stay on their workers (their results
-            # arrive later and are discarded by generation); the epoch
-            # context itself is gone.
+            # The epoch barrier: every lease ends here, so a result still on
+            # its way (a race it lost) matches none and is discarded.
+            for worker in self._workers.values():
+                worker.leases.clear()
             self._payloads = None
             self._pending = None
             self._results = None
@@ -944,8 +897,7 @@ def run_worker(
     one attempt and wait its backoff delay; a connection lost after its
     handshake — coordinator crash, dropped lease after a stall, network
     blip — starts a fresh budget.  Any in-flight lease is discarded — the
-    new incarnation re-leases it, and duplicates are dropped by lease
-    generation.
+    new incarnation re-leases it, and a stray result matches no lease.
 
     The worker exits 0 on an explicit ``shutdown`` frame, or once the
     budget runs out after it has served (the coordinator is confirmed
