@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import re
+import socket
 import struct
 import subprocess
 import sys
@@ -31,10 +32,11 @@ from pathlib import Path
 import pytest
 
 from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
-from repro.core import InjectedFault, PortSpace
+from repro.core import InjectedFault, PortSpace, TransportError
 from repro.pmevo import (
     Checkpointer,
     EvolutionConfig,
+    EvolutionState,
     FaultySocket,
     FaultyTransport,
     PortMappingEvolver,
@@ -209,6 +211,124 @@ class TestInjectedSocketFaults:
         result = _evolver().run(transport=transport)
         thread.join(timeout=15)
         assert _normalized(result) == _normalized(serial_result)
+
+    def test_result_from_before_the_barrier_is_discarded(self, serial_result):
+        # On each new job the worker first re-sends its last result of the
+        # previous epoch, then answers the job.  That result's lease ended
+        # at the barrier: it must neither stand in for the new epoch's
+        # state of its island nor cost the worker its connection.
+        transport = SocketTransport(min_workers=1, heartbeat_timeout=15.0)
+        host, port = transport.listen()
+
+        def replaying_worker():
+            sock = socket.create_connection((host, port), timeout=15)
+            last = None
+            try:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                evolver = evolver_from_jsonable(recv_frame(sock)["problem"])
+                while True:
+                    message = recv_frame(sock)
+                    if message is None or message.get("type") == "shutdown":
+                        return
+                    if message.get("type") != "job":
+                        continue
+                    if last is not None:
+                        send_frame(sock, last)
+                    for island, payload in message["islands"]:
+                        advanced = evolver.advance(
+                            EvolutionState.from_jsonable(payload),
+                            int(message["generations"]),
+                        )
+                        last = {
+                            "type": "result",
+                            "job_id": message["job_id"],
+                            "island": int(island),
+                            "state": advanced.to_jsonable(),
+                        }
+                        send_frame(sock, last)
+            except OSError:
+                return
+            finally:
+                sock.close()
+
+        thread = threading.Thread(target=replaying_worker, daemon=True)
+        thread.start()
+        result = _evolver().run(transport=transport)
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert result.transport_stats["workers_dropped"] == 0
+        assert _normalized(result) == _normalized(serial_result)
+
+    def test_close_drains_a_lost_race(self):
+        # A slow worker holds the only island's lease; a fast worker steals
+        # it after STEAL_DELAY and wins.  The slow worker's result is still
+        # on its way when close() is called: close() must read it before
+        # hanging up, so the slow worker then reads its shutdown frame
+        # instead of a reset connection.
+        evolver = _evolver()
+        state = evolver.init_state()
+        transport = SocketTransport(min_workers=2, heartbeat_timeout=15.0)
+        host, port = transport.listen()
+        connected, closing = threading.Event(), threading.Event()
+        seen: dict = {}
+
+        def slow_worker():
+            sock = socket.create_connection((host, port), timeout=15)
+            try:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                connected.set()
+                problem = recv_frame(sock)["problem"]
+                job = recv_frame(sock)
+                island, payload = job["islands"][0]
+                advanced = evolver_from_jsonable(problem).advance(
+                    EvolutionState.from_jsonable(payload), int(job["generations"])
+                )
+                closing.wait(15)
+                time.sleep(1.0)
+                send_frame(
+                    sock,
+                    {
+                        "type": "result",
+                        "job_id": job["job_id"],
+                        "island": island,
+                        "state": advanced.to_jsonable(),
+                    },
+                )
+                seen["sent"] = time.monotonic()
+                seen["frames"] = []
+                while (frame := recv_frame(sock)) is not None:
+                    seen["frames"].append(frame.get("type"))
+                    if frame.get("type") == "shutdown":
+                        break
+            except (OSError, TransportError) as exc:
+                seen["error"] = repr(exc)
+            finally:
+                sock.close()
+
+        slow = threading.Thread(target=slow_worker, daemon=True)
+        slow.start()
+        assert connected.wait(15)
+        fast = threading.Thread(
+            target=run_worker, args=(host, port), kwargs=FAST_RECONNECT, daemon=True
+        )
+        fast.start()
+        try:
+            transport.start(evolver)
+            [(island, advanced)] = transport.advance([(0, state)], 4)
+        finally:
+            closing.set()
+            transport.close()
+        closed = time.monotonic()
+        slow.join(timeout=15)
+        fast.join(timeout=15)
+        assert not slow.is_alive() and not fast.is_alive()
+        assert island == 0
+        assert advanced.to_jsonable() == evolver.advance(state, 4).to_jsonable()
+        assert transport.stats["steals"] == 1
+        assert transport.stats["workers_dropped"] == 0
+        assert "error" not in seen, seen
+        assert seen["sent"] < closed
+        assert seen["frames"] == ["shutdown"]
 
     def test_overflowing_result_drops_the_worker(self, serial_result):
         # A worker answers its lease with a state whose generation count
