@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="seconds a keep-alive connection may idle between requests, "
         "and seconds each request's whole head and body may take to arrive "
-        "(default 30)",
+        "and its response to be written (default 30)",
     )
     serve.add_argument(
         "--grace",

@@ -40,11 +40,13 @@ Error and shutdown discipline
 Every client error is a structured 4xx JSON body (never a 500, never a hung
 connection — malformed framing gets a 400 and a close).  Each connection
 keeps one deadline, a ``loop.call_later`` that closes its transport: it
-bounds the wait for a request line by ``idle_timeout``, and the head and
-body that follow by another ``idle_timeout``; a read it cuts ends the
-connection without a response.  (One timer per connection rather than a
-timeout per read: before Python 3.12, ``asyncio``'s timed wait runs each
-read in a new Task.)  On SIGTERM/SIGINT the server stops accepting,
+bounds the wait for a request line by ``idle_timeout``, and the head, the
+body and the response's write that follow by another ``idle_timeout``; a
+read it cuts ends the connection without a response, and a write it cuts
+(a client that does not read its answers) is aborted, since a close would
+wait for that client.  (One timer per connection rather than a timeout per
+read: before Python 3.12, ``asyncio``'s timed wait runs each read in a new
+Task.)  On SIGTERM/SIGINT the server stops accepting,
 drains requests already in flight — a request counts from its first byte on
 the wire, so one whose body is still arriving completes too (bounded by the
 grace period) — then closes remaining idle connections and exits.
@@ -85,6 +87,16 @@ _REASONS = {
 #: Bounds on HTTP framing, beyond which a connection is summarily rejected.
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
+
+
+def _cut(transport: asyncio.WriteTransport) -> None:
+    """A connection's deadline: close its transport, which ends a pending
+    read with EOF, or abort it while a response waits to be written, since
+    a close would first wait for the peer to read it."""
+    if transport.get_write_buffer_size():
+        transport.abort()
+    else:
+        transport.close()
 
 
 class _Stats:
@@ -155,8 +167,9 @@ class PredictionServer:
         Request body ceiling (413 beyond it).
     idle_timeout:
         Seconds a keep-alive connection may sit between requests, and
-        seconds a request's whole head and body may take to arrive, so
-        half-sent requests cannot hang the server.
+        seconds a request's whole head and body may take to arrive and its
+        response to be written, so neither half-sent requests nor unread
+        responses can hang the server.
     grace:
         Seconds the shutdown path waits for received requests to finish.
     """
@@ -333,13 +346,14 @@ class PredictionServer:
         return head.encode("ascii") + payload
 
     async def _read_request(
-        self, line: bytes, reader: asyncio.StreamReader
+        self, line: bytes | None, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes]:
-        """Parse one framed request whose first line has already arrived.
+        """Parse one framed request whose first line has already arrived
+        (``None`` when it overran the stream's limit).
 
         The reads are bare: the connection's deadline bounds them.
         """
-        if len(line) > _MAX_REQUEST_LINE:
+        if line is None or len(line) > _MAX_REQUEST_LINE:
             raise ProtocolError(400, "bad_http", "request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
@@ -348,7 +362,10 @@ class PredictionServer:
         headers: dict[str, str] = {}
         header_bytes = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # past the stream's limit, which drops the buffer
+                raise ProtocolError(400, "bad_http", "header line too long") from None
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
@@ -383,14 +400,10 @@ class PredictionServer:
         return method, target, headers, body
 
     async def _serve_one(
-        self,
-        line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        deadline: asyncio.TimerHandle,
+        self, line: bytes | None, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        """Read the rest of one request under ``deadline``, cancel it once
-        the body is in, and answer; returns keep-alive."""
+        """Read the rest of one request and answer it, all under the
+        connection's deadline; returns keep-alive."""
         try:
             method, target, headers, body = await self._read_request(line, reader)
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -398,7 +411,6 @@ class PredictionServer:
         except ProtocolError as exc:
             if writer.transport.is_closing():
                 return False  # the deadline or shutdown cut the head: no response
-            deadline.cancel()
             # Malformed framing: answer once, then close — a parser this
             # confused cannot safely find the next request.
             self.stats.error_responses += 1
@@ -407,7 +419,6 @@ class PredictionServer:
             )
             await writer.drain()
             return False
-        deadline.cancel()
         self.stats.requests += 1
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         try:
@@ -429,27 +440,31 @@ class PredictionServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # The connection's deadline closes its transport, which ends a
-        # pending read with what has arrived and then EOF.
+        # The connection's deadline cuts its transport (see _cut).
         loop = asyncio.get_running_loop()
         transport = writer.transport
         self._writers.add(writer)
         deadline = None
         try:
             while not self._draining:
-                deadline = loop.call_later(self.idle_timeout, transport.close)
-                line = await reader.readline()
+                deadline = loop.call_later(self.idle_timeout, _cut, transport)
+                try:
+                    line = await reader.readline()
+                except ValueError:  # past the stream's limit: a 400 below
+                    line = None
                 deadline.cancel()
-                if not line or transport.is_closing():
+                if line == b"" or transport.is_closing():
                     break
-                # The head and the body together get one more idle_timeout.
-                deadline = loop.call_later(self.idle_timeout, transport.close)
+                # The head, the body and the response's write together get
+                # one more idle_timeout.
+                deadline = loop.call_later(self.idle_timeout, _cut, transport)
                 # A request is in flight from its first byte on the wire:
                 # shutdown drains it even if the body is still arriving.
                 self._busy += 1
                 try:
-                    keep_alive = await self._serve_one(line, reader, writer, deadline)
+                    keep_alive = await self._serve_one(line, reader, writer)
                 finally:
+                    deadline.cancel()
                     self._busy -= 1
                     if self._draining and self._busy == 0:
                         self._drained.set()

@@ -513,6 +513,68 @@ class TestHttpErrorPaths:
 
         assert _with_server(server, scenario)
 
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", "request line too long"),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+                "header line too long",
+            ),
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_line_past_the_stream_limit_gets_400(self, server, head, message):
+        # Past asyncio's 64 KiB stream limit a line read raises instead of
+        # returning: that too is malformed framing, a 400 and a close.
+        def scenario(host, port):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(head)
+                data = _read_until_closed(sock)
+            return data, _fresh_predict_status(host, port)
+
+        data, status = _with_server(server, scenario)
+        response_head, _, payload = data.partition(b"\r\n\r\n")
+        assert response_head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in response_head
+        assert json.loads(payload) == {"error": {"code": "bad_http", "message": message}}
+        assert status == 200
+
+    def test_unread_responses_are_cut_at_the_deadline(self, registry, capsys):
+        # A client pipelines predicts and never reads the answers, so one
+        # response's write stalls.  The connection's deadline bounds that
+        # write too: shutdown finds nothing in flight to wait for, although
+        # the client keeps its connection open.
+        server = PredictionServer(registry, idle_timeout=_IDLE, grace=2.0)
+        sequences = [{"add": 1 + i % 16, "mul": 1 + i // 16} for i in range(256)]
+        body = json.dumps({"sequences": sequences}).encode()
+        request = b"POST /v1/predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+        def scenario(sock, host, port):
+            # Until the server stops reading (a send times out) or the
+            # deadline resets the connection; 64 MiB caps the loop.
+            sock.settimeout(0.5)
+            try:
+                for _ in range((64 << 20) // len(request)):
+                    sock.sendall(request)
+            except (TimeoutError, ConnectionError):
+                pass
+            return _fresh_predict_status(host, port)
+
+        async def main():
+            host, port = await server.start("127.0.0.1", 0)
+            loop = asyncio.get_running_loop()
+            with socket.create_connection((host, port)) as sock:
+                status = await loop.run_in_executor(None, scenario, sock, host, port)
+                start = time.monotonic()
+                await server.shutdown()
+                return status, time.monotonic() - start
+
+        status, shutdown_seconds = asyncio.run(main())
+        assert status == 200
+        assert shutdown_seconds < 1.0
+        assert "grace period" not in capsys.readouterr().err
+
     def test_idle_keep_alive_connection_is_closed_without_bytes(self, registry):
         server = PredictionServer(registry, idle_timeout=_IDLE)
 
