@@ -5,7 +5,6 @@ from repro.core.errors import (
     ExperimentError,
     ISAError,
     InferenceError,
-    InjectedFault,
     MappingError,
     MeasurementError,
     ReproError,
@@ -29,7 +28,6 @@ __all__ = [
     "TransportError",
     "ServingError",
     "CheckpointError",
-    "InjectedFault",
     "Experiment",
     "MeasuredExperiment",
     "ExperimentSet",

@@ -48,23 +48,6 @@ class TransportError(ReproError):
     """
 
 
-class InjectedFault(ReproError, ConnectionError):
-    """Raised by the fault-injection harness (:mod:`repro.pmevo.faults`).
-
-    Never raised in production paths: :class:`~repro.pmevo.faults.FaultyTransport`
-    and :class:`~repro.pmevo.faults.FaultySocket` raise it at scripted points
-    to simulate crashes, so chaos tests can tell an injected failure from a
-    genuine bug (a genuine bug raises anything *but* this).
-
-    Also a :class:`ConnectionError` (hence :class:`OSError`) on purpose:
-    an injected connection drop then takes exactly the code path a real
-    dead socket would — the recovery logic under test cannot tell the
-    difference — while scripted crashes that nothing is supposed to catch
-    (e.g. :class:`~repro.pmevo.faults.FaultyTransport` killing a
-    coordinator) still surface under their own type.
-    """
-
-
 class ServingError(ReproError):
     """Raised for prediction-serving misconfiguration and registry failures.
 

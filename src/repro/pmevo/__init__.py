@@ -21,7 +21,6 @@ from repro.pmevo.checkpoint import (
     previous_path,
     write_checkpoint,
 )
-from repro.pmevo.faults import FaultySocket, FaultyTransport
 from repro.pmevo.transport import (
     MigrationTransport,
     SerialTransport,
@@ -67,8 +66,6 @@ __all__ = [
     "load_checkpoint",
     "write_checkpoint",
     "previous_path",
-    "FaultySocket",
-    "FaultyTransport",
     "normalize_objective",
     "scalarized_fitness",
     "local_search",

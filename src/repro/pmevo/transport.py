@@ -906,8 +906,8 @@ def run_worker(
     there was never a coordinator to outlive.
 
     ``jitter_seed`` pins the backoff schedule (tests); ``wrap_socket``
-    lets the fault-injection harness interpose a
-    :class:`~repro.pmevo.faults.FaultySocket` on each connection.
+    lets a test interpose a socket proxy on each connection (the
+    fault-injection harness's ``FaultySocket``, in ``tests/faults.py``).
     """
 
     def budget() -> tuple[deque[float], float]:

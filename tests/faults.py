@@ -21,7 +21,7 @@ Two layers:
 
 :class:`FaultyTransport`
     Wraps any :class:`~repro.pmevo.transport.MigrationTransport` and raises
-    :class:`~repro.core.errors.InjectedFault` before or after a scripted
+    :class:`InjectedFault` before or after a scripted
     epoch — the in-process analogue of SIGKILLing the coordinator between
     epoch barriers, used to drive checkpoint/resume recovery tests without
     subprocesses.
@@ -37,11 +37,27 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.core.errors import InjectedFault
+from repro.core.errors import ReproError
 from repro.pmevo.evolution import EvolutionState, PortMappingEvolver
 from repro.pmevo.transport import MigrationTransport
 
-__all__ = ["FaultySocket", "FaultyTransport"]
+__all__ = ["InjectedFault", "FaultySocket", "FaultyTransport"]
+
+class InjectedFault(ReproError, ConnectionError):
+    """Raised by this harness, never by the package.
+
+    :class:`FaultyTransport` and :class:`FaultySocket` raise it at scripted
+    points to simulate crashes, so chaos tests can tell an injected failure
+    from a genuine bug (a genuine bug raises anything *but* this).
+
+    Also a :class:`ConnectionError` (hence :class:`OSError`) on purpose:
+    an injected connection drop then takes exactly the code path a real
+    dead socket would — the recovery logic under test cannot tell the
+    difference — while scripted crashes that nothing is supposed to catch
+    (e.g. :class:`FaultyTransport` killing a coordinator) still surface
+    under their own type.
+    """
+
 
 #: Byte needle identifying result frames (json.dumps uses ", "/": "
 #: separators, so serialized frames contain exactly this substring).
@@ -139,7 +155,7 @@ class FaultyTransport:
     """Wrap a transport and crash at a scripted epoch.
 
     Counts :meth:`advance` calls; raises
-    :class:`~repro.core.errors.InjectedFault` *before* delegating at epoch
+    :class:`InjectedFault` *before* delegating at epoch
     ``fail_before_epoch`` (the coordinator dies with the epoch's work lost —
     it must be replayed from the last snapshot) or *after* delegating at
     epoch ``fail_after_epoch`` (the coordinator dies between the epoch's

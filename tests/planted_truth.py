@@ -1,12 +1,9 @@
-"""Test utilities for planted-ground-truth inference problems.
+"""Planted-ground-truth inference problems for the test suites.
 
 The evolution, island, transport, and checkpoint suites all search for a
 *known* mapping; they need the (measured experiments, singleton
-throughputs) pair that mapping would produce.  This lives in the package —
-not copy-pasted into each test file — so measurement semantics stay in one
-place, and so both ``tests/`` and ``benchmarks/`` can import it (the two
-directories have separate ``conftest.py`` modules that cannot import each
-other by name).
+throughputs) pair that mapping would produce.  This one module builds it,
+so measurement semantics stay in one place.
 """
 
 from __future__ import annotations

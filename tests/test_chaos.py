@@ -2,8 +2,8 @@
 
 Two tiers share this file:
 
-* **Fast, in-process** (no marker): :class:`repro.pmevo.FaultySocket` /
-  :class:`repro.pmevo.FaultyTransport` inject frame corruption, connection
+* **Fast, in-process** (no marker): ``FaultySocket`` /
+  ``FaultyTransport`` (``tests/faults.py``) inject frame corruption, connection
   drops, slow links, and scripted coordinator crashes without real
   processes or real sleeps beyond fractions of a second.
 * **Subprocess drills** (``@pytest.mark.chaos``): ``tools/chaos.py`` runs a
@@ -31,14 +31,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
-from repro.core import InjectedFault, PortSpace, TransportError
+from faults import FaultySocket, FaultyTransport, InjectedFault
+from planted_truth import measurements_from_truth as _measurements_from_truth
+from repro.core import PortSpace, TransportError
 from repro.pmevo import (
     Checkpointer,
     EvolutionConfig,
     EvolutionState,
-    FaultySocket,
-    FaultyTransport,
     PortMappingEvolver,
     SerialTransport,
     SocketTransport,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
+from planted_truth import measurements_from_truth as _measurements_from_truth
 from repro.core import CheckpointError, PortSpace
 from repro.pmevo import (
     CheckpointSnapshot,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference_operators import random_genome
-from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
+from planted_truth import measurements_from_truth as _measurements_from_truth
 from repro.core import InferenceError, PortSpace
 from repro.pmevo import EvolutionConfig, PackedPopulation, PortMappingEvolver
 from repro.pmevo.evolution import _select_distinct

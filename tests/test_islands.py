@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
+from planted_truth import measurements_from_truth as _measurements_from_truth
 from repro.core import InferenceError, PortSpace
 from repro.pmevo import (
     EvolutionConfig,

@@ -37,7 +37,7 @@ from repro.core import (
 )
 from repro.pmevo import PackedPopulation, genome_volume
 from repro.pmevo.evolution import EvolutionConfig, PortMappingEvolver
-from repro.pmevo.testing import measurements_from_truth
+from planted_truth import measurements_from_truth
 from repro.throughput import BatchedThroughputEvaluator, bottleneck_throughput_reference
 from repro.throughput.batched import _PACKED_BLOCK
 

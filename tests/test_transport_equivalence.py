@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.pmevo.testing import measurements_from_truth as _measurements_from_truth
+from planted_truth import measurements_from_truth as _measurements_from_truth
 from repro.core import PortSpace, TransportError
 from repro.pmevo import (
     Checkpointer,

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import PortSpace, TransportError
 from repro.pmevo import EvolutionConfig, PortMappingEvolver, run_worker
-from repro.pmevo.testing import measurements_from_truth
+from planted_truth import measurements_from_truth
 from repro.pmevo.transport import evolver_from_jsonable, problem_to_jsonable, recv_frame
 
 

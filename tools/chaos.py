@@ -2,7 +2,7 @@
 """Chaos runner: SIGKILL a live cluster and check the mapping survives.
 
 This is the subprocess half of the fault-injection harness (the in-process
-half is :mod:`repro.pmevo.faults`).  It drives a real ``repro-pmevo infer
+half is ``tests/faults.py``).  It drives a real ``repro-pmevo infer
 --transport socket`` cluster through a scripted kill:
 
 1. run a serial baseline (``infer`` with no transport) to get the ground
