@@ -447,6 +447,7 @@ class TestSocketCLIEndToEnd:
             for proc in [coordinator, *workers]:
                 if proc.poll() is None:
                     proc.kill()
+            coordinator.stdout.close()
         assert socket_out.exists()
 
         # The distributed mapping is byte-identical to a serial CLI run.
