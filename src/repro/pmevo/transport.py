@@ -91,8 +91,8 @@ rehydrates from the latest snapshot and simply replays any epochs lost
 after it.  Workers that lose the connection mid-service do not exit: they
 re-attach with capped exponential backoff plus deterministic jitter
 (:func:`backoff_delays`), re-perform the hello/setup handshake, and discard
-any in-flight lease (their old lease generation is unknown to the new
-coordinator incarnation, so a stray result could at worst be ignored).  A
+any in-flight lease (a result travels only on the connection whose job it
+answers, so no stray result reaches the new coordinator incarnation).  A
 worker exits with code 0 only once the coordinator is confirmed gone —
 the full reconnect window elapsed without a successful attach.
 
@@ -102,10 +102,10 @@ Frames are length-prefixed JSON: a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON.  Messages carry a ``"type"``
 key: ``hello`` (worker → coordinator, with ``"protocol"``), ``setup``
 (coordinator → worker, the serialized problem), ``job`` (coordinator →
-worker: a lease generation ``job_id`` plus a batch of ``[island, state]``
-pairs), ``result`` (worker → coordinator, one per completed island, echoing
-``job_id``), ``heartbeat`` (worker → coordinator, periodic), and
-``shutdown`` (coordinator → worker).
+worker: a ``job_id``, never repeated within one coordinator, plus a batch
+of ``[island, state]`` pairs), ``result`` (worker → coordinator, one per
+completed island, echoing ``job_id``), ``heartbeat`` (worker →
+coordinator, periodic), and ``shutdown`` (coordinator → worker).
 """
 
 from __future__ import annotations
