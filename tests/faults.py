@@ -43,6 +43,7 @@ from repro.pmevo.transport import MigrationTransport
 
 __all__ = ["InjectedFault", "FaultySocket", "FaultyTransport"]
 
+
 class InjectedFault(ReproError, ConnectionError):
     """Raised by this harness, never by the package.
 
