@@ -110,8 +110,5 @@ def benchmark_sets(machines, bench_forms) -> dict[str, ExperimentSet]:
     sets: dict[str, ExperimentSet] = {}
     for name, machine in machines.items():
         experiments = random_experiments(bench_forms[name], size=5, count=count, seed=99)
-        measured = ExperimentSet()
-        for experiment in experiments:
-            measured.add(experiment, machine.measure(experiment))
-        sets[name] = measured
+        sets[name] = machine.measure_many(experiments)
     return sets

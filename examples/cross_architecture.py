@@ -18,7 +18,6 @@ import argparse
 
 from repro.analysis import evaluate_predictor, format_table
 from repro.baselines import LLVMMCAPredictor
-from repro.core import ExperimentSet
 from repro.machine import MeasurementConfig, a72_machine, zen_machine
 from repro.pmevo import (
     EvolutionConfig,
@@ -60,9 +59,7 @@ def main() -> None:
               f"µops: {result.num_uops}, D_avg: {result.evolution.davg:.3f}")
 
         held_out = random_experiments(names, size=5, count=120, seed=11)
-        bench = ExperimentSet()
-        for experiment in held_out:
-            bench.add(experiment, machine.measure(experiment))
+        bench = machine.measure_many(held_out)
         for predictor in (
             MappingPredictor(result.mapping, name="PMEvo"),
             LLVMMCAPredictor(machine),

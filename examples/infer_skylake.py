@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.analysis import evaluate_predictor, format_table
 from repro.baselines import UopsInfoPredictor
-from repro.core import Experiment, ExperimentSet
+from repro.core import Experiment
 from repro.machine import MeasurementConfig, skl_machine
 from repro.pmevo import (
     EvolutionConfig,
@@ -70,9 +70,7 @@ def main() -> None:
 
     # Held-out evaluation against the ground-truth-based oracle.
     held_out = random_experiments(names, size=5, count=150, seed=42)
-    bench = ExperimentSet()
-    for experiment in held_out:
-        bench.add(experiment, machine.measure(experiment))
+    bench = machine.measure_many(held_out)
     rows = []
     for predictor in (
         MappingPredictor(result.mapping, name="PMEvo"),

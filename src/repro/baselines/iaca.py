@@ -25,7 +25,6 @@ from repro.core.errors import ISAError
 from repro.core.experiment import Experiment
 from repro.machine.config import ExecutionClass, MachineConfig
 from repro.machine.measurement import Machine, MeasurementConfig
-from repro.machine.presets import PRESET_NAMES
 
 __all__ = ["IACAPredictor"]
 
@@ -61,15 +60,13 @@ class IACAPredictor:
 
     SUPPORTED = ("SKL",)
 
-    def __init__(self, machine: Machine, enforce_support: bool = True):
-        if enforce_support and machine.name not in self.SUPPORTED:
+    def __init__(self, machine: Machine):
+        if machine.name not in self.SUPPORTED:
             supported = ", ".join(self.SUPPORTED)
             raise ISAError(
                 f"IACA is only provided for Intel-style presets ({supported}), "
-                f"not {machine.name!r} (pass enforce_support=False to override)"
+                f"not {machine.name!r}"
             )
-        if machine.name not in PRESET_NAMES and enforce_support:
-            raise ISAError(f"unknown machine {machine.name!r}")
         self.name = "IACA"
         # A noise-free internal machine with hidden quirks stripped: the
         # vendor model knows the real decompositions and pipeline shapes

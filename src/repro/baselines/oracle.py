@@ -26,11 +26,11 @@ class UopsInfoPredictor(MappingPredictor):
     #: Machines uops.info covers, as in the paper's evaluation.
     SUPPORTED = ("SKL",)
 
-    def __init__(self, machine: Machine, enforce_support: bool = True):
-        if enforce_support and machine.name not in self.SUPPORTED:
+    def __init__(self, machine: Machine):
+        if machine.name not in self.SUPPORTED:
             raise ISAError(
                 f"uops.info-style data is only available for {self.SUPPORTED}, "
-                f"not {machine.name!r} (pass enforce_support=False to override)"
+                f"not {machine.name!r}"
             )
         super().__init__(machine.ground_truth_mapping(), name="uops.info")
 

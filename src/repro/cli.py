@@ -34,7 +34,6 @@ from repro.baselines import LLVMMCAPredictor
 from repro.core import (
     Experiment,
     ExperimentError,
-    ExperimentSet,
     ReproError,
     ThreeLevelMapping,
 )
@@ -488,7 +487,7 @@ def _parse_experiment(tokens: list[str]) -> Experiment:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    mapping = ThreeLevelMapping.from_json(args.mapping.read_text())
+    mapping = ThreeLevelMapping.load(args.mapping)
     experiment = _parse_experiment(args.experiment)
     predictor = MappingPredictor(mapping, name=str(args.mapping))
     print(f"{predictor.predict(experiment):.4f}")
@@ -497,15 +496,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     machine = preset_machine(args.machine, MeasurementConfig(seed=args.seed))
-    mapping = ThreeLevelMapping.from_json(args.mapping.read_text())
+    mapping = ThreeLevelMapping.load(args.mapping)
     names = [n for n in mapping.instructions if n in machine.isa]
     if not names:
         print("mapping covers no instructions of this machine's ISA", file=sys.stderr)
         return 1
     experiments = random_experiments(names, size=args.size, count=args.count, seed=args.seed)
-    bench = ExperimentSet()
-    for experiment in experiments:
-        bench.add(experiment, machine.measure(experiment))
+    bench = machine.measure_many(experiments)
     predictors = [MappingPredictor(mapping, name="PMEvo"), LLVMMCAPredictor(machine)]
     rows = []
     for predictor in predictors:
@@ -523,7 +520,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    mapping = ThreeLevelMapping.from_json(args.mapping.read_text())
+    mapping = ThreeLevelMapping.load(args.mapping)
     print(mapping.describe())
     return 0
 
@@ -531,8 +528,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.analysis import mapping_diff
 
-    first = ThreeLevelMapping.from_json(args.first.read_text())
-    second = ThreeLevelMapping.from_json(args.second.read_text())
+    first = ThreeLevelMapping.load(args.first)
+    second = ThreeLevelMapping.load(args.second)
     comparison = mapping_diff(first, second, args.first.name, args.second.name)
     print(f"behavioural distance: {comparison.behavioural_distance:.4f}")
     print(f"equivalent up to port renaming: {comparison.structurally_equivalent}")
@@ -545,7 +542,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis import to_llvm_sched_model, to_osaca_table
 
-    mapping = ThreeLevelMapping.from_json(args.mapping.read_text())
+    mapping = ThreeLevelMapping.load(args.mapping)
     if args.format == "llvm":
         print(to_llvm_sched_model(mapping), end="")
     elif args.format == "osaca":

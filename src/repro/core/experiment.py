@@ -103,25 +103,6 @@ class Experiment:
             raise ExperimentError(f"scale factor must be positive, got {factor}")
         return Experiment({name: count * factor for name, count in self._key})
 
-    def merged(self, other: "Experiment") -> "Experiment":
-        """Multiset union (counts add)."""
-        counts = dict(self._counts)
-        for name, count in other:
-            counts[name] = counts.get(name, 0) + count
-        return Experiment(counts)
-
-    def rename(self, translation: Mapping[str, str]) -> "Experiment":
-        """Rename instructions via ``translation`` (merging collisions).
-
-        Used by congruence filtering to map instructions onto their class
-        representatives.
-        """
-        counts: dict[str, int] = {}
-        for name, count in self._key:
-            new = translation.get(name, name)
-            counts[new] = counts.get(new, 0) + count
-        return Experiment(counts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Experiment):
             return NotImplemented
@@ -195,19 +176,6 @@ class ExperimentSet:
             for item in self._items
             if all(name in allowed for name in item.experiment.support)
         )
-
-    def renamed(self, translation: Mapping[str, str]) -> "ExperimentSet":
-        """Apply :meth:`Experiment.rename` to every experiment, dropping
-        duplicates (keeping the first measurement of each renamed multiset)."""
-        seen: set[Experiment] = set()
-        out = ExperimentSet()
-        for item in self._items:
-            renamed = item.experiment.rename(translation)
-            if renamed in seen:
-                continue
-            seen.add(renamed)
-            out.add(renamed, item.throughput)
-        return out
 
     def __len__(self) -> int:
         return len(self._items)

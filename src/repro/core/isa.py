@@ -67,11 +67,6 @@ class OperandSpec:
         if self.kind is OperandKind.IMM and self.is_written:
             raise ISAError("immediate operands cannot be written")
 
-    @property
-    def is_register(self) -> bool:
-        """True for register-class operands (GPR or VEC)."""
-        return self.kind in (OperandKind.GPR, OperandKind.VEC)
-
     def render(self) -> str:
         """Short placeholder syntax, e.g. ``R64``, ``V256``, ``M64``, ``I32``."""
         letter = {
@@ -157,16 +152,6 @@ class InstructionForm:
     def __hash__(self) -> int:
         return hash(self.name)
 
-    @property
-    def reads(self) -> tuple[int, ...]:
-        """Indices of operands read by this form."""
-        return tuple(i for i, op in enumerate(self.operands) if op.is_read)
-
-    @property
-    def writes(self) -> tuple[int, ...]:
-        """Indices of operands written by this form."""
-        return tuple(i for i, op in enumerate(self.operands) if op.is_written)
-
     def render(self) -> str:
         """Assembly-like rendering, e.g. ``add R64rw, R64``."""
         if not self.operands:
@@ -247,21 +232,6 @@ class ISA:
 
     def __iter__(self) -> Iterator[InstructionForm]:
         return iter(self._forms.values())
-
-    def restrict(self, names: Iterable[str], new_name: str | None = None) -> "ISA":
-        """Return a sub-ISA containing only the given form names.
-
-        The relative order of the retained forms is preserved.
-        """
-        wanted = set(names)
-        missing = wanted - set(self._forms)
-        if missing:
-            raise ISAError(f"unknown forms {sorted(missing)} in ISA {self.name!r}")
-        sub = ISA(new_name or f"{self.name}-subset")
-        for form in self._forms.values():
-            if form.name in wanted:
-                sub.add(form)
-        return sub
 
     def by_semantic_class(self) -> dict[str, list[InstructionForm]]:
         """Group forms by their semantic class tag."""

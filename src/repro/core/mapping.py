@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.core.errors import MappingError
@@ -283,13 +284,27 @@ class ThreeLevelMapping:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_json(cls, text: str) -> "ThreeLevelMapping":
+    def from_json(cls, text: str | bytes) -> "ThreeLevelMapping":
         """Deserialize from a JSON string; :class:`MappingError` on any defect."""
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:
             raise MappingError(f"mapping is not valid JSON: {exc}") from None
         return cls.from_dict(data)
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "ThreeLevelMapping":
+        """Read a mapping file, as :meth:`to_json` writes it.
+
+        An unreadable file raises its :class:`OSError`; a malformed one
+        raises :class:`MappingError` naming the file.
+        """
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            return cls.from_json(data)
+        except MappingError as exc:
+            raise MappingError(f"mapping file {path}: {exc}") from None
 
     def fingerprint(self) -> str:
         """Stable content hash of the mapping (sha256 hex, truncated).

@@ -113,11 +113,11 @@ class PortSpace:
         self._index_by_name = {name: i for i, name in enumerate(names)}
 
     @classmethod
-    def numbered(cls, count: int, prefix: str = "P") -> "PortSpace":
+    def numbered(cls, count: int) -> "PortSpace":
         """Create a port space of ``count`` ports named ``P0 .. P{count-1}``."""
         if count <= 0:
             raise MappingError(f"port count must be positive, got {count}")
-        return cls([f"{prefix}{i}" for i in range(count)])
+        return cls([f"P{i}" for i in range(count)])
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.codegen.loop import TARGET_BODY_LENGTH, build_loop_body
+from repro.codegen.loop import build_loop_body
 from repro.codegen.regalloc import AllocationConfig
 from repro.core.errors import MeasurementError
 from repro.core.experiment import Experiment, ExperimentSet
@@ -60,7 +60,6 @@ class MeasurementConfig:
     jitter_sigma: float = 0.004
     spike_probability: float = 0.03
     spike_scale: float = 1.25
-    target_body_length: int = TARGET_BODY_LENGTH
     noisy: bool = True
     seed: int = 0
 
@@ -120,12 +119,7 @@ class Machine:
 
     def _steady_state_cycles(self, experiment: Experiment) -> float:
         """Noise-free steady-state cycles per experiment instance."""
-        body, unroll = build_loop_body(
-            self.config.isa,
-            experiment,
-            target_length=self.measurement.target_body_length,
-            allocation=self.allocation,
-        )
+        body, unroll = build_loop_body(self.config.isa, experiment, allocation=self.allocation)
         warm = self.measurement.warmup_iterations
         short_run, long_run = self.processor.run(
             body, (warm, warm + self.measurement.measure_iterations)

@@ -90,11 +90,6 @@ class SimulationResult:
     instructions: int
     uops: int
 
-    @property
-    def ipc(self) -> float:
-        """Retired instructions per cycle."""
-        return self.instructions / self.cycles if self.cycles else 0.0
-
 
 @dataclass(frozen=True)
 class _DecodedBody:

@@ -29,7 +29,6 @@ from repro.pmevo.transport import (
     run_worker,
 )
 from repro.pmevo.expgen import (
-    full_experiment_plan,
     pair_experiments,
     random_experiments,
     singleton_experiments,
@@ -44,7 +43,6 @@ from repro.pmevo.population import Genome, genome_volume
 __all__ = [
     "singleton_experiments",
     "pair_experiments",
-    "full_experiment_plan",
     "random_experiments",
     "CongruencePartition",
     "find_congruence_classes",

@@ -20,7 +20,7 @@ user-chosen ``epsilon``:  ``|t1 - t2| / (|t1 + t2| / 2) < epsilon``.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import ExperimentError
 from repro.core.experiment import ExperimentSet
@@ -56,7 +56,6 @@ class CongruencePartition:
     classes: dict[str, list[str]]
     representative_of: dict[str, str]
     epsilon: float
-    _translation: dict[str, str] = field(default_factory=dict, repr=False)
 
     @property
     def representatives(self) -> tuple[str, ...]:

@@ -50,8 +50,8 @@ goals, in order:
 
 Serialization
 -------------
-:class:`EvolutionState` round-trips through JSON (``to_json`` /
-``from_json``): the population, the objective arrays, the generation
+:class:`EvolutionState` round-trips through JSON (``to_jsonable`` /
+``from_jsonable``): the population, the objective arrays, the generation
 counters, *and the numpy bit-generator state* are all captured, so a
 deserialized state continues bit-identically to the original.  The
 population is a :class:`~repro.pmevo.packed.PackedPopulation` throughout a
@@ -311,9 +311,9 @@ class EvolutionState:
     # The JSON codec is exact: float64 objectives survive the round trip
     # bit-for-bit (Python's json emits shortest-roundtrip reprs), genome and
     # history insertion order is preserved, and the generator is restored
-    # from its bit-generator state — so `from_json(to_json())` continues a
-    # run identically.  This is the wire format of the socket transport and
-    # the on-disk format of checkpoints.
+    # from its bit-generator state — so `from_jsonable(to_jsonable())`
+    # continues a run identically.  This is the wire format of the socket
+    # transport and the on-disk format of checkpoints.
 
     #: Tag of the packed population encoding inside state payloads.
     POPULATION_ENCODING = "packed-npz-b64"
@@ -342,10 +342,6 @@ class EvolutionState:
             "stale_exhausted": self.stale_exhausted,
             "target_reached": self.target_reached,
         }
-
-    def to_json(self) -> str:
-        """Serialize to a JSON string (see :meth:`to_jsonable`)."""
-        return json.dumps(self.to_jsonable())
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "EvolutionState":
@@ -401,15 +397,6 @@ class EvolutionState:
             raise
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise CheckpointError(f"malformed evolution state: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvolutionState":
-        """Deserialize from a JSON string (see :meth:`from_jsonable`)."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"evolution state is not valid JSON: {exc}") from exc
-        return cls.from_jsonable(data)
 
 
 def derive_island_rngs(root_seed: int, islands: int) -> list[np.random.Generator]:

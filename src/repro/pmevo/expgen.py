@@ -30,7 +30,6 @@ from repro.core.experiment import Experiment
 __all__ = [
     "singleton_experiments",
     "pair_experiments",
-    "full_experiment_plan",
     "random_experiments",
 ]
 
@@ -77,16 +76,6 @@ def pair_experiments(
             if n > 1:
                 emit(Experiment({slow: 1, fast: n}))
     return experiments
-
-
-def full_experiment_plan(
-    names: Sequence[str],
-    singleton_throughputs: Mapping[str, float],
-) -> list[Experiment]:
-    """All three families (singletons first, then pairs)."""
-    plan = singleton_experiments(names)
-    plan.extend(pair_experiments(names, singleton_throughputs))
-    return plan
 
 
 def random_experiments(

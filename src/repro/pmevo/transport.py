@@ -774,26 +774,22 @@ class SocketTransport:
 # -- the worker process --------------------------------------------------------
 
 
-def backoff_delays(
-    attempts: int,
-    base: float = 0.25,
-    cap: float = BACKOFF_CAP,
-    seed: int | None = None,
-) -> Iterator[float]:
+def backoff_delays(attempts: int, seed: int | None = None) -> Iterator[float]:
     """Yield ``attempts`` (re)connect delays: capped exponential, jittered.
 
-    The delay doubles from ``base`` up to ``cap``; each is scaled by a
-    jitter factor in ``[0.5, 1.5)`` drawn from a tiny LCG seeded with
-    ``seed`` (the process id by default), so the workers of one host fan
-    out instead of hammering a restarting coordinator in lockstep — yet a
-    fixed seed replays the exact schedule, which the chaos tests rely on.
+    The delay doubles from :data:`RETRY_DELAY` up to :data:`BACKOFF_CAP`;
+    each is scaled by a jitter factor in ``[0.5, 1.5)`` drawn from a tiny
+    LCG seeded with ``seed`` (the process id by default), so the workers of
+    one host fan out instead of hammering a restarting coordinator in
+    lockstep — yet a fixed seed replays the exact schedule, which the chaos
+    tests rely on.
     """
     state = ((os.getpid() if seed is None else seed) ^ 0x5DEECE66D) & 0x7FFFFFFF
     state = state or 1
     for attempt in range(attempts):
         state = (state * 1103515245 + 12345) & 0x7FFFFFFF
         jitter = 0.5 + state / 0x80000000
-        yield min(cap, base * (1 << attempt)) * jitter
+        yield min(BACKOFF_CAP, RETRY_DELAY * (1 << attempt)) * jitter
 
 
 def _serve_connection(sock: socket.socket, heartbeat_interval: float) -> str:
@@ -911,11 +907,11 @@ def run_worker(
     """
 
     def budget() -> tuple[deque[float], float]:
-        delays = backoff_delays(max_reconnect_attempts, base=RETRY_DELAY, seed=jitter_seed)
+        delays = backoff_delays(max_reconnect_attempts, seed=jitter_seed)
         return deque(delays), time.monotonic() + reconnect_window
 
     # One delay per attempt, drawn when it starts and waited when it fails.
-    delays = deque(backoff_delays(CONNECT_ATTEMPTS, base=RETRY_DELAY, seed=jitter_seed))
+    delays = deque(backoff_delays(CONNECT_ATTEMPTS, seed=jitter_seed))
     deadline = math.inf
     attached = served = False
     failure: object = None

@@ -19,12 +19,7 @@ Run it with ``repro-pmevo serve --mapping skl.json``; see
 
 from repro.serving.cache import PredictionCache
 from repro.serving.protocol import ProtocolError, canonical_sequence, parse_predict_request
-from repro.serving.registry import (
-    MappingRegistry,
-    ServedMapping,
-    load_mapping_artifact,
-    parse_mapping_spec,
-)
+from repro.serving.registry import MappingRegistry, ServedMapping, parse_mapping_spec
 from repro.serving.server import PredictionServer
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "ProtocolError",
     "ServedMapping",
     "canonical_sequence",
-    "load_mapping_artifact",
     "parse_mapping_spec",
     "parse_predict_request",
 ]

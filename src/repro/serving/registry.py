@@ -17,16 +17,14 @@ retry without a restart.
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.errors import MappingError, ServingError
 from repro.core.mapping import ThreeLevelMapping
 from repro.throughput.batched import FixedMappingEvaluator
 
-__all__ = ["ServedMapping", "MappingRegistry", "load_mapping_artifact", "parse_mapping_spec"]
+__all__ = ["ServedMapping", "MappingRegistry", "parse_mapping_spec"]
 
 
 def parse_mapping_spec(spec: str) -> tuple[str, Path]:
@@ -47,29 +45,6 @@ def parse_mapping_spec(spec: str) -> tuple[str, Path]:
     return mapping_id, path
 
 
-def load_mapping_artifact(path: Path) -> ThreeLevelMapping:
-    """Load a mapping from an exported artifact.
-
-    Accepts the canonical mapping JSON (``ThreeLevelMapping.to_dict``) and,
-    tolerantly, a document wrapping it under a top-level ``"mapping"`` key.
-    Anything else raises :class:`ServingError` naming the path.
-    """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ServingError(f"cannot read mapping artifact {path}: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except ValueError as exc:
-        raise ServingError(f"mapping artifact {path} is not JSON: {exc}") from exc
-    if isinstance(document, dict) and "mapping" in document and "instructions" not in document:
-        document = document["mapping"]
-    try:
-        return ThreeLevelMapping.from_dict(document)
-    except MappingError as exc:
-        raise ServingError(f"mapping artifact {path} is malformed: {exc}") from exc
-
-
 @dataclass
 class ServedMapping:
     """One mapping under serving, with its precomputed evaluation state."""
@@ -80,7 +55,6 @@ class ServedMapping:
     evaluator: FixedMappingEvaluator
     fingerprint: str
     generation: int = 1
-    loaded_at: float = field(default_factory=time.time)
 
     def describe(self) -> dict:
         """The per-mapping block of ``/v1/stats``."""
@@ -120,11 +94,14 @@ class MappingRegistry:
             self._entries[mapping_id] = self._load_entry(mapping_id, path)
 
     def _load_entry(self, mapping_id: str, path: Path, generation: int = 1) -> ServedMapping:
-        mapping = load_mapping_artifact(path)
+        try:
+            mapping = ThreeLevelMapping.load(path)
+        except (OSError, MappingError) as exc:
+            raise ServingError(str(exc)) from exc
         try:
             evaluator = FixedMappingEvaluator(mapping)
         except MappingError as exc:  # a µop count past float64
-            raise ServingError(f"mapping artifact {path} is malformed: {exc}") from exc
+            raise ServingError(f"mapping file {path}: {exc}") from exc
         return ServedMapping(
             mapping_id=mapping_id,
             path=path,

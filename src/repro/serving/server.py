@@ -88,6 +88,9 @@ _REASONS = {
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
 
+#: Most recent request latencies behind the ``/v1/stats`` percentiles.
+_LATENCY_WINDOW = 2048
+
 
 def _cut(transport: asyncio.WriteTransport) -> None:
     """A connection's deadline: close its transport, which ends a pending
@@ -102,7 +105,7 @@ def _cut(transport: asyncio.WriteTransport) -> None:
 class _Stats:
     """Operational counters behind ``GET /v1/stats``."""
 
-    def __init__(self, latency_window: int = 2048):
+    def __init__(self):
         self.started_at = time.monotonic()
         self.requests = 0
         self.predict_requests = 0
@@ -111,7 +114,7 @@ class _Stats:
         self.batches = 0
         self.batch_entries = 0
         self.max_batch = 0
-        self.latencies = deque(maxlen=latency_window)
+        self.latencies = deque(maxlen=_LATENCY_WINDOW)
 
     def record_batch(self, size: int) -> None:
         self.batches += 1

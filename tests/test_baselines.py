@@ -74,7 +74,6 @@ class TestUopsInfo:
         assert UopsInfoPredictor(skl).name == "uops.info"
         with pytest.raises(ISAError):
             UopsInfoPredictor(zen)
-        assert UopsInfoPredictor(zen, enforce_support=False) is not None
 
     def test_predicts_simple_singleton(self, skl):
         predictor = UopsInfoPredictor(skl)

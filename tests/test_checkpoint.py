@@ -55,7 +55,7 @@ class TestStateRoundTrip:
         evolver = _evolver()
         state = evolver.init_state()
         evolver.advance(state, 3)
-        restored = EvolutionState.from_json(state.to_json())
+        restored = EvolutionState.from_jsonable(json.loads(json.dumps(state.to_jsonable())))
         assert restored.to_jsonable() == state.to_jsonable()
         evolver.advance(state, 4)
         evolver.advance(restored, 4)
@@ -66,14 +66,12 @@ class TestStateRoundTrip:
     def test_rng_draws_identical_after_roundtrip(self):
         evolver = _evolver()
         state = evolver.init_state()
-        restored = EvolutionState.from_json(state.to_json())
+        restored = EvolutionState.from_jsonable(json.loads(json.dumps(state.to_jsonable())))
         assert np.array_equal(
             state.rng.integers(0, 1 << 30, 32), restored.rng.integers(0, 1 << 30, 32)
         )
 
     def test_malformed_state_raises(self):
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            EvolutionState.from_json("{truncated")
         with pytest.raises(CheckpointError, match="malformed evolution state"):
             EvolutionState.from_jsonable({"population": []})
 

@@ -189,6 +189,9 @@ BAD_MAPPING = '{"ports": ["P0"], "instructions": {"a": [{"ports": ["P0"], "count
 # A valid mapping whose µop count (10^400) does not fit in float64.
 HUGE_COUNT_MAPPING = BAD_MAPPING.replace('"z"', "1" + "0" * 400)
 
+# A mapping file whose one instruction name is Latin-1, not UTF-8.
+LATIN1_MAPPING = b'{"ports": ["P0"], "instructions": {"\xe9": []}}'
+
 # A checkpoint whose epoch count overflows int(): JSON reads 1e400 as inf.
 OVERFLOW_CHECKPOINT = (
     '{"format": "repro-pmevo/checkpoint-v1", "config": {}, "instructions": [], '
@@ -221,6 +224,8 @@ class TestUserMistakes:
             ["serve", "--mapping", "{mapping}", "--bind", "nohost"],
             ["serve", "--mapping", "{tmp}/huge.json", "--bind", ":0"],
             ["predict", "{tmp}/huge.json", "a=1"],
+            ["show", "{tmp}/latin1.json"],
+            ["serve", "--mapping", "{tmp}/latin1.json", "--bind", ":0"],
         ],
         ids=[
             "population-1",
@@ -235,6 +240,8 @@ class TestUserMistakes:
             "serve-bad-bind",
             "serve-huge-count",
             "predict-huge-count",
+            "show-not-utf8",
+            "serve-not-utf8",
         ],
     )
     def test_one_error_line_and_exit_2(self, argv, tmp_path, mapping_file, capsys):
@@ -242,6 +249,7 @@ class TestUserMistakes:
         (tmp_path / "bad.json").write_text(BAD_MAPPING)
         (tmp_path / "huge.json").write_text(HUGE_COUNT_MAPPING)
         (tmp_path / "overflow.json").write_text(OVERFLOW_CHECKPOINT)
+        (tmp_path / "latin1.json").write_bytes(LATIN1_MAPPING)
         argv = [a.format(tmp=tmp_path, mapping=mapping_file) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err

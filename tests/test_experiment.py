@@ -55,15 +55,6 @@ class TestExperiment:
         with pytest.raises(ExperimentError):
             Experiment({"a": 1}).scaled(0)
 
-    def test_merged(self):
-        merged = Experiment({"a": 1}).merged(Experiment({"a": 2, "b": 1}))
-        assert merged == Experiment({"a": 3, "b": 1})
-
-    def test_rename_merges_collisions(self):
-        e = Experiment({"a": 1, "b": 2})
-        assert e.rename({"b": "a"}) == Experiment({"a": 3})
-        assert e.rename({}) == e
-
     def test_equality_ignores_insertion_order(self):
         assert Experiment({"a": 1, "b": 2}) == Experiment({"b": 2, "a": 1})
         assert hash(Experiment({"a": 1, "b": 2})) == hash(Experiment({"b": 2, "a": 1}))
@@ -115,12 +106,3 @@ class TestExperimentSet:
         only_a = s.restricted_to(["a"])
         assert len(only_a) == 1
         assert only_a[0].experiment == Experiment({"a": 1})
-
-    def test_renamed_drops_duplicates(self):
-        s = self._sample()
-        renamed = s.renamed({"b": "a"})
-        # {a} and {b} collapse to {a}; {a,b} becomes {a:2}.
-        assert len(renamed) == 2
-        assert renamed[0].experiment == Experiment({"a": 1})
-        assert renamed[0].throughput == 1.0  # first measurement wins
-        assert renamed[1].experiment == Experiment({"a": 2})

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import Experiment, ExperimentError
 from repro.pmevo import (
-    full_experiment_plan,
     pair_experiments,
     random_experiments,
     singleton_experiments,
@@ -55,7 +54,7 @@ class TestPairs:
     def test_plan_counts(self):
         names = ["a", "b", "c", "d"]
         throughputs = {"a": 1.0, "b": 2.0, "c": 1.0, "d": 4.0}
-        plan = full_experiment_plan(names, throughputs)
+        plan = singleton_experiments(names) + pair_experiments(names, throughputs)
         singles = [e for e in plan if len(e) == 1 and e.size == 1]
         assert len(singles) == 4
         # 6 plain pairs; saturating pairs for (b,a),(b,c),(d,a),(d,c),(d,b).

@@ -23,12 +23,6 @@ class TestOperandSpec:
         assert mem(64).render() == "M64"
         assert imm().render() == "I32"
 
-    def test_is_register(self):
-        assert gpr(64).is_register
-        assert vec(128).is_register
-        assert not mem(64).is_register
-        assert not imm().is_register
-
 
 class TestInstructionForm:
     def test_make_form_canonical_name(self):
@@ -37,16 +31,6 @@ class TestInstructionForm:
         assert form.mnemonic == "add"
         assert form.semantic_class == "int_alu"
         assert form.latency_class == "int_alu"  # defaults to semantic class
-
-    def test_reads_writes(self):
-        form = make_form(
-            "store", [mem(64), gpr(64)], "store_gpr"
-        )
-        assert form.reads == (0, 1)
-        assert form.writes == ()
-        load = make_form("load", [gpr(64, read=False, write=True), mem(64)], "load_gpr")
-        assert load.writes == (0,)
-        assert load.reads == (1,)
 
     def test_render(self):
         form = make_form("add", [gpr(64, read=True, write=True), gpr(64)], "int_alu")
@@ -86,13 +70,6 @@ class TestISA:
     def test_unknown_lookup(self):
         with pytest.raises(ISAError):
             ISA("test", [self._form("a")])["b"]
-
-    def test_restrict(self):
-        isa = ISA("test", [self._form("a"), self._form("b"), self._form("c")])
-        sub = isa.restrict(["c", "a"])
-        assert sub.names == ("a", "c")  # original order preserved
-        with pytest.raises(ISAError):
-            isa.restrict(["nope"])
 
     def test_by_semantic_class(self):
         isa = ISA("test", [self._form("a", "x"), self._form("b", "x"), self._form("c", "y")])

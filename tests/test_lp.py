@@ -12,7 +12,7 @@ from repro.core import (
     ThreeLevelMapping,
     TwoLevelMapping,
 )
-from repro.throughput import build_lp, lp_throughput, lp_throughput_masses
+from repro.throughput import lp_throughput, lp_throughput_masses
 from repro.throughput.bottleneck import bottleneck_throughput_reference
 
 
@@ -35,16 +35,10 @@ class TestLPBasics:
 
     def test_invalid_port_count_rejected(self):
         with pytest.raises(MappingError):
-            build_lp({1: 1.0}, 0)
+            lp_throughput_masses({1: 1.0}, 0)
 
     def test_single_port_saturation(self):
         assert lp_throughput_masses({0b1: 7.0}, 1) == pytest.approx(7.0)
-
-    def test_lp_problem_reuse(self):
-        problem = build_lp({0b01: 1.0, 0b11: 1.0}, 2)
-        assert problem.solve() == pytest.approx(1.0)
-        # Solving twice gives the same answer (no hidden state).
-        assert problem.solve() == pytest.approx(1.0)
 
 
 class TestThreeLevelReduction:

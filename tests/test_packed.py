@@ -319,12 +319,12 @@ class TestStatePayloads:
     def test_state_round_trip_is_bit_identical(self):
         evolver = _toy_evolver()
         state = evolver.advance(evolver.init_state(), 3)
-        clone = type(state).from_json(state.to_json())
+        clone = type(state).from_jsonable(json.loads(json.dumps(state.to_jsonable())))
         # Continue both: identical trajectories prove the packed payload
         # reproduced the population *and* its dict orders exactly.
         evolver.advance(state, 3)
         evolver.advance(clone, 3)
-        assert state.to_json() == clone.to_json()
+        assert json.dumps(state.to_jsonable()) == json.dumps(clone.to_jsonable())
 
     @pytest.mark.parametrize("mutation_rate", [0.0, 0.5])
     def test_population_stays_in_from_genomes_normal_form(self, mutation_rate):

@@ -28,7 +28,6 @@ from repro.serving import (
     PredictionServer,
     ProtocolError,
     canonical_sequence,
-    load_mapping_artifact,
     parse_mapping_spec,
     parse_predict_request,
 )
@@ -308,21 +307,16 @@ class TestRegistryAndReload:
 
     def test_malformed_artifacts_fail_loudly(self, tmp_path):
         missing = tmp_path / "missing.json"
-        with pytest.raises(ServingError):
-            load_mapping_artifact(missing)
+        with pytest.raises(ServingError, match="missing.json"):
+            MappingRegistry([("m", missing)])
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ServingError):
-            load_mapping_artifact(bad)
+        with pytest.raises(ServingError, match="bad.json"):
+            MappingRegistry([("m", bad)])
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"ports": ["P0"], "instructions": {"a": []}}))
-        with pytest.raises(ServingError):
-            load_mapping_artifact(wrong)
-
-    def test_wrapped_artifact_accepted(self, tmp_path, mapping):
-        path = tmp_path / "wrapped.json"
-        path.write_text(json.dumps({"mapping": mapping.to_dict()}))
-        assert load_mapping_artifact(path) == mapping
+        with pytest.raises(ServingError, match="wrong.json"):
+            MappingRegistry([("m", wrong)])
 
     def test_hot_reload_swaps_predictions_and_invalidates_cache(
         self, tmp_path, mapping, other_mapping, registry
