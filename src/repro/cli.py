@@ -34,6 +34,7 @@ from repro.baselines import LLVMMCAPredictor
 from repro.core import (
     Experiment,
     ExperimentError,
+    MappingError,
     ReproError,
     ThreeLevelMapping,
 )
@@ -369,6 +370,9 @@ def _make_transport(args: argparse.Namespace):
 def _cmd_infer(args: argparse.Namespace) -> int:
     from repro.pmevo import Checkpointer, load_checkpoint
 
+    for flag, path in (("--output", args.output), ("--checkpoint", args.checkpoint)):
+        if path is not None and not path.parent.is_dir():
+            raise FileNotFoundError(f"{flag} {path}: directory {path.parent} does not exist")
     machine = preset_machine(args.machine, MeasurementConfig(seed=args.seed))
     names = _subsample_names(machine, args.forms, args.seed)
     config = PMEvoConfig(
@@ -499,8 +503,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     mapping = ThreeLevelMapping.load(args.mapping)
     names = [n for n in mapping.instructions if n in machine.isa]
     if not names:
-        print("mapping covers no instructions of this machine's ISA", file=sys.stderr)
-        return 1
+        raise MappingError(f"{args.mapping} covers no instruction form of {machine.name}")
     experiments = random_experiments(names, size=args.size, count=args.count, seed=args.seed)
     bench = machine.measure_many(experiments)
     predictors = [MappingPredictor(mapping, name="PMEvo"), LLVMMCAPredictor(machine)]

@@ -189,6 +189,9 @@ BAD_MAPPING = '{"ports": ["P0"], "instructions": {"a": [{"ports": ["P0"], "count
 # A valid mapping whose µop count (10^400) does not fit in float64.
 HUGE_COUNT_MAPPING = BAD_MAPPING.replace('"z"', "1" + "0" * 400)
 
+# A valid mapping that covers no instruction form of any preset.
+FOREIGN_MAPPING = '{"ports": ["P0"], "instructions": {"zzz": [{"ports": ["P0"], "count": 1}]}}'
+
 # A mapping file whose one instruction name is Latin-1, not UTF-8.
 LATIN1_MAPPING = b'{"ports": ["P0"], "instructions": {"\xe9": []}}'
 
@@ -224,6 +227,7 @@ class TestUserMistakes:
             ["serve", "--mapping", "{mapping}", "--bind", "nohost"],
             ["serve", "--mapping", "{tmp}/huge.json", "--bind", ":0"],
             ["predict", "{tmp}/huge.json", "a=1"],
+            ["compare", "SKL", "{tmp}/foreign.json"],
             ["show", "{tmp}/latin1.json"],
             ["serve", "--mapping", "{tmp}/latin1.json", "--bind", ":0"],
         ],
@@ -240,6 +244,7 @@ class TestUserMistakes:
             "serve-bad-bind",
             "serve-huge-count",
             "predict-huge-count",
+            "compare-foreign-mapping",
             "show-not-utf8",
             "serve-not-utf8",
         ],
@@ -249,6 +254,7 @@ class TestUserMistakes:
         (tmp_path / "bad.json").write_text(BAD_MAPPING)
         (tmp_path / "huge.json").write_text(HUGE_COUNT_MAPPING)
         (tmp_path / "overflow.json").write_text(OVERFLOW_CHECKPOINT)
+        (tmp_path / "foreign.json").write_text(FOREIGN_MAPPING)
         (tmp_path / "latin1.json").write_bytes(LATIN1_MAPPING)
         argv = [a.format(tmp=tmp_path, mapping=mapping_file) for a in argv]
         assert main(argv) == 2
@@ -274,4 +280,22 @@ class TestUserMistakes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert "inferring port mapping" not in captured.out
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["-o", "{tmp}/missing/m.json"],
+            ["-o", "{tmp}/m.json", "--checkpoint", "{tmp}/missing/ck.json"],
+        ],
+        ids=["output", "checkpoint"],
+    )
+    def test_missing_directory_fails_before_measuring(self, option, tmp_path, capsys):
+        option = [a.format(tmp=tmp_path) for a in option]
+        argv = ["infer", "SKL", *option, "--forms", "4", "--population", "8", "--generations", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(tmp_path / "missing") in captured.err
         assert "inferring port mapping" not in captured.out
