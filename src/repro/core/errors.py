@@ -63,6 +63,6 @@ class CheckpointError(ReproError):
     """Raised for unreadable, corrupted, or mismatched checkpoints.
 
     Examples: a truncated or non-JSON snapshot file, an unknown format tag,
-    or resuming with a configuration (or instruction universe) different
-    from the one the checkpoint was written under.
+    or resuming with a configuration (or problem: instructions, ports,
+    measurements) different from the one the checkpoint was written under.
     """

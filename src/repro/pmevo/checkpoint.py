@@ -6,8 +6,11 @@ all island states are simultaneously at rest.  It contains everything the run
 loop carries across an epoch: the serialized
 :class:`~repro.pmevo.evolution.EvolutionState` of every island (populations,
 objectives, generator states), the epoch/migration counters, the
-:class:`~repro.pmevo.evolution.EvolutionConfig`, and a fingerprint of the
-inference problem (instruction universe and port count).
+:class:`~repro.pmevo.evolution.EvolutionConfig`, and the *problem*: the
+sha256 of the evolver's problem document
+(:func:`~repro.pmevo.transport.problem_to_jsonable`, the socket setup
+frame's) without its config, which covers the ports, the measured
+experiments with their throughputs and the singleton throughputs.
 
 Guarantees:
 
@@ -27,7 +30,7 @@ Guarantees:
   primary raises :class:`~repro.core.errors.CheckpointError`; resuming from
   an older barrier merely replays more epochs, bit-identically.
 * **Loud failure.**  Truncated, non-JSON, or wrong-format files — and
-  resuming against a different config or instruction universe — raise
+  resuming against a different config or problem — raise
   :class:`repro.core.errors.CheckpointError` with a message naming the
   problem; a malformed document never raises anything else.  The ``.prev``
   fallback only softens *unreadable primary* into a warning; when both
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 #: Format tag of the snapshot document; bumped on incompatible changes.
-CHECKPOINT_FORMAT = "repro-pmevo/checkpoint-v1"
+CHECKPOINT_FORMAT = "repro-pmevo/checkpoint-v2"
 
 
 @dataclass
@@ -74,8 +77,7 @@ class CheckpointSnapshot:
     """Everything needed to continue an island run from an epoch barrier."""
 
     config: EvolutionConfig
-    instructions: tuple[str, ...]
-    num_ports: int
+    problem: str
     epochs: int
     migrations: int
     states: list[EvolutionState]
@@ -84,8 +86,7 @@ class CheckpointSnapshot:
         return {
             "format": CHECKPOINT_FORMAT,
             "config": config_to_jsonable(self.config),
-            "instructions": list(self.instructions),
-            "num_ports": self.num_ports,
+            "problem": self.problem,
             "epochs": self.epochs,
             "migrations": self.migrations,
             "states": [state.to_jsonable() for state in self.states],
@@ -103,8 +104,7 @@ class CheckpointSnapshot:
         try:
             return cls(
                 config=config_from_jsonable(data["config"]),
-                instructions=tuple(str(n) for n in data["instructions"]),
-                num_ports=int(data["num_ports"]),
+                problem=str(data["problem"]),
                 epochs=int(data["epochs"]),
                 migrations=int(data["migrations"]),
                 states=[EvolutionState.from_jsonable(s) for s in data["states"]],

@@ -69,6 +69,7 @@ byte string the transport-equivalence tests compare.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from collections.abc import Mapping
@@ -660,7 +661,7 @@ class PortMappingEvolver:
 
     # -- main loop ----------------------------------------------------------
 
-    def _check_resume(self, resume: CheckpointSnapshot) -> None:
+    def _check_resume(self, resume: CheckpointSnapshot, problem: str) -> None:
         # `workers` only chooses where epochs run, never what they compute,
         # so a checkpoint from an 8-core box may resume on a 4-core one.
         if dataclasses.replace(resume.config, workers=self.config.workers) != self.config:
@@ -669,15 +670,11 @@ class PortMappingEvolver:
                 "resume with the same seed/population/island settings "
                 "(--workers may differ)"
             )
-        if resume.instructions != self.names:
+        if resume.problem != problem:
             raise CheckpointError(
-                "checkpoint covers a different instruction universe than "
-                "this run (did the machine preset, --forms, or --seed change?)"
-            )
-        if resume.num_ports != self.ports.num_ports:
-            raise CheckpointError(
-                f"checkpoint was written for {resume.num_ports} ports, "
-                f"this run has {self.ports.num_ports}"
+                "checkpoint covers a different instruction universe, ports or "
+                "measurements than this run (did the machine preset, --forms, "
+                "or --seed change?)"
             )
         if len(resume.states) != self.config.islands:
             raise CheckpointError(
@@ -704,7 +701,7 @@ class PortMappingEvolver:
         """
         # Both modules import this one, so they are imported at call time.
         from repro.pmevo.checkpoint import CheckpointSnapshot
-        from repro.pmevo.transport import SerialTransport, SocketTransport
+        from repro.pmevo.transport import SerialTransport, SocketTransport, problem_to_jsonable
 
         start_time = time.perf_counter()
         config = self.config
@@ -715,8 +712,13 @@ class PortMappingEvolver:
                 if workers > 1
                 else SerialTransport()
             )
+        problem = ""
+        if checkpointer is not None or resume is not None:
+            document = problem_to_jsonable(self)
+            del document["config"]
+            problem = hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
         if resume is not None:
-            self._check_resume(resume)
+            self._check_resume(resume, problem)
             states = list(resume.states)
             epochs = resume.epochs
             migrations = resume.migrations
@@ -753,8 +755,7 @@ class PortMappingEvolver:
                     checkpointer.after_epoch(
                         CheckpointSnapshot(
                             config=config,
-                            instructions=self.names,
-                            num_ports=self.ports.num_ports,
+                            problem=problem,
                             epochs=epochs,
                             migrations=migrations,
                             states=states,

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planted_truth import measurements_from_truth as _measurements_from_truth
-from repro.core import CheckpointError, PortSpace
+from repro.core import CheckpointError, ExperimentSet, PortSpace
 from repro.pmevo import (
     CheckpointSnapshot,
     Checkpointer,
@@ -89,8 +89,7 @@ def _documents() -> dict[str, dict]:
     state = evolver.advance(evolver.init_state(), 2)
     snapshot = CheckpointSnapshot(
         config=ISLAND_CONFIG,
-        instructions=evolver.names,
-        num_ports=2,
+        problem="0" * 64,
         epochs=1,
         migrations=0,
         states=[state],
@@ -133,7 +132,6 @@ JSON_VALUES = st.recursive(
 @example(("state", ("generation",)), 1e400)
 @example(("state", ("evaluations",)), 1e400)
 @example(("state", ("stale",)), 1e400)
-@example(("snapshot", ("num_ports",)), 1e400)
 @example(("snapshot", ("epochs",)), 1e400)
 @example(("snapshot", ("migrations",)), 1e400)
 def test_any_json_in_any_field_loads_or_raises_checkpoint_error(field, value):
@@ -216,8 +214,7 @@ class TestCheckpointFiles:
         states = [evolver.init_state(np.random.default_rng(k)) for k in range(2)]
         return CheckpointSnapshot(
             config=ISLAND_CONFIG,
-            instructions=evolver.names,
-            num_ports=2,
+            problem="0" * 64,
             epochs=1,
             migrations=2,
             states=states,
@@ -229,7 +226,7 @@ class TestCheckpointFiles:
         write_checkpoint(path, snapshot)
         loaded = load_checkpoint(path)
         assert loaded.config == snapshot.config
-        assert loaded.instructions == snapshot.instructions
+        assert loaded.problem == snapshot.problem
         assert loaded.epochs == 1 and loaded.migrations == 2
         assert [s.to_jsonable() for s in loaded.states] == [
             s.to_jsonable() for s in snapshot.states
@@ -406,6 +403,23 @@ class TestResumeValidation:
             PortSpace.numbered(2), measured, singles, ISLAND_CONFIG
         )
         with pytest.raises(CheckpointError, match="different instruction universe"):
+            other.run(resume=snapshot)
+
+    def test_measurement_mismatch_raises(self, tmp_path):
+        # Same instructions, ports and config, every throughput tripled: a
+        # resume would continue a search over measurements it never saw.
+        snapshot = self._checkpoint_from_run(tmp_path)
+        measured, singles = _problem()
+        tripled = ExperimentSet()
+        for item in measured:
+            tripled.add(item.experiment, 3 * item.throughput)
+        other = PortMappingEvolver(
+            PortSpace.numbered(2),
+            tripled,
+            {name: 3 * value for name, value in singles.items()},
+            ISLAND_CONFIG,
+        )
+        with pytest.raises(CheckpointError, match="measurements"):
             other.run(resume=snapshot)
 
 

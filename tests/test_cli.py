@@ -197,8 +197,8 @@ LATIN1_MAPPING = b'{"ports": ["P0"], "instructions": {"\xe9": []}}'
 
 # A checkpoint whose epoch count overflows int(): JSON reads 1e400 as inf.
 OVERFLOW_CHECKPOINT = (
-    '{"format": "repro-pmevo/checkpoint-v1", "config": {}, "instructions": [], '
-    '"num_ports": 9, "epochs": 1e400, "migrations": 0, "states": []}'
+    '{"format": "repro-pmevo/checkpoint-v2", "config": {}, "problem": "", '
+    '"epochs": 1e400, "migrations": 0, "states": []}'
 )
 
 
