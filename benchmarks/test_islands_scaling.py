@@ -29,7 +29,7 @@ import pytest
 
 from bench_lib import stratified_forms, write_result
 from repro.machine import MeasurementConfig, skl_machine
-from repro.pmevo import EvolutionConfig, PMEvoConfig, infer_port_mapping
+from repro.pmevo import EvolutionConfig, PMEvoConfig, SocketTransport, infer_port_mapping
 
 ISLANDS = 4
 ISLAND_POPULATION = 40
@@ -58,14 +58,14 @@ def _run(machine, names, *, population, islands, workers, target=None,
             max_generations=max_generations,
             seed=ROOT_SEED,
             islands=islands,
-            workers=workers,
             migration_interval=4,
             migration_size=3,
             target_davg=target,
         )
     )
+    transport = SocketTransport(local_workers=workers) if workers > 1 else None
     start = time.perf_counter()
-    result = infer_port_mapping(machine, names=names, config=config)
+    result = infer_port_mapping(machine, names=names, config=config, transport=transport)
     return result, time.perf_counter() - start
 
 
@@ -83,9 +83,10 @@ def test_islands_reach_baseline_fitness_faster(skl_preset):
     )
     target = _history_best(baseline.evolution)
 
+    workers = min(ISLANDS, cpus)
     parallel, parallel_wall = _run(
         machine, names, population=ISLAND_POPULATION, islands=ISLANDS,
-        workers=min(ISLANDS, cpus), target=target, max_generations=100,
+        workers=workers, target=target, max_generations=100,
     )
     serial, serial_wall = _run(
         machine, names, population=ISLAND_POPULATION, islands=ISLANDS,
@@ -113,7 +114,7 @@ def test_islands_reach_baseline_fitness_faster(skl_preset):
         f"islands:  {ISLANDS} x {ISLAND_POPULATION}, time-to-target mode, "
         f"{parallel.evolution.generations} generations, "
         f"{parallel.evolution.evaluations} evaluations, {parallel_wall:.2f}s "
-        f"({parallel.evolution.workers} workers, {cpus} cpus visible)",
+        f"({workers} workers, {cpus} cpus visible)",
         f"target fitness reached: {reached}",
         f"evaluations-to-target ratio: {work_ratio:.2f}",
         f"measured wall-clock ratio: {wall_ratio:.2f}",

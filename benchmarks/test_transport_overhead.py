@@ -4,9 +4,10 @@ This bench records what each way of running an epoch costs per epoch
 barrier on a localhost workload, so the distributed setup's break-even
 point is documented: off-process epochs pay JSON serialization plus TCP
 round trips, which is only worth it when another core buys back more than
-that.  The rows are the in-process transport, the default ``workers=2``
-path (a loopback socket coordinator that forks its two workers, start-up
-included), and a socket coordinator fed by two hand-started worker threads.
+that.  The rows are the in-process transport, a loopback socket
+coordinator that forks its two workers (``SocketTransport(local_workers=2)``,
+start-up included), and a socket coordinator fed by two hand-started worker
+threads.
 
 All three must return byte-identical results (also pinned by
 ``tests/test_transport_equivalence.py``); here the interesting number is
@@ -58,7 +59,6 @@ def _config():
         max_generations=GENERATIONS,
         seed=0,
         islands=ISLANDS,
-        workers=2,
         migration_interval=MIGRATION_INTERVAL,
         migration_size=2,
     )
@@ -75,7 +75,7 @@ def test_transport_overhead_record():
     ports, measured, singles = _problem()
 
     serial, serial_wall = _run(ports, measured, singles, SerialTransport())
-    local, local_wall = _run(ports, measured, singles)
+    local, local_wall = _run(ports, measured, singles, SocketTransport(local_workers=2))
 
     socket_transport = SocketTransport(min_workers=2, heartbeat_timeout=30.0)
     host, port = socket_transport.listen()
@@ -93,7 +93,7 @@ def test_transport_overhead_record():
         worker.join(timeout=30)
 
     def normalized(result) -> str:
-        return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
+        return dataclasses.replace(result, wall_seconds=0.0).to_json()
 
     assert normalized(local) == normalized(serial)
     assert normalized(socket_result) == normalized(serial)
@@ -102,7 +102,7 @@ def test_transport_overhead_record():
     rows = []
     for label, result, wall in (
         ("serial", serial, serial_wall),
-        ("workers=2 (forked)", local, local_wall),
+        ("2 forked workers", local, local_wall),
         ("socket(2 local)", socket_result, socket_wall),
     ):
         rows.append(

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Distributed inference: socket transport and checkpoint/resume.
 
-PR 4's island model parallelized the evolutionary search on one host; the
-migration transport extracted in PR 5 scales it beyond it.  This walkthrough
-demonstrates the two pieces on a laptop-scale SKL problem:
+The island model parallelizes the evolutionary search on one host; the
+migration transport scales it beyond it.  This walkthrough demonstrates the
+two pieces on a laptop-scale SKL problem:
 
 1. **Socket transport.**  An inference run leases island epochs over TCP to
    worker processes.  Here the workers are threads in this process for
-   convenience; on a cluster you run ``repro-pmevo infer ... --transport
-   socket --bind 0.0.0.0:5555`` on the coordinator and ``repro-pmevo worker
-   --connect COORDINATOR:5555`` on every core of every machine — the code
-   path is identical.
+   convenience; on a cluster you run ``repro-pmevo infer ... --bind
+   0.0.0.0:5555`` on the coordinator and ``repro-pmevo worker --connect
+   COORDINATOR:5555`` on every core of every machine — the code path is
+   identical.
 2. **Checkpoint/resume.**  The same epoch-barrier serialization is written
    to disk as atomic snapshots; we kill a run mid-flight, resume it, and
    verify the result is byte-identical to never having been interrupted.
@@ -57,9 +57,9 @@ def pmevo_config(args) -> PMEvoConfig:
 
 
 def normalized(result) -> str:
-    """Serialized result minus timing/worker-count (the comparison the
-    equivalence tests use)."""
-    return dataclasses.replace(result.evolution, wall_seconds=0.0, workers=0).to_json()
+    """Serialized result minus its timing (the comparison the equivalence
+    tests use)."""
+    return dataclasses.replace(result.evolution, wall_seconds=0.0).to_json()
 
 
 def demo_socket(machine, names, args):

@@ -9,7 +9,9 @@ that make it safe to use:
 
 * **Speed**: K islands of population p evolve concurrently in worker
   processes, so a generation costs roughly 1/K of a single population of
-  size K·p while exploring the same gene pool.
+  size K·p while exploring the same gene pool.  The workers are forked by a
+  loopback socket coordinator, ``SocketTransport(local_workers=W)``, passed
+  as the pipeline's ``transport``; without one, every epoch runs in-process.
 * **Reproducibility**: island seeds derive from one root seed and workers
   only transport island states, so any worker count produces byte-identical
   mappings — parallelism cannot silently change results.
@@ -25,6 +27,7 @@ from repro.machine import MeasurementConfig, skl_machine
 from repro.pmevo import (
     EvolutionConfig,
     PMEvoConfig,
+    SocketTransport,
     infer_port_mapping,
 )
 
@@ -43,13 +46,14 @@ def run_once(machine, names, population, islands, workers, seed):
             max_generations=60,
             seed=seed,
             islands=islands,
-            workers=workers,
             migration_interval=5,
             migration_size=2,
         )
     )
+    workers = min(workers, islands)
+    transport = SocketTransport(local_workers=workers) if workers > 1 else None
     start = time.perf_counter()
-    result = infer_port_mapping(machine, names=names, config=config)
+    result = infer_port_mapping(machine, names=names, config=config, transport=transport)
     return result, time.perf_counter() - start
 
 

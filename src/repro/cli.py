@@ -4,10 +4,9 @@ Subcommands (see ``docs/cli.md`` for the full reference):
 
 * ``infer``   — run the PMEvo pipeline against a machine preset and write
   the inferred port mapping as JSON; supports island-model parallel search
-  (``--islands``/``--workers``), distributed search over TCP
-  (``--transport socket``), and checkpoint/resume
-  (``--checkpoint``/``--resume``).
-* ``worker``  — serve island epochs for a ``--transport socket`` coordinator
+  (``--islands``/``--workers``), distributed search over TCP (``--bind``),
+  and checkpoint/resume (``--checkpoint``/``--resume``).
+* ``worker``  — serve island epochs for an ``infer --bind`` coordinator
   (run one per core, on any machine that can reach the coordinator).
 * ``serve``   — serve throughput predictions for one or more mapping files
   over an async HTTP/JSON API (``POST /v1/predict``) with a memoizing LRU
@@ -37,6 +36,7 @@ from repro.core import (
     MappingError,
     ReproError,
     ThreeLevelMapping,
+    TransportError,
 )
 from repro.machine import MeasurementConfig, preset_machine
 from repro.pmevo import (
@@ -94,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="infer a port mapping for a machine preset",
         epilog="Island-model defaults: --islands 1 (sequential Algorithm 1), "
         "--workers 1, --migration-interval 10, --migration-size 2; "
-        "--workers is capped at the island count.  --transport auto runs "
-        "epochs in-process for one worker and otherwise forks that many "
-        "`repro-pmevo worker` processes onto a loopback socket coordinator; "
-        "--transport socket distributes epochs to `repro-pmevo worker "
-        "--connect HOST:PORT` processes started by hand.  --checkpoint "
+        "--workers is capped at the island count.  Epochs run in-process "
+        "unless a socket coordinator runs them: --workers > 1 forks that many "
+        "`repro-pmevo worker` processes onto one, and --bind opens one that "
+        "also takes `repro-pmevo worker --connect HOST:PORT` processes "
+        "started by hand; the coordinator flags need one.  --checkpoint "
         "writes atomic snapshots every --checkpoint-interval epochs; "
         "--resume continues a snapshot bit-identically to an uninterrupted "
         "run.",
@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="local worker processes evolving islands concurrently over a "
-        "loopback socket (effective only with --islands > 1; capped at the "
-        "island count)",
+        help="local worker processes evolving islands concurrently on a "
+        "socket coordinator (effective only with --islands > 1; capped at "
+        "the island count)",
     )
     infer.add_argument(
         "--migration-interval",
@@ -137,43 +137,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="elite genomes each island emigrates per migration",
     )
     infer.add_argument(
-        "--transport",
-        choices=["auto", "socket"],
-        default="auto",
-        help="where island epochs run (default auto: in-process for one "
-        "worker, otherwise --workers forked local workers on a loopback "
-        "socket; socket distributes to `repro-pmevo worker` processes "
-        "started by hand)",
-    )
-    infer.add_argument(
         "--bind",
-        default="127.0.0.1:0",
-        help="HOST:PORT the socket coordinator listens on (':PORT' means "
-        "loopback; port 0 picks an ephemeral port, printed at startup; only "
-        "with --transport socket)",
+        help="HOST:PORT where a socket coordinator also takes `repro-pmevo "
+        "worker` processes started by hand (':PORT' means loopback; port 0 "
+        "picks an ephemeral port, printed before measuring)",
     )
     infer.add_argument(
         "--min-workers",
         type=int,
-        default=1,
         help="workers the socket coordinator waits for before the first "
-        "epoch (only with --transport socket)",
+        "epoch (default: its local workers, at least 1; needs a coordinator)",
     )
     infer.add_argument(
         "--heartbeat-timeout",
         type=_positive_float,
-        default=DEFAULT_HEARTBEAT_TIMEOUT,
         help="seconds of silence before the coordinator declares a worker "
         f"dead and requeues its leases (default {DEFAULT_HEARTBEAT_TIMEOUT:g}; "
-        "must exceed the worker heartbeat interval; only with "
-        "--transport socket)",
+        "must exceed the worker heartbeat interval; needs a coordinator)",
     )
     infer.add_argument(
         "--start-timeout",
         type=_positive_float,
-        default=DEFAULT_START_TIMEOUT,
         help="seconds the coordinator waits for --min-workers before giving "
-        f"up (default {DEFAULT_START_TIMEOUT:g}; only with --transport socket)",
+        f"up (default {DEFAULT_START_TIMEOUT:g}; needs a coordinator)",
     )
     infer.add_argument(
         "--checkpoint",
@@ -198,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="serve island epochs for a --transport socket coordinator",
+        help="serve island epochs for an `infer --bind` coordinator",
         epilog="Start any number of workers (one per core), on this or "
         "other machines; they may join mid-run and may die mid-epoch — "
         "the coordinator reassigns leased epochs, and results are "
@@ -346,24 +332,46 @@ def _subsample_names(machine, count: int, seed: int) -> list[str]:
 
 
 def _make_transport(args: argparse.Namespace):
-    """Build the transport selected by ``--transport`` (None for auto)."""
+    """The socket coordinator the flags ask for, or None for in-process epochs.
+
+    ``min(--workers, --islands)`` local workers are forked when that is above
+    1.  A coordinator exists if and only if there are local workers or
+    ``--bind`` is given; the coordinator flags are mistakes without one.
+    """
     from repro.pmevo import SocketTransport
     from repro.pmevo.transport import parse_address
 
-    if args.transport == "auto":
+    if args.workers < 1:
+        raise TransportError(f"--workers must be at least 1, got {args.workers}")
+    timeout = args.heartbeat_timeout
+    if timeout is not None and timeout <= DEFAULT_HEARTBEAT_INTERVAL:
+        raise TransportError(
+            f"--heartbeat-timeout {timeout:g} must exceed the worker heartbeat "
+            f"interval (default {DEFAULT_HEARTBEAT_INTERVAL:g}s); a timeout "
+            "shorter than one heartbeat period drops healthy workers"
+        )
+    local = min(args.workers, args.islands)
+    local = local if local > 1 else 0
+    tunables = {
+        name: value
+        for name in ("min_workers", "heartbeat_timeout", "start_timeout")
+        if (value := getattr(args, name)) is not None
+    }
+    if args.bind is None and not local:
+        if tunables:
+            flag = "--" + next(iter(tunables)).replace("_", "-")
+            raise TransportError(
+                f"{flag} configures a socket coordinator, and this run has "
+                "none: pass --bind HOST:PORT, or --workers > 1 with --islands > 1"
+            )
         return None
-    host, port = parse_address(args.bind)
-    transport = SocketTransport(
-        host,
-        port,
-        min_workers=args.min_workers,
-        heartbeat_timeout=args.heartbeat_timeout,
-        start_timeout=args.start_timeout,
-    )
-    # Print the actual (possibly ephemeral) address before measurement
-    # starts, so workers can be pointed at it right away.
-    address = transport.listen()
-    print(f"socket transport listening on {address[0]}:{address[1]}", flush=True)
+    host, port = parse_address(args.bind or ":0")
+    transport = SocketTransport(host, port, local_workers=local, **tunables)
+    if args.bind is not None:
+        # Print the actual (possibly ephemeral) address before measurement
+        # starts, so workers can be pointed at it right away.
+        address = transport.listen()
+        print(f"socket transport listening on {address[0]}:{address[1]}", flush=True)
     return transport
 
 
@@ -382,27 +390,23 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             max_generations=args.generations,
             seed=args.seed,
             islands=args.islands,
-            workers=args.workers,
             migration_interval=args.migration_interval,
             migration_size=args.migration_size,
         ),
     )
-    transport = _make_transport(args)
     checkpointer = (
         Checkpointer(args.checkpoint, args.checkpoint_interval)
         if args.checkpoint is not None
         else None
     )
     resume = load_checkpoint(args.resume) if args.resume is not None else None
+    transport = _make_transport(args)
     print(f"inferring port mapping for {machine.describe()}")
     print(f"instruction forms: {len(names)}")
     if args.islands > 1:
-        effective_workers = min(args.workers, args.islands)
-        print(
-            f"islands: {args.islands} x {args.population} "
-            f"(workers: {effective_workers})"
-        )
-    elif args.workers > 1 and args.transport != "socket":
+        workers = transport.local_workers if transport is not None else 1
+        print(f"islands: {args.islands} x {args.population} (workers: {workers})")
+    elif args.workers > 1:
         print(
             f"note: --workers {args.workers} has no effect with a single "
             "population; pass --islands > 1 for parallel search",
@@ -555,21 +559,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Cross-field checks that argparse types cannot express alone."""
-    if args.command == "infer" and args.heartbeat_timeout <= DEFAULT_HEARTBEAT_INTERVAL:
-        parser.error(
-            f"--heartbeat-timeout {args.heartbeat_timeout:g} must exceed the "
-            f"worker heartbeat interval (default {DEFAULT_HEARTBEAT_INTERVAL:g}s); "
-            "a timeout shorter than one heartbeat period drops healthy workers"
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = build_parser().parse_args(argv)
     handlers = {
         "infer": _cmd_infer,
         "worker": _cmd_worker,

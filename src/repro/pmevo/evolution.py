@@ -123,9 +123,9 @@ class EvolutionConfig:
 
     The island-model knobs (all inert at their defaults) shape
     :meth:`PortMappingEvolver.run`: ``islands`` independent populations of
-    ``population_size`` each, ``workers`` processes evaluating them
-    concurrently, and every ``migration_interval`` generations each island
-    sends its ``migration_size`` best genomes to its ring successor.
+    ``population_size`` each, and every ``migration_interval`` generations
+    each island sends its ``migration_size`` best genomes to its ring
+    successor.  Where the islands run is the transport's choice.
     """
 
     population_size: int = 100
@@ -135,7 +135,6 @@ class EvolutionConfig:
     local_search_rounds: int = 2
     seed: int = 0
     islands: int = 1
-    workers: int = 1
     migration_interval: int = 10
     migration_size: int = 2
     #: Stop as soon as the best D_avg reaches this value (time-to-target
@@ -151,8 +150,6 @@ class EvolutionConfig:
             raise InferenceError("mutation rate must be in [0, 1]")
         if self.islands < 1:
             raise InferenceError("need at least one island")
-        if self.workers < 1:
-            raise InferenceError("need at least one worker")
         if self.migration_interval < 1:
             raise InferenceError("migration interval must be positive")
         if self.migration_size < 0:
@@ -228,7 +225,6 @@ class EvolutionResult:
     history: list[GenerationStats] = field(default_factory=list)
     converged: bool = False
     islands: int = 1
-    workers: int = 1
     epochs: int = 0
     migrations: int = 0
     best_island: int = 0
@@ -256,7 +252,6 @@ class EvolutionResult:
             "history": history_to_jsonable(self.history),
             "converged": self.converged,
             "islands": self.islands,
-            "workers": self.workers,
             "epochs": self.epochs,
             "migrations": self.migrations,
             "best_island": self.best_island,
@@ -662,13 +657,10 @@ class PortMappingEvolver:
     # -- main loop ----------------------------------------------------------
 
     def _check_resume(self, resume: CheckpointSnapshot, problem: str) -> None:
-        # `workers` only chooses where epochs run, never what they compute,
-        # so a checkpoint from an 8-core box may resume on a 4-core one.
-        if dataclasses.replace(resume.config, workers=self.config.workers) != self.config:
+        if resume.config != self.config:
             raise CheckpointError(
                 "checkpoint was written under a different evolution config; "
-                "resume with the same seed/population/island settings "
-                "(--workers may differ)"
+                "resume with the same seed/population/island settings"
             )
         if resume.problem != problem:
             raise CheckpointError(
@@ -691,27 +683,20 @@ class PortMappingEvolver:
         """Evolve every island to completion and return the global best.
 
         Each epoch advances the active islands ``migration_interval``
-        generations on ``transport`` (default: in-process for one worker,
-        otherwise a loopback socket coordinator that forks
-        ``min(workers, islands)`` local workers; the choice cannot affect
-        results) and then migrates elites around the ring.
+        generations on ``transport`` (default: in-process; the choice
+        cannot affect results) and then migrates elites around the ring.
         ``checkpointer`` persists a snapshot at epoch barriers; ``resume``
         continues from a loaded snapshot, validated against this evolver's
         config and problem, bit-identically to never having stopped.
         """
         # Both modules import this one, so they are imported at call time.
         from repro.pmevo.checkpoint import CheckpointSnapshot
-        from repro.pmevo.transport import SerialTransport, SocketTransport, problem_to_jsonable
+        from repro.pmevo.transport import SerialTransport, problem_to_jsonable
 
         start_time = time.perf_counter()
         config = self.config
-        workers = min(config.workers, config.islands)
         if transport is None:
-            transport = (
-                SocketTransport(min_workers=workers, local_workers=workers)
-                if workers > 1
-                else SerialTransport()
-            )
+            transport = SerialTransport()
         problem = ""
         if checkpointer is not None or resume is not None:
             document = problem_to_jsonable(self)
@@ -778,7 +763,6 @@ class PortMappingEvolver:
             wall_seconds=time.perf_counter() - start_time,
             converged=all(s.converged for s in states),
             islands=config.islands,
-            workers=workers,
             epochs=epochs,
             migrations=migrations,
             best_island=best_island,

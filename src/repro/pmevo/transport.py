@@ -32,9 +32,8 @@ A transport has three methods, called in this order by one driving thread:
 Two transports implement it.  :class:`SerialTransport` runs epochs in the
 calling process.  :class:`SocketTransport` leases them to ``repro-pmevo
 worker`` processes over TCP; given ``local_workers=N`` it forks N of those
-workers itself onto the loopback interface, which is how
-:meth:`~repro.pmevo.evolution.PortMappingEvolver.run` parallelizes
-``--workers N`` on one host.  Local and remote workers therefore share one
+workers itself onto the loopback interface, which is how ``infer --workers
+N`` parallelizes on one host.  Local and remote workers therefore share one
 code path: the same frames, leases, requeue and work stealing.
 
 States cross process and network boundaries only in the
@@ -405,7 +404,8 @@ class SocketTransport:
         Bind address; port 0 picks an ephemeral port (``address`` holds the
         actual one after :meth:`listen`).
     min_workers:
-        How many workers :meth:`start` waits for before the first epoch.
+        How many workers :meth:`start` waits for before the first epoch
+        (default: the ``local_workers`` it forks, at least one).
     heartbeat_timeout:
         Seconds of per-worker silence before its leases are given up on.
     start_timeout:
@@ -425,11 +425,13 @@ class SocketTransport:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        min_workers: int = 1,
+        min_workers: int | None = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         start_timeout: float = DEFAULT_START_TIMEOUT,
         local_workers: int = 0,
     ):
+        if min_workers is None:
+            min_workers = max(1, local_workers)
         if min_workers < 1:
             raise TransportError("socket transport needs at least one worker")
         if heartbeat_timeout <= 0 or start_timeout <= 0:

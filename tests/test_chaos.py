@@ -74,7 +74,7 @@ def _evolver(config=CONFIG):
 
 
 def _normalized(result) -> str:
-    return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
+    return dataclasses.replace(result, wall_seconds=0.0).to_json()
 
 
 @pytest.fixture(scope="module")

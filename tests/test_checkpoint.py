@@ -351,27 +351,15 @@ class TestResumeValidation:
         with pytest.raises(CheckpointError, match="different evolution config"):
             other.run(resume=snapshot)
 
-    def test_resume_allows_different_worker_count(self, tmp_path):
-        # `workers` is wall-clock-only: a checkpoint from an 8-core host
-        # must resume on a smaller one.
-        import dataclasses
-
-        snapshot = self._checkpoint_from_run(tmp_path)
-        resumed = _evolver(
-            dataclasses.replace(ISLAND_CONFIG, workers=2)
-        ).run(resume=snapshot)
-        baseline = _evolver(ISLAND_CONFIG).run()
-        assert resumed.mapping == baseline.mapping
-        assert resumed.history == baseline.history
-
     @pytest.mark.parametrize(
         "key, value",
-        [("batch_chunk", 16), ("convergence_tolerance", 1e-9)],
-        ids=["batch_chunk", "convergence_tolerance"],
+        [("batch_chunk", 16), ("convergence_tolerance", 1e-9), ("workers", 8)],
+        ids=["batch_chunk", "convergence_tolerance", "workers"],
     )
     def test_config_with_retired_key_resumes_identically(self, tmp_path, key, value):
-        # Snapshots written while the fitness chunk size or the convergence
-        # tolerance was a config field carry that key; resuming ignores it.
+        # Snapshots written while the fitness chunk size, the convergence
+        # tolerance or the worker count was a config field carry that key;
+        # resuming ignores it.
         import dataclasses
 
         class StopAfterFirst(Checkpointer):
@@ -389,7 +377,7 @@ class TestResumeValidation:
         assert snapshot.epochs == 1
 
         def normalized(result):
-            return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
+            return dataclasses.replace(result, wall_seconds=0.0).to_json()
 
         resumed = _evolver(ISLAND_CONFIG).run(resume=snapshot)
         baseline = _evolver(ISLAND_CONFIG).run()

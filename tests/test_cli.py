@@ -29,15 +29,24 @@ class TestParser:
         assert _parse_experiment(["a", "a"]) == Experiment({"a": 2})
 
     def test_cluster_tunables_defaults(self):
+        from repro.pmevo import SocketTransport
         from repro.pmevo.transport import (
             DEFAULT_HEARTBEAT_INTERVAL,
             DEFAULT_HEARTBEAT_TIMEOUT,
             DEFAULT_START_TIMEOUT,
         )
 
+        # Unset coordinator flags leave the coordinator's own defaults.
         infer = build_parser().parse_args(["infer", "SKL", "-o", "m.json"])
-        assert infer.heartbeat_timeout == DEFAULT_HEARTBEAT_TIMEOUT
-        assert infer.start_timeout == DEFAULT_START_TIMEOUT
+        assert infer.bind is None
+        assert infer.min_workers is None
+        assert infer.heartbeat_timeout is None
+        assert infer.start_timeout is None
+        coordinator = SocketTransport()
+        assert coordinator.min_workers == 1
+        assert coordinator.heartbeat_timeout == DEFAULT_HEARTBEAT_TIMEOUT
+        assert coordinator.start_timeout == DEFAULT_START_TIMEOUT
+        assert SocketTransport(local_workers=3).min_workers == 3
         worker = build_parser().parse_args(["worker", "--connect", "h:1"])
         assert worker.heartbeat_interval == DEFAULT_HEARTBEAT_INTERVAL
         assert worker.max_reconnect_attempts == 10
@@ -71,13 +80,16 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
 
-    def test_heartbeat_timeout_must_exceed_heartbeat_interval(self, capsys):
+    def test_heartbeat_timeout_must_exceed_heartbeat_interval(self, tmp_path, capsys):
         # A coordinator timeout below one worker heartbeat period would
-        # reap perfectly healthy workers; the parser refuses it outright.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["infer", "SKL", "-o", "m.json", "--heartbeat-timeout", "1.0"])
-        assert excinfo.value.code == 2
-        assert "must exceed the worker heartbeat interval" in capsys.readouterr().err
+        # reap perfectly healthy workers; infer refuses it before measuring.
+        argv = ["infer", "SKL", "-o", str(tmp_path / "m.json"), "--heartbeat-timeout", "1.0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "must exceed the worker heartbeat interval" in captured.err
+        assert "inferring port mapping" not in captured.out
 
     def test_zero_reconnect_attempts_is_allowed(self):
         # 0 is a valid operator choice: "never reconnect, die with the
@@ -216,10 +228,7 @@ class TestUserMistakes:
                 "--resume", "{tmp}/overflow.json",
             ],
             ["show", "{tmp}/missing.json"],
-            [
-                "infer", "SKL", "-o", "{tmp}/m.json", "--islands", "2",
-                "--transport", "socket", "--bind", "nohost",
-            ],
+            ["infer", "SKL", "-o", "{tmp}/m.json", "--islands", "2", "--bind", "nohost"],
             ["predict", "{mapping}", "x=z"],
             ["predict", "{mapping}", "y=1"],
             ["serve", "--mapping", "{tmp}/bad.json", "--bind", "127.0.0.1:0"],
@@ -276,6 +285,31 @@ class TestUserMistakes:
         ids=["forms-negative", "forms-zero", "epsilon-negative"],
     )
     def test_bad_forms_or_epsilon_fail_before_measuring(self, option, tmp_path, capsys):
+        assert main(["infer", "SKL", "-o", str(tmp_path / "m.json"), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "inferring port mapping" not in captured.out
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--min-workers", "2"],
+            ["--heartbeat-timeout", "60"],
+            ["--islands", "2", "--start-timeout", "5"],
+            ["--workers", "4", "--min-workers", "2"],
+            ["--workers", "0"],
+        ],
+        ids=[
+            "min-workers",
+            "heartbeat-timeout",
+            "start-timeout",
+            "one-island-workers",
+            "workers-zero",
+        ],
+    )
+    def test_transport_mistakes_fail_before_measuring(self, option, tmp_path, capsys):
+        # Coordinator flags need a coordinator: --bind, or local workers.
         assert main(["infer", "SKL", "-o", str(tmp_path / "m.json"), *option]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")

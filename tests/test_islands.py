@@ -10,6 +10,7 @@ from repro.pmevo import (
     EvolutionResult,
     PackedPopulation,
     PortMappingEvolver,
+    SocketTransport,
     derive_island_rngs,
     migrate_ring,
 )
@@ -27,15 +28,10 @@ class TestConfigKnobs:
     def test_defaults_are_single_population(self):
         config = EvolutionConfig()
         assert config.islands == 1
-        assert config.workers == 1
 
     def test_bad_islands(self):
         with pytest.raises(InferenceError):
             EvolutionConfig(islands=0)
-
-    def test_bad_workers(self):
-        with pytest.raises(InferenceError):
-            EvolutionConfig(workers=0)
 
     def test_bad_migration_interval(self):
         with pytest.raises(InferenceError):
@@ -155,11 +151,11 @@ class TestDeterminism:
             max_generations=30,
             seed=11,
             islands=4,
-            workers=workers,
             migration_interval=5,
             migration_size=2,
         )
-        return _island_evolver(config).run()
+        transport = SocketTransport(local_workers=workers) if workers > 1 else None
+        return _island_evolver(config).run(transport=transport)
 
     def test_worker_count_does_not_change_results(self):
         serial = self._run(workers=1)
@@ -224,11 +220,10 @@ class TestIslandRun:
             max_generations=60,
             seed=1,
             islands=4,
-            workers=2,
             migration_interval=5,
             migration_size=2,
         )
-        result = _island_evolver(config).run()
+        result = _island_evolver(config).run(transport=SocketTransport(local_workers=2))
         assert result.davg <= 0.02
 
 

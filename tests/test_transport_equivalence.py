@@ -1,17 +1,16 @@
 """Cross-transport equivalence of the island migration transports.
 
 The island model is only trustworthy if *where* an epoch runs cannot change
-*what* it computes: the in-process transport, the default ``workers=2`` path
-(a loopback socket coordinator with two forked workers), a socket
+*what* it computes: the in-process transport, a loopback socket coordinator
+that forks two local workers (``SocketTransport(local_workers=2)``), a socket
 coordinator with hand-started workers — and a run that was killed at a
 checkpoint and resumed — must all produce byte-identical serialized
 :class:`EvolutionResult`\\ s for a fixed seed.  This is the transport
 analogue of ``tests/test_backend_equivalence.py``, which pins the throughput
 backends against each other.
 
-Results are normalized before comparison by zeroing the two fields that may
-legitimately differ between equivalent runs: ``wall_seconds`` (timing) and
-``workers`` (a record of the configuration, not of the search trajectory).
+Results are normalized before comparison by zeroing ``wall_seconds``, the
+one field that may legitimately differ between equivalent runs.
 """
 
 from __future__ import annotations
@@ -66,17 +65,16 @@ CONFIG = EvolutionConfig(
 )
 
 
-def _evolver(workers=1):
+def _evolver():
     truth = {"ad": {0b011: 1}, "mu": {0b100: 2}, "st": {0b011: 1, 0b100: 1}}
     names = ("ad", "mu", "st")
     measured, singles = _measurements_from_truth(truth, names, 3)
-    config = dataclasses.replace(CONFIG, workers=workers)
-    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, config)
+    return PortMappingEvolver(PortSpace.numbered(3), measured, singles, CONFIG)
 
 
 def _normalized(result) -> str:
-    """Serialized result with the run-environment fields zeroed."""
-    return dataclasses.replace(result, wall_seconds=0.0, workers=0).to_json()
+    """Serialized result with its timing zeroed."""
+    return dataclasses.replace(result, wall_seconds=0.0).to_json()
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +84,7 @@ def serial_result():
 
 class TestTransportEquivalence:
     def test_forked_workers_match_serial(self, serial_result):
-        # workers > 1 without a transport forks local socket workers.
-        forked = _evolver(workers=2).run()
+        forked = _evolver().run(transport=SocketTransport(local_workers=2))
         assert _normalized(forked) == _normalized(serial_result)
 
     def test_socket_matches_serial(self, serial_result):
@@ -131,7 +128,7 @@ class TestTransportEquivalence:
         assert _normalized(result) == _normalized(serial_result)
 
     def test_auto_transport_matches_explicit_serial(self, serial_result):
-        # Without a transport, run() picks the in-process one for workers=1.
+        # Without a transport, run() runs every epoch in-process.
         assert _normalized(_evolver().run()) == _normalized(serial_result)
 
 
@@ -139,7 +136,7 @@ class TestSingleIslandParity:
     """Opting into a transport must not change results.
 
     A one-island run given a transport must reproduce the plain sequential
-    run bit-for-bit, or adding ``--transport`` to a command would silently
+    run bit-for-bit, or adding ``--bind`` to a command would silently
     change the inferred mapping.
     """
 
@@ -313,7 +310,9 @@ class TestResumeEquivalence:
         path = tmp_path / "snapshot.json"
         with pytest.raises(KeyboardInterrupt):
             _evolver().run(checkpointer=self._KillAfter(path, 1))
-        resumed = _evolver(workers=2).run(resume=load_checkpoint(path))
+        resumed = _evolver().run(
+            transport=SocketTransport(local_workers=2), resume=load_checkpoint(path)
+        )
         assert _normalized(resumed) == _normalized(serial_result)
 
     def test_resuming_a_finished_run_waits_for_no_worker(self, tmp_path, serial_result):
@@ -330,12 +329,12 @@ class TestForkedWorkers:
     def test_no_process_left_behind(self, tmp_path):
         # The forked workers are reaped on a normal return and when the
         # run is interrupted at an epoch barrier.
-        result = _evolver(workers=2).run()
+        result = _evolver().run(transport=SocketTransport(local_workers=2))
         assert result.transport_stats["leases"] > 0
         assert multiprocessing.active_children() == []
         kill = TestResumeEquivalence._KillAfter(tmp_path / "snapshot.json", 1)
         with pytest.raises(KeyboardInterrupt):
-            _evolver(workers=2).run(checkpointer=kill)
+            _evolver().run(transport=SocketTransport(local_workers=2), checkpointer=kill)
         assert multiprocessing.active_children() == []
 
 
@@ -408,7 +407,7 @@ class TestSocketCLIEndToEnd:
         coordinator = subprocess.Popen(
             self._infer_command(
                 socket_out,
-                ["--transport", "socket", "--bind", "127.0.0.1:0", "--min-workers", "2"],
+                ["--bind", "127.0.0.1:0", "--min-workers", "2"],
             ),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

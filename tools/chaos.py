@@ -3,10 +3,10 @@
 
 This is the subprocess half of the fault-injection harness (the in-process
 half is ``tests/faults.py``).  It drives a real ``repro-pmevo infer
---transport socket`` cluster through a scripted kill:
+--bind`` cluster of hand-started workers through a scripted kill:
 
-1. run a serial baseline (``infer`` with no transport) to get the ground
-   truth mapping bytes,
+1. run a serial baseline (``infer`` without ``--bind``, every epoch
+   in-process) to get the ground truth mapping bytes,
 2. start a socket coordinator with ``--checkpoint`` (interval 1) and the
    requested number of worker processes,
 3. poll the checkpoint until the run reaches ``--at-epoch``,
@@ -155,8 +155,6 @@ def run_drill(args: argparse.Namespace, scratch: Path) -> int:
     checkpoint = scratch / "snapshot.json"
     cluster_out = scratch / "cluster.json"
     cluster_flags = [
-        "--transport",
-        "socket",
         "--bind",
         bind,
         "--min-workers",
