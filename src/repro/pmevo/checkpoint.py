@@ -92,6 +92,18 @@ class CheckpointSnapshot:
             "states": [state.to_jsonable() for state in self.states],
         }
 
+    def check_config(self, config: EvolutionConfig) -> None:
+        """Refuse to continue under another evolution config.
+
+        Unlike the problem digest, which hashes the measurements, the config
+        can be checked before anything is measured.
+        """
+        if self.config != config:
+            raise CheckpointError(
+                "checkpoint was written under a different evolution config; "
+                "resume with the same seed/population/island settings"
+            )
+
     @classmethod
     def from_jsonable(cls, data: dict) -> "CheckpointSnapshot":
         if not isinstance(data, dict):

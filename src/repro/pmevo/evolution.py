@@ -657,11 +657,7 @@ class PortMappingEvolver:
     # -- main loop ----------------------------------------------------------
 
     def _check_resume(self, resume: CheckpointSnapshot, problem: str) -> None:
-        if resume.config != self.config:
-            raise CheckpointError(
-                "checkpoint was written under a different evolution config; "
-                "resume with the same seed/population/island settings"
-            )
+        resume.check_config(self.config)
         if resume.problem != problem:
             raise CheckpointError(
                 "checkpoint covers a different instruction universe, ports or "

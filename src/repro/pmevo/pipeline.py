@@ -115,9 +115,12 @@ def infer_port_mapping(
         A loaded checkpoint to continue from.  The measurement and
         congruence stages are deterministic for a fixed machine/seed, so
         re-running them and resuming the evolution reproduces the
-        uninterrupted run bit-identically.
+        uninterrupted run bit-identically.  Its evolution config is checked
+        before anything is measured, its problem digest after.
     """
     config = config or PMEvoConfig()
+    if resume is not None:
+        resume.check_config(config.evolution)
     universe = tuple(names if names is not None else machine.isa.names)
 
     # Stage 1+2: experiment generation and throughput measurement.

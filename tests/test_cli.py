@@ -291,6 +291,28 @@ class TestUserMistakes:
         assert captured.err.count("\n") == 1
         assert "inferring port mapping" not in captured.out
 
+    def test_resume_under_another_config_fails_before_measuring(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.machine import Machine
+
+        args = ["infer", "SKL", "--forms", "6", "--generations", "2", "--islands", "2"]
+        snapshot = tmp_path / "snap.json"
+        first = [*args, "--population", "10", "-o", str(tmp_path / "a.json")]
+        assert main([*first, "--checkpoint", str(snapshot)]) == 0
+        capsys.readouterr()
+        measured = []
+        measure = Machine.measure
+        monkeypatch.setattr(
+            Machine, "measure", lambda self, e: measured.append(e) or measure(self, e)
+        )
+        second = [*args, "--population", "11", "-o", str(tmp_path / "b.json")]
+        assert main([*second, "--resume", str(snapshot)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "different evolution config" in err
+        assert measured == []
+
     @pytest.mark.parametrize(
         "option",
         [
