@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.analysis import evaluate_predictor, format_table
 from repro.baselines import LLVMMCAPredictor
 from repro.core import (
+    CheckpointError,
     Experiment,
     ExperimentError,
     MappingError,
@@ -171,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--checkpoint-interval",
         type=int,
-        default=1,
-        help="epochs between checkpoint snapshots (default 1)",
+        help="epochs between checkpoint snapshots (default 1; needs --checkpoint)",
     )
     infer.add_argument(
         "--resume",
@@ -394,11 +394,12 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             migration_size=args.migration_size,
         ),
     )
-    checkpointer = (
-        Checkpointer(args.checkpoint, args.checkpoint_interval)
-        if args.checkpoint is not None
-        else None
-    )
+    checkpointer = None
+    if args.checkpoint is not None:
+        interval = 1 if args.checkpoint_interval is None else args.checkpoint_interval
+        checkpointer = Checkpointer(args.checkpoint, interval)
+    elif args.checkpoint_interval is not None:
+        raise CheckpointError("--checkpoint-interval needs --checkpoint PATH")
     resume = load_checkpoint(args.resume) if args.resume is not None else None
     transport = _make_transport(args)
     print(f"inferring port mapping for {machine.describe()}")

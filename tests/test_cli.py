@@ -281,8 +281,13 @@ class TestUserMistakes:
 
     @pytest.mark.parametrize(
         "option",
-        [["--forms", "-3"], ["--forms", "0"], ["--epsilon", "-1"]],
-        ids=["forms-negative", "forms-zero", "epsilon-negative"],
+        [
+            ["--forms", "-3"],
+            ["--forms", "0"],
+            ["--epsilon", "-1"],
+            ["--checkpoint-interval", "3"],
+        ],
+        ids=["forms-negative", "forms-zero", "epsilon-negative", "checkpoint-interval-alone"],
     )
     def test_bad_forms_or_epsilon_fail_before_measuring(self, option, tmp_path, capsys):
         assert main(["infer", "SKL", "-o", str(tmp_path / "m.json"), *option]) == 2
