@@ -246,33 +246,31 @@ class TestPipelineIntegration:
         assert result.evolution.islands == 2
         assert result.evolution.davg <= 0.1
 
-    def test_cli_exposes_island_flags(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra", [[], ["--bind", "127.0.0.1:0"]], ids=["forked", "forked-and-bind"]
+    )
+    def test_cli_exposes_island_flags(self, tmp_path, capsys, extra):
+        # --workers 2 forks two local workers onto a socket coordinator;
+        # --bind makes that coordinator take hand-started workers too.
+        import multiprocessing
+
         from repro.cli import main
 
+        argv = [
+            "infer", "SKL", "--forms", "8", "--population", "24", "--generations", "10",
+            "--islands", "2", "--migration-interval", "3",
+        ]
+        serial = tmp_path / "serial.json"
+        assert main([*argv, "-o", str(serial), "--workers", "1"]) == 0
+        capsys.readouterr()
         output = tmp_path / "mapping.json"
-        code = main(
-            [
-                "infer",
-                "SKL",
-                "--output",
-                str(output),
-                "--forms",
-                "8",
-                "--population",
-                "24",
-                "--generations",
-                "10",
-                "--islands",
-                "2",
-                "--workers",
-                "2",
-                "--migration-interval",
-                "3",
-            ]
-        )
-        assert code == 0
-        assert output.exists()
-        assert "islands: 2 x 24 (workers: 2)" in capsys.readouterr().out
+        assert main([*argv, "-o", str(output), "--workers", "2", *extra]) == 0
+        out = capsys.readouterr().out
+        assert "islands: 2 x 24 (workers: 2)" in out
+        assert "\ncluster: " in out
+        assert ("socket transport listening on 127.0.0.1:" in out) == bool(extra)
+        assert output.read_bytes() == serial.read_bytes()
+        assert multiprocessing.active_children() == []
 
 
 class TestSteppingPrimitives:
