@@ -415,14 +415,20 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         )
     if resume is not None:
         print(f"resuming from {args.resume} (epoch {resume.epochs})")
-    result = infer_port_mapping(
-        machine,
-        names=names,
-        config=config,
-        transport=transport,
-        checkpointer=checkpointer,
-        resume=resume,
-    )
+    try:
+        result = infer_port_mapping(
+            machine,
+            names=names,
+            config=config,
+            transport=transport,
+            checkpointer=checkpointer,
+            resume=resume,
+        )
+    finally:
+        # The run closes its transport, but a failure before the first
+        # epoch (a refused resume, a measurement error) never reaches it.
+        if transport is not None:
+            transport.close()
     args.output.write_text(result.mapping.to_json())
     cluster = result.evolution.transport_stats
     if cluster:
