@@ -231,9 +231,9 @@ class EvolutionResult:
     island_histories: list[list[GenerationStats]] = field(default_factory=list)
     island_davgs: list[float] = field(default_factory=list)
     islands_converged: list[bool] = field(default_factory=list)
-    #: Scheduling/recovery telemetry from the transport (e.g.
-    #: :attr:`~repro.pmevo.transport.SocketTransport.stats`): leases,
-    #: steals, stale results, requeues, worker drops.  Deliberately outside
+    #: Scheduling/recovery telemetry from the transport's ``stats``, where it
+    #: keeps any (the socket coordinator does): leases, steals, stale
+    #: results, requeues, worker drops.  Deliberately outside
     #: the serialized form and excluded from comparisons — it records *how*
     #: the run was scheduled, which the bit-identity guarantee says must
     #: never influence *what* was computed.
